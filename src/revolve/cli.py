@@ -23,7 +23,7 @@ import numpy as np
 from . import catalog as cat
 from .curvature import (classify_mean_inverse, constraint_residual,
                         gauss_curvature, mean_curvature, weingarten_residual)
-from .errors import NumericalError, RevolveError, ValidationError
+from .errors import NumericalError, ParamOutOfRange, RevolveError, ValidationError
 from .expr import parse_expr
 from .mesh import discrete_mesh_curvature, revolve, write_obj, write_stl
 from .momentum import (Momentum, admissible_intervals, momentum_from_gauss,
@@ -178,6 +178,8 @@ def _cmd_mesh(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.grid < 2:
+        raise ParamOutOfRange(f"--grid must be at least 2, got {args.grid}")
     state = _load_state(args.out)
     m = _momentum_from_state(state, args.tol_quad)
     lo, hi = m.domain

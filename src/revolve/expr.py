@@ -12,6 +12,13 @@ Unary minus binds tighter than '*' and '/', looser than '^'. Evaluation is
 total: anything outside a function's domain raises EvaluationDomainError
 instead of propagating a platform error. Expressions can be differentiated
 symbolically with respect to x (all other names are treated as constants).
+
+:meth:`Expression.as_function` compiles the tree once into a Python function
+with the parameters and literals bound as constants. It performs the same
+float operations in the same order as the tree walker ``_eval``, so its
+results are bit-identical. When an operation fails, the function evaluates
+the tree again with ``_eval`` at the same x, so domain errors keep their
+typed EvaluationDomainError and its message.
 """
 from __future__ import annotations
 
@@ -276,6 +283,67 @@ def _eval(node: Node, x: float, params: Mapping[str, float]) -> float:
         raise EvaluationDomainError(f"{a!r} ^ {b!r}: {exc}") from None
 
 
+# --- compilation ---------------------------------------------------------
+
+# Subexpressions nested deeper than this are assigned to a local first, which
+# keeps the generated source under the parser's parenthesis nesting limit.
+_MAX_NESTING = 50
+
+
+def _compile(root: Node, params: Mapping[str, float]) -> Callable[[float], float]:
+    """One Python function computing ``_eval(root, float(x), params)``.
+
+    Every node becomes the same Python float operation ``_eval`` performs,
+    fully parenthesised so association and evaluation order match; '^' stays
+    ``math.pow`` so a negative base with a fractional exponent still raises.
+    """
+    consts: dict[str, object] = {}
+    spills: list[str] = []
+
+    def bind(value: object) -> str:
+        name = f"_k{len(consts)}"
+        consts[name] = value
+        return name
+
+    def emit(node: Node) -> tuple[str, int]:
+        if isinstance(node, Num):
+            return bind(node.value), 0
+        if isinstance(node, Var):
+            return ("x" if node.name == "x" else bind(float(params[node.name]))), 0
+        if isinstance(node, Neg):
+            arg, depth = emit(node.arg)
+            code, depth = f"(-{arg})", depth + 1
+        elif isinstance(node, Call):
+            arg, depth = emit(node.arg)
+            code, depth = f"_float({bind(FUNCTIONS[node.fn])}({arg}))", depth + 2
+        else:
+            (a, da), (b, db) = emit(node.left), emit(node.right)
+            depth = max(da, db) + 1
+            code = f"_pow({a}, {b})" if node.op == "^" else f"({a} {node.op} {b})"
+        if depth < _MAX_NESTING:
+            return code, depth
+        name = f"_t{len(spills)}"
+        spills.append(f"            {name} = {code}")
+        return name, 0
+
+    body, _ = emit(root)
+    args = ", ".join(["_float", "_pow", "_eval", "_root", "_params", *consts])
+    source = "\n".join([
+        f"def _make({args}):",
+        "    def f(x):",
+        "        x = _float(x)",
+        "        try:",
+        *spills,
+        f"            return {body}",
+        "        except (ZeroDivisionError, ValueError, OverflowError):",
+        "            return _eval(_root, x, _params)",
+        "    return f",
+    ])
+    namespace: dict[str, object] = {}
+    exec(source, namespace)
+    return namespace["_make"](float, math.pow, _eval, root, params, *consts.values())
+
+
 # --- differentiation (with respect to x) ---------------------------------
 
 def _contains_x(node: Node) -> bool:
@@ -408,8 +476,7 @@ class Expression:
         missing = self.parameters() - set(p)
         if missing:
             raise UnknownIdentifier(sorted(missing)[0])
-        root = self.root
-        return lambda x: _eval(root, float(x), p)
+        return _compile(self.root, p)
 
 
 def parse_expr(text: str) -> Expression:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import io
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -28,9 +29,9 @@ from scipy.integrate import solve_ivp
 from .curvature import CurvatureSample
 from .errors import (AxisSingularity, DegeneratePolyline, DomainViolation,
                      EventLocatorFailure, NonIntegrableSingularity,
-                     QuadratureFailure, StepUnderflow)
+                     ParamOutOfRange, QuadratureFailure, StepUnderflow)
 from .momentum import Momentum
-from .quadrature import gk_quad, sqrt_endpoint_integral, tanh_sinh
+from .quadrature import gk_quad_raw, sqrt_endpoint_integral, tanh_sinh
 
 __all__ = [
     "Profile",
@@ -179,18 +180,20 @@ def graph_height(m: Momentum, x0: float, x1: float, n: int = 513,
     panel_tol = max(tol / (4.0 * math.sqrt(n)), 1e-13)
     end_tol = max(0.25 * tol, 2e-12)
     zs = np.zeros(n)
-    for i in range(n - 1):
-        a, b = float(xs[i]), float(xs[i + 1])
-        if i == 0 and sing_lo:
-            val = sqrt_endpoint_integral(f, a, b, True, False, tol=end_tol)
-        elif i == n - 2 and sing_hi:
-            val = sqrt_endpoint_integral(f, a, b, False, True, tol=end_tol)
-        else:
-            try:
-                val = gk_quad(f, a, b, tol=panel_tol)
-            except QuadratureFailure:
-                val = tanh_sinh(f, a, b, tol=panel_tol)
-        zs[i + 1] = zs[i] + val
+    with warnings.catch_warnings():  # one filter for all panels
+        warnings.simplefilter("ignore")
+        for i in range(n - 1):
+            a, b = float(xs[i]), float(xs[i + 1])
+            if i == 0 and sing_lo:
+                val = sqrt_endpoint_integral(f, a, b, True, False, tol=end_tol)
+            elif i == n - 2 and sing_hi:
+                val = sqrt_endpoint_integral(f, a, b, False, True, tol=end_tol)
+            else:
+                try:
+                    val = gk_quad_raw(f, a, b, tol=panel_tol)
+                except QuadratureFailure:
+                    val = tanh_sinh(f, a, b, tol=panel_tol)
+            zs[i + 1] = zs[i] + val
     return xs, zs
 
 
@@ -205,6 +208,12 @@ def integrate_profile(m: Momentum, start_x: float, direction: int = +1,
     and stops when it crosses the momentum's x-domain or reaches s_max
     (s_min < 0 extends the same curve backwards in arclength).
     """
+    if samples_per_branch < 2:
+        raise ParamOutOfRange(
+            f"need at least two samples per branch, got {samples_per_branch!r}")
+    if not all(math.isfinite(t) and t > 0.0 for t in (rtol, atol)):
+        raise ParamOutOfRange(
+            f"flow tolerances must be finite and positive, got rtol={rtol!r}, atol={atol!r}")
     lo, hi = m.domain
     w = hi - lo
     if not (lo - 1e-12 * w <= start_x <= hi + 1e-12 * w):

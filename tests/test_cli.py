@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import revolve
 from revolve.cli import main
 
 
@@ -14,6 +15,14 @@ def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _cli_subprocess(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(revolve.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    # a timeout, so that a check that stops working cannot hang the suite
+    return subprocess.run([sys.executable, "-m", "revolve.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
 
 
 def prescribe_catenoid(out_dir, capsys):
@@ -221,9 +230,44 @@ def test_threads_env_var(tmp_path, capsys, monkeypatch):
 
 
 def test_console_script_entry_point():
-    r = subprocess.run([sys.executable, "-m", "revolve.cli", "--help"],
-                       capture_output=True, text=True)
+    r = _cli_subprocess(["--help"])
     # argparse --help exits 0 and lists the subcommands
     assert r.returncode == 0
     for word in ("prescribe", "profile", "mesh", "verify", "catalog"):
         assert word in r.stdout
+
+
+def test_gauss_anchored_on_axis(tmp_path, capsys):
+    # x*K_G = 1/4 is finite at x = 0 although K_G is not: the endpoint probe
+    # must treat the parsed expression's domain error there as a singular end
+    from revolve.cli import _momentum_from_state
+    from revolve.momentum import momentum_from_gauss
+    d = tmp_path / "arch"
+    code, _, err = run(["prescribe", "--kind", "gauss", "--expr", "1/(4*x)",
+                        "--const", "0", "--anchor", "0", "--domain", "0:2",
+                        "--out", str(d)], capsys)
+    assert code == 0, err
+    state = json.loads((d / "momentum.json").read_text())
+    m = _momentum_from_state(state, 1e-12)
+    ref = momentum_from_gauss(lambda x: 0.25 / x, 0.0, +1, (0.0, 2.0), anchor=0.0)
+    xs = np.linspace(0.0, 2.0, 200)
+    assert max(abs(m.eval(float(x)) - ref.eval(float(x))) for x in xs) <= 1e-12
+    code, _, err = run(["profile", "--out", str(d), "--smax", "2",
+                        "--smin", "-1", "--samples", "64"], capsys)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("stage, flag, value, words", [
+    ("profile", "--samples", "0", "two samples"),
+    ("profile", "--samples", "1", "two samples"),
+    ("profile", "--tol-ode", "0", "tolerances"),
+    ("verify", "--tol-ode", "0", "tolerances"),
+    ("verify", "--grid", "0", "--grid"),
+])
+def test_unusable_sizes_and_tolerances_exit_2(tmp_path, capsys, stage, flag, value, words):
+    d = prescribe_catenoid(tmp_path / "st", capsys)
+    r = _cli_subprocess([stage, "--out", str(d), "--start", "1.5", "--smax", "2",
+                         "--smin", "-2", flag, value])
+    assert r.returncode == 2, r.stderr
+    assert words in r.stderr
+    assert not (d / "profile.csv").exists() and not (d / "verify.json").exists()
