@@ -6,7 +6,7 @@ unit tangent as a function of x — reconstructs the curve by quadrature or by
 the unit-speed flow, revolves it into meshes, and cross-checks everything
 against a catalog of closed-form families.
 """
-from .curvature import (CurvatureSample, GaussianConstant, MeanInverseBranch,
+from .curvature import (CurvatureSample, MeanInverseBranch,
                         classify_mean_inverse, constraint_residual,
                         gauss_curvature, gauss_from_mean, gauss_monomial,
                         mean_curvature, principal_curvatures,
@@ -20,7 +20,7 @@ from .errors import (AxisSingularity, DegeneratePolyline, DegenerateProfile,
                      RootBracketFailure, SingularAxis, StepUnderflow,
                      UnknownIdentifier, ValidationError)
 from .expr import Expression, parse_expr
-from .momentum import (Momentum, Prescription, admissible_intervals,
+from .momentum import (Momentum, admissible_intervals,
                        momentum_from_gauss, momentum_from_km,
                        momentum_from_kp, momentum_from_mean)
 from .reconstruct import (Profile, arclength, discrete_curvatures,
@@ -32,9 +32,9 @@ from .mesh import (SurfaceMesh, discrete_mesh_curvature, fundamental_forms,
 from . import catalog
 
 __all__ = [
-    "Momentum", "Prescription", "momentum_from_kp", "momentum_from_km",
+    "Momentum", "momentum_from_kp", "momentum_from_km",
     "momentum_from_mean", "momentum_from_gauss", "admissible_intervals",
-    "CurvatureSample", "GaussianConstant", "MeanInverseBranch",
+    "CurvatureSample", "MeanInverseBranch",
     "principal_curvatures", "mean_curvature", "gauss_curvature",
     "gauss_from_mean", "gauss_monomial", "constraint_residual",
     "weingarten_residual", "classify_mean_inverse",

@@ -289,8 +289,8 @@ def _cmd_classify(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
-def _add_state_opts(sp, with_out_required: bool = True) -> None:
-    sp.add_argument("--out", required=with_out_required,
+def _add_state_opts(sp) -> None:
+    sp.add_argument("--out", required=True,
                     help="state/artifact directory")
     sp.add_argument("--tol-quad", type=float, default=1e-12,
                     help="antiderivative tolerance (default 1e-12)")

@@ -24,12 +24,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import AxisSingularity, ExponentForbidden, NonPositiveMu
-from .momentum import Momentum
+from .momentum import _AXIS_REL, Momentum
 from .quadrature import AnchoredAntiderivative
 
 __all__ = [
     "CurvatureSample",
-    "GaussianConstant",
     "MeanInverseBranch",
     "principal_curvatures",
     "mean_curvature",
@@ -40,8 +39,6 @@ __all__ = [
     "weingarten_residual",
     "classify_mean_inverse",
 ]
-
-_AXIS_REL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -57,27 +54,6 @@ class CurvatureSample:
     @classmethod
     def from_principal(cls, x: float, k_m: float, k_p: float) -> "CurvatureSample":
         return cls(x=x, k_m=k_m, k_p=k_p, H=0.5 * (k_m + k_p), K_G=k_m * k_p)
-
-
-@dataclass(frozen=True)
-class GaussianConstant:
-    """The antiderivative constant Gamma of int(x*H) for H = mu * x^n.
-
-    Feeding the induced Gauss curvature back into the momentum construction
-    requires the coupled constant c = 2*Gamma.
-    """
-
-    gamma: float
-    mu: float
-    n: float
-
-    def __post_init__(self):
-        if abs(self.n + 2.0) < 1e-12:
-            raise ExponentForbidden("the exponent n = -2 has no monomial antiderivative")
-
-    @property
-    def momentum_constant(self) -> float:
-        return 2.0 * self.gamma
 
 
 @dataclass(frozen=True)
@@ -116,12 +92,6 @@ def gauss_curvature(m: Momentum, x: float) -> float:
     return k_m * k_p
 
 
-def _antiderivative(f: Callable[[float], float], domain: Sequence[float],
-                    anchor: float | None, tol: float) -> AnchoredAntiderivative:
-    lo, hi = float(domain[0]), float(domain[1])
-    return AnchoredAntiderivative(f, lo, hi, anchor=anchor, tol=tol)
-
-
 def gauss_from_mean(H: Callable[[float], float], gamma: float, x,
                     domain: Sequence[float], anchor: float | None = None,
                     tol: float = 1e-12):
@@ -133,7 +103,8 @@ def gauss_from_mean(H: Callable[[float], float], gamma: float, x,
 
         K_G = 4*A*H/x^2 - 4*A^2/x^4
     """
-    A = _antiderivative(lambda t: t * H(t), domain, anchor, tol)
+    lo, hi = domain[0], domain[1]
+    A = AnchoredAntiderivative(lambda t: t * H(t), lo, hi, anchor=anchor, tol=tol)
     xs = np.asarray(x, dtype=float)
     Av = np.asarray(A(xs), dtype=float) + gamma
     Hv = np.array([H(float(t)) for t in np.atleast_1d(xs)]).reshape(xs.shape)
@@ -171,8 +142,9 @@ def constraint_residual(H: Callable[[float], float], G: Callable[[float], float]
     for compatible antiderivative constants. Both integrals are anchored at
     the same point (domain left end unless ``anchor`` says otherwise).
     """
-    AH = _antiderivative(lambda t: t * H(t), domain, anchor, tol)
-    AG = _antiderivative(lambda t: t * G(t), domain, anchor, tol)
+    lo, hi = domain[0], domain[1]
+    AH = AnchoredAntiderivative(lambda t: t * H(t), lo, hi, anchor=anchor, tol=tol)
+    AG = AnchoredAntiderivative(lambda t: t * G(t), lo, hi, anchor=anchor, tol=tol)
     xs = np.asarray(x, dtype=float)
     lhs = (np.asarray(AH(xs), dtype=float) + gamma_H) ** 2
     rhs = 0.5 * xs**2 * (np.asarray(AG(xs), dtype=float) + c_G)

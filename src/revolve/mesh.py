@@ -4,14 +4,22 @@ Vertex layout: one ring of n_theta vertices per profile sample, welded at the
 theta seam; samples with |x| < 1e-12 collapse to a single pole vertex and the
 adjacent strips fan into it.
 
+Topology is index arithmetic on the n_s x n_theta ring grid: one cumulative
+sum over a keep-mask numbers the vertices (a pole row keeps only column 0),
+column j of strip i gives (r0[j], r1[j], r1[j+1]) and (r0[j], r1[j+1],
+r0[j+1]) with j+1 wrapped by np.roll, and the one that collapses next to a
+pole is dropped. One edge table (each undirected edge with the number of
+triangles on it) serves edge_counts, euler_characteristic, boundary_loops
+and the boundary and manifold checks of discrete_mesh_curvature.
+
 Normal and sign convention: per-vertex reference normals follow the surface
 convention n = (-tz*cos(theta), -tz*sin(theta), tx) built from the profile
 tangent (tx, tz); triangle winding agrees with it, and the sign of the
 discrete mean curvature is taken against this normal, so a unit sphere built
 from its momentum reports H = +1.
 
-Parallelism: strips are independent, but the implementation is sequential,
-which trivially honors any REVOLVE_THREADS cap; outputs never depend on it.
+Parallelism: the implementation is sequential, which trivially honors any
+REVOLVE_THREADS cap; outputs never depend on it.
 """
 from __future__ import annotations
 
@@ -22,7 +30,7 @@ import numpy as np
 
 from .errors import (AxisSingularity, DegenerateProfile, NonManifold,
                      ParamOutOfRange)
-from .momentum import Momentum
+from .momentum import _AXIS_REL, Momentum
 
 __all__ = [
     "SurfaceMesh",
@@ -52,37 +60,33 @@ class SurfaceMesh:
     per_vertex: tuple[np.ndarray, np.ndarray] | None = field(default=None)
 
     def edge_counts(self) -> dict[tuple[int, int], int]:
-        counts: dict[tuple[int, int], int] = {}
-        for a, b, c in self.triangles:
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (int(u), int(v)) if u < v else (int(v), int(u))
-                counts[key] = counts.get(key, 0) + 1
-        return counts
+        lo, hi, counts = _edge_table(self.triangles, len(self.vertices))
+        return dict(zip(zip(lo.tolist(), hi.tolist()), counts.tolist()))
 
     def euler_characteristic(self) -> int:
-        return len(self.vertices) - len(self.edge_counts()) + len(self.triangles)
+        n_edges = len(_edge_table(self.triangles, len(self.vertices))[2])
+        return len(self.vertices) - n_edges + len(self.triangles)
 
     def boundary_loops(self) -> int:
         """Number of closed cycles of boundary edges."""
-        nbr: dict[int, list[int]] = {}
-        for (u, v), c in self.edge_counts().items():
-            if c == 1:
-                nbr.setdefault(u, []).append(v)
-                nbr.setdefault(v, []).append(u)
-        seen: set[int] = set()
-        loops = 0
-        for start in nbr:
-            if start in seen:
-                continue
-            loops += 1
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                if v in seen:
-                    continue
-                seen.add(v)
-                stack.extend(w for w in nbr[v] if w not in seen)
-        return loops
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+        lo, hi, counts = _edge_table(self.triangles, len(self.vertices))
+        lo, hi = lo[counts == 1], hi[counts == 1]
+        n = len(self.vertices)
+        graph = coo_matrix((np.ones(len(lo)), (lo, hi)), shape=(n, n))
+        _, labels = connected_components(graph, directed=False)
+        return len(np.unique(labels[np.concatenate([lo, hi])]))
+
+
+def _edge_table(triangles: np.ndarray, n_vertices: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each undirected edge once as (lo, hi) vertex indices, lo < hi, with
+    the number of triangles that share it."""
+    edges = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    keys, counts = np.unique(edges[:, 0] * n_vertices + edges[:, 1],
+                             return_counts=True)
+    return keys // n_vertices, keys % n_vertices, counts
 
 
 def revolve(p, n_theta: int = 64) -> SurfaceMesh:
@@ -98,54 +102,35 @@ def revolve(p, n_theta: int = 64) -> SurfaceMesh:
         raise DegenerateProfile("need at least two profile samples")
     if np.any((np.diff(x) == 0.0) & (np.diff(z) == 0.0)):
         raise DegenerateProfile("repeated consecutive profile samples")
+    pole = np.abs(x) < _POLE_EPS
+    if np.any(pole[:-1] & pole[1:]):
+        raise DegenerateProfile("two consecutive pole samples")
 
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
     ct, st = np.cos(theta), np.sin(theta)
+    verts = np.stack(np.broadcast_arrays(x[:, None] * ct, x[:, None] * st, z[:, None]), -1)
+    norms = np.stack(np.broadcast_arrays(-tz[:, None] * ct, -tz[:, None] * st, tx[:, None]), -1)
+    verts[pole, :, :2] = 0.0
+    norms[pole, :, :2] = 0.0
+    norms[pole, :, 2] = np.copysign(1.0, np.where(tx != 0.0, tx, 1.0))[pole, None]
 
-    verts: list[np.ndarray] = []
-    norms: list[np.ndarray] = []
-    rings: list[np.ndarray] = []
-    base = 0
-    for i in range(n_s):
-        if abs(x[i]) < _POLE_EPS:
-            idx = np.array([base])
-            verts.append(np.array([[0.0, 0.0, z[i]]]))
-            nz = tx[i] if tx[i] != 0.0 else 1.0
-            norms.append(np.array([[0.0, 0.0, math.copysign(1.0, nz)]]))
-        else:
-            idx = np.arange(base, base + n_theta)
-            ring = np.column_stack([x[i] * ct, x[i] * st, np.full(n_theta, z[i])])
-            verts.append(ring)
-            norms.append(np.column_stack([-tz[i] * ct, -tz[i] * st,
-                                          np.full(n_theta, tx[i])]))
-        rings.append(idx)
-        base += len(idx)
+    keep = np.ones((n_s, n_theta), dtype=bool)
+    keep[pole, 1:] = False
+    idx = np.cumsum(keep.ravel()).reshape(n_s, n_theta) - 1
+    idx[pole] = idx[pole, :1]
+    rings = [idx[i, :1] if pole[i] else idx[i] for i in range(n_s)]
 
-    tris: list[tuple[int, int, int]] = []
-    for i in range(n_s - 1):
-        r0, r1 = rings[i], rings[i + 1]
-        if len(r0) == 1 and len(r1) == 1:
-            raise DegenerateProfile("two consecutive pole samples")
-        if len(r0) == 1:
-            pole = int(r0[0])
-            for j in range(n_theta):
-                jn = (j + 1) % n_theta
-                tris.append((pole, int(r1[j]), int(r1[jn])))
-        elif len(r1) == 1:
-            pole = int(r1[0])
-            for j in range(n_theta):
-                jn = (j + 1) % n_theta
-                tris.append((int(r0[j]), pole, int(r0[jn])))
-        else:
-            for j in range(n_theta):
-                jn = (j + 1) % n_theta
-                tris.append((int(r0[j]), int(r1[j]), int(r1[jn])))
-                tris.append((int(r0[j]), int(r1[jn]), int(r0[jn])))
+    nxt = np.roll(idx, -1, axis=1)
+    tris = np.stack([idx[:-1], idx[1:], nxt[1:], idx[:-1], nxt[1:], nxt[:-1]],
+                    axis=-1).reshape(-1, 3)
+    a, b, c = tris.T
+    tris = tris[(a != b) & (b != c) & (c != a)]
 
-    return SurfaceMesh(vertices=np.concatenate(verts),
-                       triangles=np.array(tris, dtype=np.int64),
+    flat = keep.ravel()
+    return SurfaceMesh(vertices=verts.reshape(-1, 3)[flat],
+                       triangles=tris,
                        rings=rings,
-                       normals=np.concatenate(norms),
+                       normals=norms.reshape(-1, 3)[flat],
                        n_theta=n_theta)
 
 
@@ -154,7 +139,7 @@ def fundamental_forms(m: Momentum, x: float
     """Diagonal coefficients of the first and second fundamental forms in the
     (arclength, theta) chart: I = (1, x^2), II = (K'(x), x*K(x))."""
     lo, hi = m.domain
-    if abs(x) < 1e-13 * max(1.0, hi - lo):
+    if abs(x) < _AXIS_REL * max(1.0, hi - lo):
         raise AxisSingularity("the (s, theta) chart degenerates on the axis")
     K = m.eval(x)
     dK = m.deriv(x)
@@ -186,7 +171,6 @@ def _mixed_areas_and_angles(v: np.ndarray, t: np.ndarray
     l2 = np.einsum("ij,ij->i", e2, e2)
     area = 0.5 * twice_area
     obtuse0, obtuse1, obtuse2 = d0 < 0.0, d1 < 0.0, d2 < 0.0
-    any_obtuse = obtuse0 | obtuse1 | obtuse2
 
     # Voronoi-safe area split
     a_corner = np.empty((len(t), 3))
@@ -194,9 +178,8 @@ def _mixed_areas_and_angles(v: np.ndarray, t: np.ndarray
     a_corner[:, 1] = (l0 * cot0 + l2 * cot2) / 8.0
     a_corner[:, 2] = (l1 * cot1 + l0 * cot0) / 8.0
     for k, obt in enumerate((obtuse0, obtuse1, obtuse2)):
-        rows = any_obtuse
-        a_corner[rows & obt, :] = (area[rows & obt] / 4.0)[:, None]
-        a_corner[rows & obt, k] = area[rows & obt] / 2.0
+        a_corner[obt, :] = (area[obt] / 4.0)[:, None]
+        a_corner[obt, k] = area[obt] / 2.0
 
     a_mixed = np.zeros(n)
     angle_sum = np.zeros(n)
@@ -220,14 +203,12 @@ def discrete_mesh_curvature(mesh: SurfaceMesh
     incomplete), and angle-defect Gauss curvature over the Meyer mixed area
     (boundary defect measured against pi). Results are also cached on
     mesh.per_vertex."""
-    counts = mesh.edge_counts()
-    if any(c > 2 for c in counts.values()):
+    lo, hi, counts = _edge_table(mesh.triangles, len(mesh.vertices))
+    if np.any(counts > 2):
         raise NonManifold("an edge is shared by more than two triangles")
     boundary_v = np.zeros(len(mesh.vertices), dtype=bool)
-    for (u, v), c in counts.items():
-        if c == 1:
-            boundary_v[u] = True
-            boundary_v[v] = True
+    boundary_v[lo[counts == 1]] = True
+    boundary_v[hi[counts == 1]] = True
 
     a_mixed, angle_sum, lap = _mixed_areas_and_angles(mesh.vertices,
                                                       mesh.triangles)
@@ -261,18 +242,14 @@ def write_stl(mesh: SurfaceMesh) -> bytes:
     identical meshes."""
     header = b"rotational surface mesh (binary STL)"
     header = header + b"\x00" * (80 - len(header))
-    v = mesh.vertices
-    t = mesh.triangles
-    p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-    nrm = np.cross(p1 - p0, p2 - p0)
+    tri = mesh.vertices[mesh.triangles]
+    nrm = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
     length = np.linalg.norm(nrm, axis=1)
     nrm = np.where(length[:, None] > 0, nrm / np.maximum(length, 1e-300)[:, None],
                    0.0)
-    record = np.zeros(len(t), dtype=[("n", "<f4", 3), ("v", "<f4", (3, 3)),
-                                     ("attr", "<u2")])
-    record["n"] = nrm.astype("<f4")
-    record["v"][:, 0, :] = p0.astype("<f4")
-    record["v"][:, 1, :] = p1.astype("<f4")
-    record["v"][:, 2, :] = p2.astype("<f4")
-    count = np.uint32(len(t)).astype("<u4").tobytes()
+    record = np.zeros(len(tri), dtype=[("n", "<f4", 3), ("v", "<f4", (3, 3)),
+                                       ("attr", "<u2")])
+    record["n"] = nrm
+    record["v"] = tri
+    count = np.uint32(len(tri)).astype("<u4").tobytes()
     return header + count + record.tobytes()

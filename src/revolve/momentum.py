@@ -18,7 +18,7 @@ one-parameter families keep their textbook constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,7 +29,6 @@ from .quadrature import AnchoredAntiderivative, bracketed_root, numeric_derivati
 
 __all__ = [
     "Momentum",
-    "Prescription",
     "momentum_from_kp",
     "momentum_from_km",
     "momentum_from_mean",
@@ -59,45 +58,6 @@ class Momentum:
 
     def sample(self, xs: Sequence[float]) -> np.ndarray:
         return np.array([self.eval(float(x)) for x in np.asarray(xs).ravel()])
-
-    def sample_deriv(self, xs: Sequence[float]) -> np.ndarray:
-        return np.array([self.deriv(float(x)) for x in np.asarray(xs).ravel()])
-
-
-@dataclass(frozen=True)
-class Prescription:
-    """A curvature prescription as handed over by the CLI.
-
-    kind is one of 'kp', 'km', 'mean', 'gauss'; func maps x to the prescribed
-    curvature; constants holds the free constant(s) of the corresponding
-    construction ('c', and 'sigma' for the Gauss kind).
-    """
-
-    kind: str
-    func: Callable[[float], float]
-    domain: tuple[float, float]
-    constants: dict = field(default_factory=dict)
-    func_deriv: Callable[[float], float] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("kp", "km", "mean", "gauss"):
-            raise ParamOutOfRange(f"unknown prescription kind {self.kind!r}")
-        if self.kind == "kp" and self.constants.get("c", 0.0) != 0.0:
-            raise ParamOutOfRange(
-                "the parallel-curvature construction has no free constant")
-        if self.kind == "gauss" and self.constants.get("sigma", 1.0) not in (1.0, -1.0, 1, -1):
-            raise ParamOutOfRange("sigma must be +1 or -1")
-
-    def to_momentum(self, anchor: float | None = None) -> Momentum:
-        c = float(self.constants.get("c", 0.0))
-        if self.kind == "kp":
-            return momentum_from_kp(self.func, self.domain, p_deriv=self.func_deriv)
-        if self.kind == "km":
-            return momentum_from_km(self.func, c, self.domain, anchor=anchor)
-        if self.kind == "mean":
-            return momentum_from_mean(self.func, c, self.domain, anchor=anchor)
-        sigma = float(self.constants.get("sigma", 1.0))
-        return momentum_from_gauss(self.func, c, sigma, self.domain, anchor=anchor)
 
 
 def _as_interval(domain: Sequence[float]) -> tuple[float, float]:

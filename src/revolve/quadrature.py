@@ -58,8 +58,6 @@ def _level_sum(f: Callable[[float], float], a: float, b: float, half: float,
     total = 0.0
     k = 1
     step = 2 if only_odd else 1
-    if only_odd:
-        k = 1
     while k * h <= _T_MAX:
         t = k * h
         w = 0.5 * math.pi * math.sinh(t)
@@ -267,9 +265,9 @@ class AnchoredAntiderivative:
             else:  # pragma: no cover - loop always breaks in practice
                 raise QuadratureFailure("antiderivative cache failed to refine")
 
+        # The last round left xs unchanged, so its fs are the knot slopes.
         acc = np.concatenate(([0.0], np.cumsum(panel_vals)))
-        fs = np.array([self._safe_f(x) for x in xs])
-        self._spline = CubicHermiteSpline(np.asarray(xs), self._base + acc, fs)
+        self._spline = CubicHermiteSpline(np.asarray(xs), self._base + acc, np.asarray(fs))
         # Per knot interval: its left knot and the spline's four coefficients,
         # highest power first, for the scalar path of __call__.
         self._lefts = self._spline.x[:-1].tolist()
@@ -319,9 +317,6 @@ class AnchoredAntiderivative:
                     out[idx] = float(self._spline(self._inset_hi)) + gk_quad(
                         self._f, self._inset_hi, xv, self.tol)
         return float(out) if np.isscalar(x) else out
-
-    def deriv(self, x):
-        return self._f(x)
 
 
 _FD_REL_STEP = _EPS ** 0.2  # ~7.4e-4, optimal for 4th order

@@ -3,7 +3,9 @@
 Quadrature route: with K the momentum, ds = dx / sqrt(1 - K^2) gives the
 arclength between parallels and dz = K dx / sqrt(1 - K^2) the height of the
 curve over the x-axis; both integrands blow up like an inverse square root
-where |K| reaches 1, which the quadrature layer absorbs.
+where |K| reaches 1, which the quadrature layer absorbs. arclength,
+height_displacement and graph_height share one guard, _singular_ends, which
+flags the endpoints where that happens.
 
 Flow route: the unit-speed system xdot = +-sqrt(1 - K(x)^2), zdot = K(x) is
 integrated in its tangent-angle form
@@ -29,9 +31,9 @@ from scipy.integrate import solve_ivp
 from .curvature import CurvatureSample
 from .errors import (AxisSingularity, DegeneratePolyline, DomainViolation,
                      EventLocatorFailure, NonIntegrableSingularity,
-                     ParamOutOfRange, QuadratureFailure, StepUnderflow)
+                     ParamOutOfRange, StepUnderflow)
 from .momentum import Momentum
-from .quadrature import gk_quad_raw, sqrt_endpoint_integral, tanh_sinh
+from .quadrature import gk_quad_raw, sqrt_endpoint_integral
 
 __all__ = [
     "Profile",
@@ -71,13 +73,6 @@ def _gap(m: Momentum, x: float) -> float:
     return 1.0 - k * k
 
 
-def _check_interior(m: Momentum, a: float, b: float) -> None:
-    for x in np.linspace(a, b, 257)[1:-1]:
-        if _gap(m, float(x)) < -1e-12:
-            raise DomainViolation(
-                f"|K| > 1 at x = {float(x):.6g}; no curve spans [{a:.6g}, {b:.6g}]")
-
-
 def _endpoint_singular(m: Momentum, x_end: float, inward: float, width: float) -> bool:
     g = _gap(m, x_end)
     if g > _SINGULAR_GAP:
@@ -96,6 +91,18 @@ def _endpoint_singular(m: Momentum, x_end: float, inward: float, width: float) -
     return True
 
 
+def _singular_ends(m: Momentum, a: float, b: float) -> tuple[bool, bool]:
+    """Guard of the quadrature routes over [a, b], a < b: DomainViolation
+    where |K| > 1 inside, then one flag per endpoint where 1 - K^2 has a
+    simple zero (a zero of higher order raises NonIntegrableSingularity)."""
+    for x in np.linspace(a, b, 257)[1:-1]:
+        if _gap(m, float(x)) < -1e-12:
+            raise DomainViolation(
+                f"|K| > 1 at x = {float(x):.6g}; no curve spans [{a:.6g}, {b:.6g}]")
+    w = b - a
+    return _endpoint_singular(m, a, +1.0, w), _endpoint_singular(m, b, -1.0, w)
+
+
 def _ds_integrand(m: Momentum):
     def f(x: float) -> float:
         g = _gap(m, x)
@@ -110,40 +117,28 @@ def _dz_integrand(m: Momentum):
     return f
 
 
+def _signed_integral(m: Momentum, integrand, x0: float, x1: float, tol: float) -> float:
+    """int_x0^x1 of integrand(m), negated when x1 < x0."""
+    if x0 == x1:
+        return 0.0
+    a, b = (x1, x0) if x1 < x0 else (x0, x1)
+    sing_lo, sing_hi = _singular_ends(m, a, b)
+    val = sqrt_endpoint_integral(integrand(m), a, b, sing_lo, sing_hi, tol=tol)
+    return -val if x1 < x0 else val
+
+
 def arclength(m: Momentum, x0: float, x1: float, tol: float = 5e-11) -> float:
     """Signed arclength of the curve between the parallels x0 and x1.
 
     Endpoints may sit exactly on |K| = 1 (vertical tangent); such simple
     turning points are integrable and handled at full precision.
     """
-    if x0 == x1:
-        return 0.0
-    sign = 1.0
-    a, b = x0, x1
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-    _check_interior(m, a, b)
-    w = b - a
-    sing_lo = _endpoint_singular(m, a, +1.0, w)
-    sing_hi = _endpoint_singular(m, b, -1.0, w)
-    return sign * sqrt_endpoint_integral(_ds_integrand(m), a, b, sing_lo, sing_hi, tol=tol)
+    return _signed_integral(m, _ds_integrand, x0, x1, tol)
 
 
 def height_displacement(m: Momentum, x0: float, x1: float, tol: float = 5e-11) -> float:
     """z(x1) - z(x0) along the branch where x is monotone increasing."""
-    if x0 == x1:
-        return 0.0
-    sign = 1.0
-    a, b = x0, x1
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-    _check_interior(m, a, b)
-    w = b - a
-    sing_lo = _endpoint_singular(m, a, +1.0, w)
-    sing_hi = _endpoint_singular(m, b, -1.0, w)
-    return sign * sqrt_endpoint_integral(_dz_integrand(m), a, b, sing_lo, sing_hi, tol=tol)
+    return _signed_integral(m, _dz_integrand, x0, x1, tol)
 
 
 def graph_height(m: Momentum, x0: float, x1: float, n: int = 513,
@@ -152,15 +147,14 @@ def graph_height(m: Momentum, x0: float, x1: float, n: int = 513,
 
     Returns (x_samples, z_samples). With spacing='auto' the grid clusters
     toward endpoints where |K| -> 1; 'uniform' forces an equispaced grid.
+    End panels the guard flags take the square-root substitution, every
+    other panel one Gauss-Kronrod integral.
     """
     if not x1 > x0:
         raise DomainViolation(f"need x1 > x0, got [{x0!r}, {x1!r}]")
     if n < 2:
         raise DomainViolation("need at least two samples")
-    _check_interior(m, x0, x1)
-    w = x1 - x0
-    sing_lo = _endpoint_singular(m, x0, +1.0, w)
-    sing_hi = _endpoint_singular(m, x1, -1.0, w)
+    sing_lo, sing_hi = _singular_ends(m, x0, x1)
 
     u = np.linspace(0.0, 1.0, n)
     if spacing == "uniform":
@@ -173,7 +167,7 @@ def graph_height(m: Momentum, x0: float, x1: float, n: int = 513,
         ws = np.sin(0.5 * math.pi * u)
     else:
         ws = u
-    xs = x0 + w * ws
+    xs = x0 + (x1 - x0) * ws
     xs[0], xs[-1] = x0, x1
 
     f = _dz_integrand(m)
@@ -189,10 +183,7 @@ def graph_height(m: Momentum, x0: float, x1: float, n: int = 513,
             elif i == n - 2 and sing_hi:
                 val = sqrt_endpoint_integral(f, a, b, False, True, tol=end_tol)
             else:
-                try:
-                    val = gk_quad_raw(f, a, b, tol=panel_tol)
-                except QuadratureFailure:
-                    val = tanh_sinh(f, a, b, tol=panel_tol)
+                val = gk_quad_raw(f, a, b, tol=panel_tol)
             zs[i + 1] = zs[i] + val
     return xs, zs
 
@@ -331,12 +322,15 @@ def integrate_profile(m: Momentum, start_x: float, direction: int = +1,
 
 def momentum_of_profile(profile, z: Sequence[float] | None = None
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Measure K along a polyline: centered differences of z over chord length.
+    """Measure K = dz/ds along a polyline, with chord length standing in for s.
 
     Accepts a Profile or two coordinate arrays (x, z). Returns (x, K) with K
-    estimated at every input point (one-sided at the ends). The measurement
-    uses coordinate differences only, so it is invariant under vertical
-    translation of the polyline.
+    estimated at every input point: one-sided at the ends, and inside by the
+    three-point stencil (h1^2 (z+ - z0) + h2^2 (z0 - z-)) / (h1 h2 (h1 + h2))
+    with h1, h2 the chords before and after, second-order also where the
+    spacing jumps (as at the s = 0 join of a two-sided trace). The
+    measurement uses coordinate differences only, so it is invariant under
+    vertical translation of the polyline.
     """
     if z is None:
         xs = np.asarray(profile.x, dtype=float)
@@ -355,7 +349,8 @@ def momentum_of_profile(profile, z: Sequence[float] | None = None
     K = np.empty_like(xs)
     K[0] = dz[0] / chord[0]
     K[-1] = dz[-1] / chord[-1]
-    K[1:-1] = (zs[2:] - zs[:-2]) / (chord[1:] + chord[:-1])
+    h1, h2 = chord[:-1], chord[1:]
+    K[1:-1] = (h1 * h1 * dz[1:] + h2 * h2 * dz[:-1]) / (h1 * h2 * (h1 + h2))
     return xs, K
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import struct
 
@@ -192,3 +194,65 @@ def test_pole_fan_winding_consistent():
     assert max(directed.values()) == 1
     for (u, v), _ in directed.items():
         assert (v, u) in directed
+
+
+def _pinned_profile(name):
+    if name == "sphere":
+        ts = np.linspace(0.0, math.pi, 9)
+        x = np.sin(ts)
+    elif name == "band":
+        ts = np.linspace(1.0, 2.0, 5)
+        return Profile(s=ts, x=ts, z=0.3 * ts ** 2, tx=np.ones(5),
+                       tz=np.zeros(5), branch_events=())
+    elif name == "near_pole_start":
+        ts = np.linspace(0.0, 0.5 * math.pi, 6)
+        x = np.sin(ts)
+        x[0] = 1e-14
+    else:  # "pole_end"
+        ts = np.linspace(0.5 * math.pi, math.pi, 6)
+        x = np.sin(ts)
+        x[-1] = 0.0
+    return Profile(s=ts, x=x, z=-np.cos(ts), tx=np.cos(ts), tz=np.sin(ts),
+                   branch_events=())
+
+
+# SHA-256 of (OBJ text, STL bytes, int64 triangles, rings as JSON lists,
+# float64 normals) at n_theta = 8; any change to vertex, triangle or ring
+# order shows here.
+_PINNED = {
+    "sphere": (
+        "a88cfcbea75c475cb657185136474d3ebcf690b89e1143031c4533b25d533c69",
+        "899018c137cefa390085a330a0ef9eef768c6b657f17b41f437972966f6e7ba9",
+        "5f33d0b104e1519115008598178e9b4ebcfc48103e52025fe23a8dc36527b34e",
+        "32e2c293f223f24eb86d084360e31dd278e546d2d6e29e71fb63604c21917269",
+        "2f4a390302ca98f0ef9200fa9502057a7468103e0836a1f98ad0e30efe242f4c"),
+    "band": (
+        "b6635409af93d8bf11a91de5146d912d31c1bafbf8315f3f5b819a3568794f2b",
+        "8ff619f38169ef6193cfa74ed6c7ac883ba64baec49ba1bb1b04393b717dd105",
+        "76b38ae403ea9b9c0f83e867def86a4d6bc6d91b0822c14ce791b4c810659f9d",
+        "5784a4a3b72c383f4d09ba6dddb7ced63700915744183d0c0788010670338a3b",
+        "0b2eb4cba1381f9bc9334d93199c90d017ac9fc9bbe4f74eb6a922b2b6adb8c2"),
+    "near_pole_start": (
+        "4c6a0f9f3f69682dbbad683649fa3356cdc86fc815d2c66609553668a2d6a107",
+        "79dc7691864ea4705a4ef1d15a97096272c76b19df690078427b574a4e9f02c7",
+        "49b8a3f31e65c51ef947471713a55a9e0c29278caff77d977746199add91447f",
+        "582d88e978881bccfbfe78e97af0034fd386b0dd8e524700aaddf4e4d12cc61b",
+        "da5304e24af9cdb25027b269ef84a61beab6e60e8202f98062d4af36388b434f"),
+    "pole_end": (
+        "8da67561be61347d325e7b272cb5bf609696b7febb4a68c9af313734b65b0482",
+        "c342c21d51728e8df5ac2e9599eed5cd87cced7e2acbbfe52101a4142603fd36",
+        "fee2b7999d9cb26c51ee94a5201c81fabc0a6a45773e1cd919a5ca97158f2e84",
+        "6480b134bef628ff3b6a062de801def7493f3149e36259a2ddb6b7115edaee9a",
+        "db80184f2da9da984851e012609cd93f6916304308255b1b587b080266d29168"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_mesh_output_pinned(name):
+    m = revolve(_pinned_profile(name), n_theta=8)
+    assert m.triangles.dtype == np.int64 and m.normals.dtype == np.float64
+    got = tuple(hashlib.sha256(blob).hexdigest() for blob in (
+        write_obj(m).encode(), write_stl(m), m.triangles.tobytes(),
+        json.dumps([r.tolist() for r in m.rings]).encode(),
+        m.normals.tobytes()))
+    assert got == _PINNED[name]

@@ -125,13 +125,17 @@ def test_integrate_profile_direction_flag():
 
 def test_momentum_of_profile_roundtrip_converges():
     m = catenoid_momentum()
-    errs = []
-    for n in (512, 1024):
-        p = integrate_profile(m, start_x=1.5, s_max=1.8, samples_per_branch=n)
-        xs, K = momentum_of_profile(p)
-        errs.append(np.max(np.abs(K[2:-2] - m.sample(xs[2:-2]))))
-    assert errs[0] < 5e-6
-    assert errs[1] < errs[0] / 3.0  # second-order estimator
+    # one-sided, then the README's two-sided trace, whose halves join at
+    # s = 0 with different sample spacings
+    for s_max, s_min in ((1.8, 0.0), (2.0, -2.0)):
+        errs = []
+        for n in (512, 1024):
+            p = integrate_profile(m, start_x=1.5, s_max=s_max, s_min=s_min,
+                                  samples_per_branch=n)
+            xs, K = momentum_of_profile(p)
+            errs.append(np.max(np.abs(K[2:-2] - m.sample(xs[2:-2]))))
+        assert errs[0] < 5e-6
+        assert errs[1] < errs[0] / 3.0  # second-order estimator
 
 
 def test_momentum_of_profile_translation_invariant():
