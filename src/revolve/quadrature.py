@@ -1,14 +1,13 @@
 """Quadrature and differentiation utilities.
 
-Two engines live here:
-
-* :func:`tanh_sinh` - double-exponential quadrature on a finite interval.
-  Nodes cluster double-exponentially at both endpoints, so integrable
-  endpoint singularities converge at the same geometric rate as smooth
-  integrands.
-* :class:`AnchoredAntiderivative` - a cumulative adaptive Gauss-Kronrod
-  integral A(x) = int_anchor^x f(t) dt, cached as a piecewise-cubic Hermite
-  interpolant whose slopes are the exact integrand values.
+One engine integrates every finite range: adaptive bisection into 8-node
+Gauss-Legendre panels (:func:`integrate`). On top of it,
+:func:`sqrt_endpoint_integral` removes inverse-square-root endpoint blow-ups
+by the substitution x = a + v**2, and :class:`AnchoredAntiderivative` caches
+A(x) = int_anchor^x f(t) dt as a cubic Hermite interpolant whose slopes are
+the exact integrand values. QUADPACK (:func:`gk_quad`) is left only for
+ranges that may be infinite or end on a singularity: the strip from the
+anchor to the cache, and points outside it.
 
 Momenta evaluate their antiderivative one float at a time (flows, scans,
 root finding, nested quadrature), so a float inside the cached interval
@@ -32,89 +31,99 @@ from scipy.optimize import brentq
 from .errors import EvaluationDomainError, QuadratureFailure, RootBracketFailure
 
 __all__ = [
-    "tanh_sinh",
+    "integrate",
     "sqrt_endpoint_integral",
     "AnchoredAntiderivative",
     "numeric_derivative",
     "bracketed_root",
     "gk_quad",
-    "gk_quad_raw",
 ]
 
 _EPS = float(np.finfo(float).eps)
+_MIN_WIDTH = 64 * _EPS  # narrowest panel, relative to max(1, |x|)
+_MAX_PANELS = 4096
+_INITIAL_KNOTS = 17  # first knots of an antiderivative cache
 
-# Beyond this abscissa the node weight underflows and nodes collide with the
-# endpoints in double precision.
-_T_MAX = 6.115
+# Nodes and weights of the 8-node Gauss-Legendre rule on [-1, 1].
+_GL_RULE = list(zip(*(v.tolist() for v in np.polynomial.legendre.leggauss(8))))
 
 
-def _level_sum(f: Callable[[float], float], a: float, b: float, half: float,
-               h: float, only_odd: bool) -> float:
-    """Sum weight*f over the tanh-sinh nodes t = k*h (k > 0, both signs).
-
-    With ``only_odd`` only odd k are visited, which is what level doubling
-    needs to reuse previous levels.
-    """
+def _gl(f: Callable[[float], float], a: float, b: float) -> float:
+    """8-node Gauss-Legendre estimate of int_a^b f; a and b are not evaluated."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
     total = 0.0
-    k = 1
-    step = 2 if only_odd else 1
-    while k * h <= _T_MAX:
-        t = k * h
-        w = 0.5 * math.pi * math.sinh(t)
-        cw = math.cosh(w)
-        weight = 0.5 * math.pi * math.cosh(t) / (cw * cw)
-        if weight < 1e-300:
-            break
-        # distance of the +t node to b (and of the -t node to a), in units
-        # of the half-width; computed in a cancellation-free form.
-        dm = math.exp(-w) / cw
-        d = half * dm
-        if d <= 0.0:
-            break
-        x_hi = b - d
-        x_lo = a + d
-        if x_hi >= b or x_lo <= a:
-            break
-        fh = f(x_hi)
-        fl = f(x_lo)
-        if not (math.isfinite(fh) and math.isfinite(fl)):
+    for t, w in _GL_RULE:
+        total += w * f(c + h * t)
+    return h * total
+
+
+def _close(value: float, ref: float, tol: float) -> bool:
+    return abs(value - ref) <= max(tol, 1e-15 * abs(value))
+
+
+def _bisect(f: Callable[[float], float], xs: list[float], tol: float,
+            knot: Callable[[float], float] | None = None):
+    """Adaptive bisection of the panels between the knots xs.
+
+    A panel is accepted when the Gauss-Legendre sum of its halves matches
+    its own estimate to max(tol, 1e-15 * |sum|), and contributes that sum.
+    With ``knot`` (f at a knot, raising where it cannot be evaluated) the
+    cubic Hermite interpolant of the panel's end values and slopes must also
+    reproduce the integral over its left half; each knot is evaluated once.
+    Every panel estimate comes before the first knot evaluation, so an error
+    the integrand raises inside a panel propagates as it is.
+
+    Returns the final knots, f at each of them (nan without ``knot``) and the
+    panel integrals, left to right. Raises QuadratureFailure on a non-finite
+    sum, on a panel at the width floor that does not converge, and beyond
+    _MAX_PANELS panels.
+    """
+    wholes = [_gl(f, x0, x1) for x0, x1 in zip(xs, xs[1:])]
+    fs = [math.nan if knot is None else knot(x) for x in xs]
+    todo = list(zip(xs, xs[1:], fs, fs[1:], wholes))[::-1]
+    out_x, out_f, out_v = xs[:1], fs[:1], []
+    while todo:
+        x0, x1, f0, f1, whole = todo.pop()
+        m = 0.5 * (x0 + x1)
+        left, right = _gl(f, x0, m), _gl(f, m, x1)
+        both = left + right
+        if not math.isfinite(both):
+            raise QuadratureFailure(f"integral over [{x0!r}, {x1!r}] is not finite")
+        ok = _close(both, whole, tol)
+        if ok and knot is not None:
+            # cubic Hermite at the midpoint of the panel
+            ok = _close(0.5 * whole + (x1 - x0) * (f0 - f1) / 8.0, left, tol)
+        if ok:
+            out_x.append(x1)
+            out_f.append(f1)
+            out_v.append(both)
+        elif x1 - x0 <= _MIN_WIDTH * max(1.0, abs(x0)):
             raise QuadratureFailure(
-                f"integrand not finite near x={x_hi if not math.isfinite(fh) else x_lo!r}")
-        total += weight * (fh + fl)
-        k += step
-    return total
+                f"quadrature did not converge on [{x0!r}, {x1!r}] "
+                f"(halves differ by {abs(both - whole):.3e})")
+        elif len(out_v) + len(todo) + 2 > _MAX_PANELS:
+            raise QuadratureFailure(f"quadrature needs more than {_MAX_PANELS} panels")
+        else:
+            fm = math.nan if knot is None else knot(m)
+            todo += [(m, x1, fm, f1, right), (x0, m, f0, fm, left)]
+    return out_x, out_f, out_v
 
 
-def tanh_sinh(f: Callable[[float], float], a: float, b: float,
-              tol: float = 1e-11, max_level: int = 11) -> float:
-    """Integrate f over [a, b] with adaptive double-exponential quadrature.
+def integrate(f: Callable[[float], float], a: float, b: float,
+              tol: float = 1e-11) -> float:
+    """int_a^b f by adaptive bisection into 8-node Gauss-Legendre panels.
 
-    Absolute-tolerance driven; raises QuadratureFailure if the level-doubling
-    scheme does not settle. The endpoints themselves are never evaluated.
+    A panel is accepted when its halves sum to its own estimate within
+    max(tol, 1e-15 * |sum|). Raises QuadratureFailure on a non-finite sum,
+    on a panel at the width floor that does not converge, and beyond
+    _MAX_PANELS panels. The endpoints themselves are never evaluated.
     """
     if a == b:
         return 0.0
     if b < a:
-        return -tanh_sinh(f, b, a, tol=tol, max_level=max_level)
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    f0 = f(mid)
-    if not math.isfinite(f0):
-        raise QuadratureFailure(f"integrand not finite at midpoint x={mid!r}")
-
-    h = 1.0
-    raw = 0.5 * math.pi * f0 + _level_sum(f, a, b, half, h, only_odd=False)
-    value = raw * h * half
-    for _ in range(max_level):
-        h *= 0.5
-        raw += _level_sum(f, a, b, half, h, only_odd=True)
-        new_value = raw * h * half
-        err = abs(new_value - value)
-        value = new_value
-        if err <= max(tol, 1e-15 * abs(value)):
-            return value
-    raise QuadratureFailure(
-        f"tanh-sinh did not converge on [{a!r}, {b!r}] (last step changed by {err:.3e})")
+        return -integrate(f, b, a, tol)
+    return sum(_bisect(f, [a, b], tol)[2])
 
 
 def sqrt_endpoint_integral(f: Callable[[float], float], a: float, b: float,
@@ -124,9 +133,9 @@ def sqrt_endpoint_integral(f: Callable[[float], float], a: float, b: float,
     at one or both endpoints (a simple zero under the root).
 
     Singular sides are regularized by the substitution x = a + v**2 (resp.
-    x = b - v**2), after which the integrand is smooth and tanh-sinh reaches
-    full double precision. The substituted integrand clamps v away from the
-    region where a + v*v rounds back onto the endpoint.
+    x = b - v**2), after which the integrand is smooth and :func:`integrate`
+    reaches full double precision. The substituted integrand clamps v away
+    from the region where a + v*v rounds back onto the endpoint.
     """
     if a == b:
         return 0.0
@@ -137,7 +146,7 @@ def sqrt_endpoint_integral(f: Callable[[float], float], a: float, b: float,
         return (sqrt_endpoint_integral(f, a, mid, True, False, tol=0.5 * tol)
                 + sqrt_endpoint_integral(f, mid, b, False, True, tol=0.5 * tol))
     if not (singular_lo or singular_hi):
-        return tanh_sinh(f, a, b, tol=tol)
+        return integrate(f, a, b, tol=tol)
 
     width = b - a
     scale = max(abs(a), abs(b), width)
@@ -147,38 +156,26 @@ def sqrt_endpoint_integral(f: Callable[[float], float], a: float, b: float,
     v_floor = 1e-5 * math.sqrt(scale)
     v_top = math.sqrt(width)
 
-    if singular_lo:
-        def g(v: float) -> float:
-            v = max(v, v_floor)
-            return 2.0 * v * f(a + v * v)
-    else:
-        def g(v: float) -> float:
-            v = max(v, v_floor)
-            return 2.0 * v * f(b - v * v)
+    end, sign = (a, 1.0) if singular_lo else (b, -1.0)
 
-    return tanh_sinh(g, 0.0, v_top, tol=tol)
+    def g(v: float) -> float:
+        v = max(v, v_floor)
+        return 2.0 * v * f(end + sign * v * v)
+
+    return integrate(g, 0.0, v_top, tol=tol)
 
 
 def gk_quad(f: Callable[[float], float], a: float, b: float,
             tol: float = 1e-12) -> float:
-    """Adaptive Gauss-Kronrod integral with a hard error check.
+    """Adaptive Gauss-Kronrod integral (QUADPACK) with a hard error check.
 
-    Thin wrapper over QUADPACK that turns poor error estimates into a typed
-    QuadratureFailure instead of a console warning. Supports infinite limits
-    and integrable endpoint singularities.
+    For ranges that may be infinite or end on an integrable singularity.
+    Poor error estimates become a typed QuadratureFailure instead of a
+    console warning.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return gk_quad_raw(f, a, b, tol)
-
-
-def gk_quad_raw(f: Callable[[float], float], a: float, b: float,
-                tol: float = 1e-12) -> float:
-    """:func:`gk_quad` without its warnings filter.
-
-    For loops over many panels, which enter one filter around the whole loop.
-    """
-    val, abserr = _sp_integrate.quad(f, a, b, epsabs=tol, epsrel=1e-13, limit=200)
+        val, abserr = _sp_integrate.quad(f, a, b, epsabs=tol, epsrel=1e-13, limit=200)
     if not math.isfinite(val):
         raise QuadratureFailure(f"integral over [{a!r}, {b!r}] is not finite")
     if abserr > max(100.0 * tol, 1e-13 * abs(val), 1e-13):
@@ -192,14 +189,14 @@ class AnchoredAntiderivative:
 
     The anchor defaults to ``lo`` but may lie outside the interval (0 below a
     positive domain, or -inf) as long as f is integrable on [anchor, lo].
-    Panel integrals use adaptive Gauss-Kronrod; the accumulated values and the
-    exact slopes f(x_i) feed a cubic Hermite interpolant that is refined until
-    midpoint interpolation errors drop below ``tol``.
+    Panels are bisected until, to ``tol``, the Gauss-Legendre integrals of
+    each panel's halves match both the panel and the cubic Hermite
+    interpolant through the accumulated values with the exact slopes f(x_i).
+    The integrand is evaluated once at each knot.
     """
 
     def __init__(self, f: Callable[[float], float], lo: float, hi: float,
-                 anchor: float | None = None, tol: float = 1e-12,
-                 initial_knots: int = 17, max_knots: int = 4096):
+                 anchor: float | None = None, tol: float = 1e-12):
         if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
             raise ValueError(f"bad interval [{lo!r}, {hi!r}]")
         self._f = f
@@ -218,55 +215,18 @@ class AnchoredAntiderivative:
         # Keep spline knots away from endpoints where f itself is singular
         # (but integrable); the short end strips are integrated directly.
         inset = 1e-8 * width
-        self._inset_lo = self.lo
-        self._inset_hi = self.hi
-        if not self._defined_at(self.lo):
-            self._inset_lo = self.lo + inset
-        if not self._defined_at(self.hi):
-            self._inset_hi = self.hi - inset
+        ends = {x: self._safe_f(x) for x in (self.lo, self.hi)}
+        self._inset_lo = self.lo if math.isfinite(ends[self.lo]) else self.lo + inset
+        self._inset_hi = self.hi if math.isfinite(ends[self.hi]) else self.hi - inset
 
-        # One warnings filter for the whole build: entering one per panel
-        # costs as much as a short panel integral.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            self._base = 0.0
-            if self.anchor != self._inset_lo:
-                self._base = gk_quad_raw(f, self.anchor, self._inset_lo, tol)
+        self._base = 0.0
+        if self.anchor != self._inset_lo:
+            self._base = gk_quad(f, self.anchor, self._inset_lo, tol)
 
-            xs = list(np.linspace(self._inset_lo, self._inset_hi, initial_knots))
-            panel_vals = [gk_quad_raw(f, xs[i], xs[i + 1], tol * 0.1)
-                          for i in range(len(xs) - 1)]
-
-            # Refine panels until the Hermite interpolant reproduces midpoint
-            # integrals to tolerance.
-            for _round in range(40):
-                fs = [self._safe_f(x) for x in xs]
-                if any(not math.isfinite(v) for v in fs):
-                    raise QuadratureFailure("integrand not finite at an interior knot")
-                splits = []
-                for i in range(len(xs) - 1):
-                    x0, x1 = xs[i], xs[i + 1]
-                    if x1 - x0 <= 64 * _EPS * max(1.0, abs(x0)):
-                        continue
-                    m = 0.5 * (x0 + x1)
-                    left = gk_quad_raw(f, x0, m, tol * 0.1)
-                    h = x1 - x0
-                    # cubic Hermite at the midpoint of panel i
-                    interp = 0.5 * panel_vals[i] + h * (fs[i] - fs[i + 1]) / 8.0
-                    if abs(interp - left) > self.tol:
-                        splits.append((i, m, left))
-                if not splits or len(xs) + len(splits) > max_knots:
-                    break
-                for i, m, left in reversed(splits):
-                    right = panel_vals[i] - left
-                    xs.insert(i + 1, m)
-                    panel_vals[i] = left
-                    panel_vals.insert(i + 1, right)
-            else:  # pragma: no cover - loop always breaks in practice
-                raise QuadratureFailure("antiderivative cache failed to refine")
-
-        # The last round left xs unchanged, so its fs are the knot slopes.
-        acc = np.concatenate(([0.0], np.cumsum(panel_vals)))
+        xs, fs, vals = _bisect(
+            f, np.linspace(self._inset_lo, self._inset_hi, _INITIAL_KNOTS).tolist(),
+            self.tol, lambda x: ends[x] if x in ends else self._knot_f(x))
+        acc = np.concatenate(([0.0], np.cumsum(vals)))
         self._spline = CubicHermiteSpline(np.asarray(xs), self._base + acc, np.asarray(fs))
         # Per knot interval: its left knot and the spline's four coefficients,
         # highest power first, for the scalar path of __call__.
@@ -274,17 +234,17 @@ class AnchoredAntiderivative:
         self._pieces = list(zip(self._lefts, *self._spline.c.tolist()))
 
     def _safe_f(self, x: float) -> float:
+        """f(x), or nan where f cannot be evaluated."""
         try:
             return float(self._f(x))
-        except (ZeroDivisionError, ValueError, OverflowError):
+        except (ZeroDivisionError, ValueError, OverflowError, EvaluationDomainError):
             return math.nan
 
-    def _defined_at(self, x: float) -> bool:
-        """Endpoint probe: is f finite at x? A typed domain error means no."""
-        try:
-            return math.isfinite(self._safe_f(x))
-        except EvaluationDomainError:
-            return False
+    def _knot_f(self, x: float) -> float:
+        v = self._safe_f(x)
+        if not math.isfinite(v):
+            raise QuadratureFailure(f"integrand not finite at the knot x={x!r}")
+        return v
 
     def __call__(self, x):
         if self._spline is None:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import io
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -33,7 +32,7 @@ from .errors import (AxisSingularity, DegeneratePolyline, DomainViolation,
                      EventLocatorFailure, NonIntegrableSingularity,
                      ParamOutOfRange, StepUnderflow)
 from .momentum import Momentum
-from .quadrature import gk_quad_raw, sqrt_endpoint_integral
+from .quadrature import integrate, sqrt_endpoint_integral
 
 __all__ = [
     "Profile",
@@ -148,7 +147,7 @@ def graph_height(m: Momentum, x0: float, x1: float, n: int = 513,
     Returns (x_samples, z_samples). With spacing='auto' the grid clusters
     toward endpoints where |K| -> 1; 'uniform' forces an equispaced grid.
     End panels the guard flags take the square-root substitution, every
-    other panel one Gauss-Kronrod integral.
+    other panel the adaptive Gauss-Legendre engine of the quadrature layer.
     """
     if not x1 > x0:
         raise DomainViolation(f"need x1 > x0, got [{x0!r}, {x1!r}]")
@@ -174,17 +173,15 @@ def graph_height(m: Momentum, x0: float, x1: float, n: int = 513,
     panel_tol = max(tol / (4.0 * math.sqrt(n)), 1e-13)
     end_tol = max(0.25 * tol, 2e-12)
     zs = np.zeros(n)
-    with warnings.catch_warnings():  # one filter for all panels
-        warnings.simplefilter("ignore")
-        for i in range(n - 1):
-            a, b = float(xs[i]), float(xs[i + 1])
-            if i == 0 and sing_lo:
-                val = sqrt_endpoint_integral(f, a, b, True, False, tol=end_tol)
-            elif i == n - 2 and sing_hi:
-                val = sqrt_endpoint_integral(f, a, b, False, True, tol=end_tol)
-            else:
-                val = gk_quad_raw(f, a, b, tol=panel_tol)
-            zs[i + 1] = zs[i] + val
+    for i in range(n - 1):
+        a, b = float(xs[i]), float(xs[i + 1])
+        if i == 0 and sing_lo:
+            val = sqrt_endpoint_integral(f, a, b, True, False, tol=end_tol)
+        elif i == n - 2 and sing_hi:
+            val = sqrt_endpoint_integral(f, a, b, False, True, tol=end_tol)
+        else:
+            val = integrate(f, a, b, tol=panel_tol)
+        zs[i + 1] = zs[i] + val
     return xs, zs
 
 
@@ -320,15 +317,29 @@ def integrate_profile(m: Momentum, start_x: float, direction: int = +1,
                    branch_events=sorted(events_all))
 
 
+def _slope(y: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """dy/ds at every sample of y, given the spacings h = diff(s).
+
+    One-sided at the ends; inside, the three-point stencil
+    (h1^2 (y+ - y0) + h2^2 (y0 - y-)) / (h1 h2 (h1 + h2)) with h1, h2 the
+    spacings before and after, second-order also where the spacing jumps (as
+    at the s = 0 join of a two-sided trace).
+    """
+    dy = np.diff(y)
+    d = np.empty_like(y)
+    d[0] = dy[0] / h[0]
+    d[-1] = dy[-1] / h[-1]
+    h1, h2 = h[:-1], h[1:]
+    d[1:-1] = (h1 * h1 * dy[1:] + h2 * h2 * dy[:-1]) / (h1 * h2 * (h1 + h2))
+    return d
+
+
 def momentum_of_profile(profile, z: Sequence[float] | None = None
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Measure K = dz/ds along a polyline, with chord length standing in for s.
 
     Accepts a Profile or two coordinate arrays (x, z). Returns (x, K) with K
-    estimated at every input point: one-sided at the ends, and inside by the
-    three-point stencil (h1^2 (z+ - z0) + h2^2 (z0 - z-)) / (h1 h2 (h1 + h2))
-    with h1, h2 the chords before and after, second-order also where the
-    spacing jumps (as at the s = 0 join of a two-sided trace). The
+    estimated at every input point by :func:`_slope` over the chords. The
     measurement uses coordinate differences only, so it is invariant under
     vertical translation of the polyline.
     """
@@ -340,25 +351,18 @@ def momentum_of_profile(profile, z: Sequence[float] | None = None
         zs = np.asarray(z, dtype=float)
     if xs.ndim != 1 or xs.shape != zs.shape or len(xs) < 2:
         raise DegeneratePolyline("need two equally long coordinate arrays")
-    dx = np.diff(xs)
-    dz = np.diff(zs)
-    chord = np.hypot(dx, dz)
+    chord = np.hypot(np.diff(xs), np.diff(zs))
     scale = max(np.max(np.abs(xs)), np.max(np.abs(zs)), 1.0)
     if np.any(chord <= 1e-15 * scale):
         raise DegeneratePolyline("repeated consecutive points")
-    K = np.empty_like(xs)
-    K[0] = dz[0] / chord[0]
-    K[-1] = dz[-1] / chord[-1]
-    h1, h2 = chord[:-1], chord[1:]
-    K[1:-1] = (h1 * h1 * dz[1:] + h2 * h2 * dz[:-1]) / (h1 * h2 * (h1 + h2))
-    return xs, K
+    return xs, _slope(zs, chord)
 
 
 def discrete_curvatures(p: Profile) -> list[CurvatureSample]:
     """Principal curvatures measured from profile samples alone.
 
-    k_m is the turning rate of the unit tangent (centered differences of its
-    angle over arclength) and k_p = tz / x. Samples on the axis have no
+    k_m is the turning rate of the unit tangent (:func:`_slope` of its angle
+    over arclength) and k_p = tz / x. Samples on the axis have no
     parallel curvature; |x| < 1e-12 raises AxisSingularity.
     """
     if len(p) < 3:
@@ -367,11 +371,7 @@ def discrete_curvatures(p: Profile) -> list[CurvatureSample]:
     if np.any(np.abs(x) < 1e-12):
         raise AxisSingularity("profile touches the axis; k_p undefined there")
     s = np.asarray(p.s, dtype=float)
-    phi = np.unwrap(np.arctan2(p.tz, p.tx))
-    k_m = np.empty_like(phi)
-    k_m[0] = (phi[1] - phi[0]) / (s[1] - s[0])
-    k_m[-1] = (phi[-1] - phi[-2]) / (s[-1] - s[-2])
-    k_m[1:-1] = (phi[2:] - phi[:-2]) / (s[2:] - s[:-2])
+    k_m = _slope(np.unwrap(np.arctan2(p.tz, p.tx)), np.diff(s))
     k_p = np.asarray(p.tz, dtype=float) / x
     return [CurvatureSample.from_principal(float(x[i]), float(k_m[i]), float(k_p[i]))
             for i in range(len(x))]

@@ -155,6 +155,21 @@ def test_momentum_of_profile_rejects_repeated_points():
         momentum_of_profile(np.array([1.0]), np.array([0.0]))
 
 
+def test_discrete_meridian_curvature_converges():
+    m = catenoid_momentum()
+    # one-sided, then the two-sided trace whose halves join at s = 0 with
+    # different sample spacings
+    for s_max, s_min in ((1.8, 0.0), (2.0, -2.0)):
+        errs = []
+        for n in (512, 1024):
+            p = integrate_profile(m, start_x=1.5, s_max=s_max, s_min=s_min,
+                                  samples_per_branch=n)
+            samples = discrete_curvatures(p)[2:-2]
+            errs.append(max(abs(c.k_m - m.deriv(c.x)) for c in samples))
+        assert errs[0] < 5e-6
+        assert errs[1] < errs[0] / 3.0  # second-order at the join too
+
+
 def test_discrete_curvatures_catenoid():
     m = catenoid_momentum()
     p = integrate_profile(m, start_x=1.5, s_max=1.5, samples_per_branch=1024)
