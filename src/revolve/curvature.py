@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import AxisSingularity, ExponentForbidden, NonPositiveMu
 from .momentum import _AXIS_REL, Momentum
-from .quadrature import AnchoredAntiderivative
+from .quadrature import AnchoredAntiderivative, array_callable, takes_arrays
 
 __all__ = [
     "CurvatureSample",
@@ -104,10 +104,12 @@ def gauss_from_mean(H: Callable[[float], float], gamma: float, x,
         K_G = 4*A*H/x^2 - 4*A^2/x^4
     """
     lo, hi = domain[0], domain[1]
-    A = AnchoredAntiderivative(lambda t: t * H(t), lo, hi, anchor=anchor, tol=tol)
+    H = array_callable(H, lo, hi)
+    A = AnchoredAntiderivative(takes_arrays(lambda t: t * H(t)), lo, hi,
+                               anchor=anchor, tol=tol)
     xs = np.asarray(x, dtype=float)
     Av = np.asarray(A(xs), dtype=float) + gamma
-    Hv = np.array([H(float(t)) for t in np.atleast_1d(xs)]).reshape(xs.shape)
+    Hv = H(np.atleast_1d(xs)).reshape(xs.shape)
     out = 4.0 * Av * Hv / xs**2 - 4.0 * Av**2 / xs**4
     return float(out) if np.isscalar(x) else out
 
@@ -143,8 +145,11 @@ def constraint_residual(H: Callable[[float], float], G: Callable[[float], float]
     the same point (domain left end unless ``anchor`` says otherwise).
     """
     lo, hi = domain[0], domain[1]
-    AH = AnchoredAntiderivative(lambda t: t * H(t), lo, hi, anchor=anchor, tol=tol)
-    AG = AnchoredAntiderivative(lambda t: t * G(t), lo, hi, anchor=anchor, tol=tol)
+    H, G = array_callable(H, lo, hi), array_callable(G, lo, hi)
+    AH = AnchoredAntiderivative(takes_arrays(lambda t: t * H(t)), lo, hi,
+                                anchor=anchor, tol=tol)
+    AG = AnchoredAntiderivative(takes_arrays(lambda t: t * G(t)), lo, hi,
+                                anchor=anchor, tol=tol)
     xs = np.asarray(x, dtype=float)
     lhs = (np.asarray(AH(xs), dtype=float) + gamma_H) ** 2
     rhs = 0.5 * xs**2 * (np.asarray(AG(xs), dtype=float) + c_G)

@@ -14,20 +14,30 @@ instead of propagating a platform error. Expressions can be differentiated
 symbolically with respect to x (all other names are treated as constants).
 
 :meth:`Expression.as_function` compiles the tree once into a Python function
-with the parameters and literals bound as constants. It performs the same
-float operations in the same order as the tree walker ``_eval``, so its
-results are bit-identical. When an operation fails, the function evaluates
-the tree again with ``_eval`` at the same x, so domain errors keep their
-typed EvaluationDomainError and its message.
+with the parameters and literals bound as constants. For a float it performs
+the same float operations in the same order as the tree walker ``_eval``, so
+its results are bit-identical. When an operation fails, the function
+evaluates the tree again with ``_eval`` at the same x, so domain errors keep
+their typed EvaluationDomainError and its message. For a NumPy array it
+runs a second body, emitted from the same tree with NumPy's functions, in
+one pass over the array: in the array protocol of the quadrature layer
+(marked with ``takes_arrays``), within a few units in the last place of the
+float body, and exact where the expression uses only arithmetic and '^'. A
+floating-point fault in that body sends the array through the float body
+point by point, so errors are the float body's.
 """
 from __future__ import annotations
 
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator, Mapping, Union
 
+import numpy as np
+
 from .errors import EvaluationDomainError, ExpressionSyntaxError, UnknownIdentifier
+from .quadrature import _pointwise, takes_arrays
 
 __all__ = ["Expression", "parse_expr", "FUNCTIONS"]
 
@@ -289,59 +299,103 @@ def _eval(node: Node, x: float, params: Mapping[str, float]) -> float:
 # keeps the generated source under the parser's parenthesis nesting limit.
 _MAX_NESTING = 50
 
+# The NumPy twin of each FUNCTIONS entry, for the array body. '^' becomes
+# np.float_power, which calls the C library's pow as math.pow does (np.power
+# takes SIMD and squaring shortcuts that differ in the last bit).
+_ARRAY_FUNCTIONS: dict[str, Callable] = {
+    "sin": np.sin, "cos": np.cos, "tan": np.tan,
+    "sinh": np.sinh, "cosh": np.cosh, "tanh": np.tanh,
+    "exp": np.exp, "ln": np.log, "sqrt": np.sqrt,
+    "asin": np.arcsin, "acos": np.arccos, "atan": np.arctan,
+    "acosh": np.arccosh, "abs": np.abs,
+}
+
+
+@lru_cache(maxsize=256)
+def _code(source: str):
+    """The compiled source. It names constants, never holds their values, so
+    one expression text with other parameter values reuses it."""
+    return compile(source, "<expression>", "exec")
+
 
 def _compile(root: Node, params: Mapping[str, float]) -> Callable[[float], float]:
-    """One Python function computing ``_eval(root, float(x), params)``.
+    """One Python function computing ``_eval(root, float(x), params)``, and
+    the same elementwise when x is a NumPy array.
 
     Every node becomes the same Python float operation ``_eval`` performs,
     fully parenthesised so association and evaluation order match; '^' stays
     ``math.pow`` so a negative base with a fractional exponent still raises.
+    The array body is emitted from the same tree with the NumPy twins and
+    runs under ``np.errstate(all="raise")``; on any floating-point fault the
+    array is evaluated again point by point, so domain errors surface as
+    they do for a float.
     """
     consts: dict[str, object] = {}
-    spills: list[str] = []
 
     def bind(value: object) -> str:
         name = f"_k{len(consts)}"
         consts[name] = value
         return name
 
-    def emit(node: Node) -> tuple[str, int]:
-        if isinstance(node, Num):
-            return bind(node.value), 0
-        if isinstance(node, Var):
-            return ("x" if node.name == "x" else bind(float(params[node.name]))), 0
-        if isinstance(node, Neg):
-            arg, depth = emit(node.arg)
-            code, depth = f"(-{arg})", depth + 1
-        elif isinstance(node, Call):
-            arg, depth = emit(node.arg)
-            code, depth = f"_float({bind(FUNCTIONS[node.fn])}({arg}))", depth + 2
-        else:
-            (a, da), (b, db) = emit(node.left), emit(node.right)
-            depth = max(da, db) + 1
-            code = f"_pow({a}, {b})" if node.op == "^" else f"({a} {node.op} {b})"
-        if depth < _MAX_NESTING:
-            return code, depth
-        name = f"_t{len(spills)}"
-        spills.append(f"            {name} = {code}")
-        return name, 0
+    def body(array: bool, indent: str) -> list[str]:
+        spills: list[str] = []
 
-    body, _ = emit(root)
-    args = ", ".join(["_float", "_pow", "_eval", "_root", "_params", *consts])
+        def emit(node: Node) -> tuple[str, int]:
+            if isinstance(node, Num):
+                return bind(node.value), 0
+            if isinstance(node, Var):
+                return ("x" if node.name == "x" else bind(float(params[node.name]))), 0
+            if isinstance(node, Neg):
+                arg, depth = emit(node.arg)
+                code, depth = f"(-{arg})", depth + 1
+            elif isinstance(node, Call):
+                arg, depth = emit(node.arg)
+                if array:
+                    code, depth = f"{bind(_ARRAY_FUNCTIONS[node.fn])}({arg})", depth + 1
+                else:
+                    code, depth = f"_float({bind(FUNCTIONS[node.fn])}({arg}))", depth + 2
+            else:
+                (a, da), (b, db) = emit(node.left), emit(node.right)
+                depth = max(da, db) + 1
+                pow_ = "_fpow" if array else "_pow"
+                code = f"{pow_}({a}, {b})" if node.op == "^" else f"({a} {node.op} {b})"
+            if depth < _MAX_NESTING:
+                return code, depth
+            name = f"_{'a' if array else 't'}{len(spills)}"
+            spills.append(f"{indent}{name} = {code}")
+            return name, 0
+
+        code, _ = emit(root)
+        if array and not _contains_x(root):
+            code = f"_full(x.shape, {code})"
+        return [*spills, f"{indent}return {code}"]
+
+    scalar_body = body(False, " " * 12)
+    array_body = body(True, " " * 20)
+    args = ", ".join(["_float", "_pow", "_fpow", "_full", "_eval", "_root", "_params",
+                      "_ndarray", "_asarray", "_errstate", "_pointwise", *consts])
     source = "\n".join([
         f"def _make({args}):",
         "    def f(x):",
+        "        if isinstance(x, _ndarray):",
+        "            x = _asarray(x, dtype=float)",
+        "            try:",
+        "                with _errstate(all='raise'):",
+        *array_body,
+        "            except FloatingPointError:",
+        "                return _pointwise(f, x)",
         "        x = _float(x)",
         "        try:",
-        *spills,
-        f"            return {body}",
+        *scalar_body,
         "        except (ZeroDivisionError, ValueError, OverflowError):",
         "            return _eval(_root, x, _params)",
         "    return f",
     ])
     namespace: dict[str, object] = {}
-    exec(source, namespace)
-    return namespace["_make"](float, math.pow, _eval, root, params, *consts.values())
+    exec(_code(source), namespace)
+    return takes_arrays(namespace["_make"](
+        float, math.pow, np.float_power, np.full, _eval, root, params,
+        np.ndarray, np.asarray, np.errstate, _pointwise, *consts.values()))
 
 
 # --- differentiation (with respect to x) ---------------------------------

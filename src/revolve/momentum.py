@@ -14,6 +14,13 @@ Antiderivatives are anchored at the left end of the declared domain unless an
 explicit ``anchor`` is given; the anchor may sit below the domain (0, or even
 -inf) whenever the integrand is integrable there, which is how the classical
 one-parameter families keep their textbook constants.
+
+The constructors take their prescription through the quadrature layer's
+array protocol (``array_callable``), so their integrands and scans make one
+call per array, and the momenta they return take a float or a NumPy array:
+``eval`` and ``deriv`` of an array are the arrays of their per-point values
+(``deriv`` of the mean and Gauss kinds, which only flows call, by a
+per-point loop).
 """
 from __future__ import annotations
 
@@ -25,7 +32,8 @@ import numpy as np
 
 from .errors import (DomainViolation, NegativeRadicand, ParamOutOfRange,
                      SingularAxis)
-from .quadrature import AnchoredAntiderivative, bracketed_root, numeric_derivative
+from .quadrature import (AnchoredAntiderivative, _pointwise, array_callable,
+                         bracketed_root, numeric_derivative, takes_arrays)
 
 __all__ = [
     "Momentum",
@@ -57,7 +65,7 @@ class Momentum:
         return self.domain[1] - self.domain[0]
 
     def sample(self, xs: Sequence[float]) -> np.ndarray:
-        return np.array([self.eval(float(x)) for x in np.asarray(xs).ravel()])
+        return array_callable(self.eval, *self.domain)(np.asarray(xs, dtype=float).ravel())
 
 
 def _as_interval(domain: Sequence[float]) -> tuple[float, float]:
@@ -75,21 +83,31 @@ def momentum_from_kp(p: Callable[[float], float], domain: Sequence[float],
     DomainViolation if |x p(x)| exceeds 1 anywhere on the domain.
     """
     lo, hi = _as_interval(domain)
+    p_array = array_callable(p, lo, hi)
     xs = np.linspace(lo, hi, 2049)
-    for xv in xs:
-        k = xv * p(float(xv))
-        if abs(k) > 1.0 + 1e-12:
-            raise DomainViolation(
-                f"|x*p(x)| = {abs(k):.6g} > 1 at x = {xv:.6g}; no unit tangent exists there")
+    with np.errstate(all="ignore"):
+        ks = np.abs(xs * p_array(xs))
+    over = ks > 1.0 + 1e-12
+    if np.any(over):
+        i = int(np.argmax(over))
+        raise DomainViolation(
+            f"|x*p(x)| = {ks[i]:.6g} > 1 at x = {xs[i]:.6g}; no unit tangent exists there")
 
-    def eval_(x: float) -> float:
-        return x * p(x)
+    @takes_arrays
+    def eval_(x):
+        return x * p_array(x)
 
     if p_deriv is not None:
-        def deriv(x: float) -> float:
-            return p(x) + x * p_deriv(x)
+        p_deriv = array_callable(p_deriv, lo, hi)
+
+        @takes_arrays
+        def deriv(x):
+            return p_array(x) + x * p_deriv(x)
     else:
-        def deriv(x: float) -> float:
+        @takes_arrays
+        def deriv(x):
+            if isinstance(x, np.ndarray):
+                return _pointwise(deriv, x)
             return p(x) + x * numeric_derivative(p, x, lo, hi)
 
     return Momentum(eval_, deriv, (lo, hi))
@@ -103,15 +121,14 @@ def momentum_from_km(k: Callable[[float], float], c: float,
     One antiderivative constant c; K(anchor) = c.
     """
     lo, hi = _as_interval(domain)
+    k = array_callable(k, lo, hi)
     A = AnchoredAntiderivative(k, lo, hi, anchor=anchor, tol=tol)
 
-    def eval_(x: float) -> float:
-        return c + float(A(x))
+    @takes_arrays
+    def eval_(x):
+        return c + A(x)
 
-    def deriv(x: float) -> float:
-        return k(x)
-
-    return Momentum(eval_, deriv, (lo, hi))
+    return Momentum(eval_, k, (lo, hi))
 
 
 def momentum_from_mean(H: Callable[[float], float], c: float,
@@ -124,9 +141,11 @@ def momentum_from_mean(H: Callable[[float], float], c: float,
     otherwise the construction is singular on the axis (SingularAxis).
     """
     lo, hi = _as_interval(domain)
+    H_array = array_callable(H, lo, hi)
 
-    def f(t: float) -> float:
-        return t * H(t)
+    @takes_arrays
+    def f(t):
+        return t * H_array(t)
 
     A = AnchoredAntiderivative(f, lo, hi, anchor=anchor, tol=tol)
     axis_eps = _AXIS_REL * (hi - lo)
@@ -140,13 +159,24 @@ def momentum_from_mean(H: Callable[[float], float], c: float,
         if not math.isfinite(f0):
             raise SingularAxis("x*H(x) has no finite limit at the axis")
 
-    def eval_(x: float) -> float:
+    @takes_arrays
+    def eval_(x):
+        if isinstance(x, np.ndarray):
+            on_axis = np.abs(x) < axis_eps
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = (2.0 * A(x) + c) / x
+            if np.any(on_axis):
+                out[on_axis] = 2.0 * f(0.0)
+            return out
         if abs(x) < axis_eps:
             return 2.0 * f(0.0)
         return (2.0 * float(A(x)) + c) / x
 
-    def deriv(x: float) -> float:
+    @takes_arrays
+    def deriv(x):
         # K' = 2H - K/x, with the symmetric limit K'(0) = 0 when K(0) exists.
+        if isinstance(x, np.ndarray):
+            return _pointwise(deriv, x)
         if abs(x) < axis_eps:
             return 0.0
         return 2.0 * H(x) - eval_(x) / x
@@ -166,9 +196,11 @@ def momentum_from_gauss(G: Callable[[float], float], c: float, sigma: float,
     if sigma not in (1.0, -1.0, 1, -1):
         raise ParamOutOfRange(f"sigma must be +1 or -1, got {sigma!r}")
     sigma = float(sigma)
+    G_array = array_callable(G, lo, hi)
 
-    def f(t: float) -> float:
-        return t * G(t)
+    @takes_arrays
+    def f(t):
+        return t * G_array(t)
 
     A = AnchoredAntiderivative(f, lo, hi, anchor=anchor, tol=tol)
 
@@ -188,13 +220,19 @@ def momentum_from_gauss(G: Callable[[float], float], c: float, sigma: float,
             f"2*int(x*K_G) + c < 0 on ({lo_edge:.6g}, {hi_edge:.6g}); "
             "no momentum with this constant", interval=(float(lo_edge), float(hi_edge)))
 
-    def eval_(x: float) -> float:
+    @takes_arrays
+    def eval_(x):
+        if isinstance(x, np.ndarray):
+            return sigma * np.sqrt(np.maximum(2.0 * A(x) + c, 0.0))
         return sigma * math.sqrt(max(radicand(x), 0.0))
 
-    def deriv(x: float) -> float:
+    @takes_arrays
+    def deriv(x):
         # K' = x*G/K = sigma * (x*G) / sqrt(radicand); +-inf at the zeros of K.
+        if isinstance(x, np.ndarray):
+            return _pointwise(deriv, x)
         r = max(radicand(x), 0.0)
-        num = sigma * f(x)
+        num = sigma * (x * G(x))
         if r == 0.0:
             return math.copysign(math.inf, num) if num != 0.0 else math.nan
         return num / math.sqrt(r)
@@ -217,7 +255,9 @@ def admissible_intervals(m: Momentum, n_scan: int = 4096) -> list[tuple[float, f
         return 1.0 - k * k
 
     xs = np.linspace(lo, hi, n_scan + 1)
-    pos = np.array([g(float(x)) > 0.0 for x in xs])
+    ks = array_callable(m.eval, lo, hi)(xs)
+    with np.errstate(all="ignore"):
+        pos = (1.0 - ks * ks > 0.0).tolist()
     intervals: list[tuple[float, float]] = []
     i = 0
     while i <= n_scan:

@@ -5,7 +5,10 @@ arclength between parallels and dz = K dx / sqrt(1 - K^2) the height of the
 curve over the x-axis; both integrands blow up like an inverse square root
 where |K| reaches 1, which the quadrature layer absorbs. arclength,
 height_displacement and graph_height share one guard, _singular_ends, which
-flags the endpoints where that happens.
+flags the endpoints where that happens. The guard's scan and the integrands
+evaluate the momentum on arrays, through the quadrature layer's array
+protocol, and graph_height integrates all its inner panels in one run of the
+engine instead of one run per panel.
 
 Flow route: the unit-speed system xdot = +-sqrt(1 - K(x)^2), zdot = K(x) is
 integrated in its tangent-angle form
@@ -25,14 +28,14 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .curvature import CurvatureSample
 from .errors import (AxisSingularity, DegeneratePolyline, DomainViolation,
                      EventLocatorFailure, NonIntegrableSingularity,
                      ParamOutOfRange, StepUnderflow)
 from .momentum import Momentum
-from .quadrature import integrate, sqrt_endpoint_integral
+from .quadrature import (_panel_integrals, array_callable, sqrt_endpoint_integral,
+                         takes_arrays)
 
 __all__ = [
     "Profile",
@@ -90,39 +93,43 @@ def _endpoint_singular(m: Momentum, x_end: float, inward: float, width: float) -
     return True
 
 
-def _singular_ends(m: Momentum, a: float, b: float) -> tuple[bool, bool]:
-    """Guard of the quadrature routes over [a, b], a < b: DomainViolation
-    where |K| > 1 inside, then one flag per endpoint where 1 - K^2 has a
-    simple zero (a zero of higher order raises NonIntegrableSingularity)."""
-    for x in np.linspace(a, b, 257)[1:-1]:
-        if _gap(m, float(x)) < -1e-12:
-            raise DomainViolation(
-                f"|K| > 1 at x = {float(x):.6g}; no curve spans [{a:.6g}, {b:.6g}]")
+def _singular_ends(m: Momentum, K, a: float, b: float) -> tuple[bool, bool]:
+    """Guard of the quadrature routes over [a, b], a < b, with K the array
+    form of m.eval: DomainViolation where |K| > 1 inside, then one flag per
+    endpoint where 1 - K^2 has a simple zero (a zero of higher order raises
+    NonIntegrableSingularity)."""
+    xs = np.linspace(a, b, 257)[1:-1]
+    k = K(xs)
+    with np.errstate(all="ignore"):
+        outside = 1.0 - k * k < -1e-12
+    if np.any(outside):
+        x = float(xs[np.argmax(outside)])
+        raise DomainViolation(
+            f"|K| > 1 at x = {x:.6g}; no curve spans [{a:.6g}, {b:.6g}]")
     w = b - a
     return _endpoint_singular(m, a, +1.0, w), _endpoint_singular(m, b, -1.0, w)
 
 
-def _ds_integrand(m: Momentum):
-    def f(x: float) -> float:
-        g = _gap(m, x)
-        return 1.0 / math.sqrt(g) if g > 0.0 else math.inf
+def _integrand(K, height: bool):
+    """dz/dx = K / sqrt(1 - K^2) with ``height``, else ds/dx = 1 / sqrt(1 - K^2),
+    on arrays; inf where |K| >= 1."""
+    @takes_arrays
+    def f(x: np.ndarray) -> np.ndarray:
+        k = K(x)
+        g = 1.0 - k * k
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(g > 0.0, (k if height else 1.0) / np.sqrt(g), np.inf)
     return f
 
 
-def _dz_integrand(m: Momentum):
-    def f(x: float) -> float:
-        g = _gap(m, x)
-        return m.eval(x) / math.sqrt(g) if g > 0.0 else math.inf
-    return f
-
-
-def _signed_integral(m: Momentum, integrand, x0: float, x1: float, tol: float) -> float:
-    """int_x0^x1 of integrand(m), negated when x1 < x0."""
+def _signed_integral(m: Momentum, height: bool, x0: float, x1: float, tol: float) -> float:
+    """int_x0^x1 of _integrand(m.eval, height), negated when x1 < x0."""
     if x0 == x1:
         return 0.0
     a, b = (x1, x0) if x1 < x0 else (x0, x1)
-    sing_lo, sing_hi = _singular_ends(m, a, b)
-    val = sqrt_endpoint_integral(integrand(m), a, b, sing_lo, sing_hi, tol=tol)
+    K = array_callable(m.eval, *m.domain)
+    sing_lo, sing_hi = _singular_ends(m, K, a, b)
+    val = sqrt_endpoint_integral(_integrand(K, height), a, b, sing_lo, sing_hi, tol=tol)
     return -val if x1 < x0 else val
 
 
@@ -132,12 +139,12 @@ def arclength(m: Momentum, x0: float, x1: float, tol: float = 5e-11) -> float:
     Endpoints may sit exactly on |K| = 1 (vertical tangent); such simple
     turning points are integrable and handled at full precision.
     """
-    return _signed_integral(m, _ds_integrand, x0, x1, tol)
+    return _signed_integral(m, False, x0, x1, tol)
 
 
 def height_displacement(m: Momentum, x0: float, x1: float, tol: float = 5e-11) -> float:
     """z(x1) - z(x0) along the branch where x is monotone increasing."""
-    return _signed_integral(m, _dz_integrand, x0, x1, tol)
+    return _signed_integral(m, True, x0, x1, tol)
 
 
 def graph_height(m: Momentum, x0: float, x1: float, n: int = 513,
@@ -146,14 +153,17 @@ def graph_height(m: Momentum, x0: float, x1: float, n: int = 513,
 
     Returns (x_samples, z_samples). With spacing='auto' the grid clusters
     toward endpoints where |K| -> 1; 'uniform' forces an equispaced grid.
-    End panels the guard flags take the square-root substitution, every
-    other panel the adaptive Gauss-Legendre engine of the quadrature layer.
+    End panels the guard flags take the square-root substitution. All other
+    panels go to one run of the adaptive Gauss-Legendre engine of the
+    quadrature layer, which gives each the sum a separate ``integrate`` call
+    would.
     """
     if not x1 > x0:
         raise DomainViolation(f"need x1 > x0, got [{x0!r}, {x1!r}]")
     if n < 2:
         raise DomainViolation("need at least two samples")
-    sing_lo, sing_hi = _singular_ends(m, x0, x1)
+    K = array_callable(m.eval, *m.domain)
+    sing_lo, sing_hi = _singular_ends(m, K, x0, x1)
 
     u = np.linspace(0.0, 1.0, n)
     if spacing == "uniform":
@@ -169,20 +179,18 @@ def graph_height(m: Momentum, x0: float, x1: float, n: int = 513,
     xs = x0 + (x1 - x0) * ws
     xs[0], xs[-1] = x0, x1
 
-    f = _dz_integrand(m)
+    f = _integrand(K, height=True)
     panel_tol = max(tol / (4.0 * math.sqrt(n)), 1e-13)
     end_tol = max(0.25 * tol, 2e-12)
-    zs = np.zeros(n)
-    for i in range(n - 1):
-        a, b = float(xs[i]), float(xs[i + 1])
-        if i == 0 and sing_lo:
-            val = sqrt_endpoint_integral(f, a, b, True, False, tol=end_tol)
-        elif i == n - 2 and sing_hi:
-            val = sqrt_endpoint_integral(f, a, b, False, True, tol=end_tol)
-        else:
-            val = integrate(f, a, b, tol=panel_tol)
-        zs[i + 1] = zs[i] + val
-    return xs, zs
+    vals = np.zeros(n - 1)
+    first, last = int(sing_lo), n - 1 - int(sing_hi)  # the panels in between
+    if first < last:
+        vals[first:last] = _panel_integrals(f, xs[first:last + 1], panel_tol)
+    if sing_lo:
+        vals[0] = sqrt_endpoint_integral(f, x0, float(xs[1]), True, False, tol=end_tol)
+    if sing_hi:
+        vals[-1] = sqrt_endpoint_integral(f, float(xs[-2]), x1, False, True, tol=end_tol)
+    return xs, np.cumsum(np.concatenate(([0.0], vals)))
 
 
 def integrate_profile(m: Momentum, start_x: float, direction: int = +1,
@@ -196,6 +204,8 @@ def integrate_profile(m: Momentum, start_x: float, direction: int = +1,
     and stops when it crosses the momentum's x-domain or reaches s_max
     (s_min < 0 extends the same curve backwards in arclength).
     """
+    from scipy.integrate import solve_ivp
+
     if samples_per_branch < 2:
         raise ParamOutOfRange(
             f"need at least two samples per branch, got {samples_per_branch!r}")
@@ -373,8 +383,8 @@ def discrete_curvatures(p: Profile) -> list[CurvatureSample]:
     s = np.asarray(p.s, dtype=float)
     k_m = _slope(np.unwrap(np.arctan2(p.tz, p.tx)), np.diff(s))
     k_p = np.asarray(p.tz, dtype=float) / x
-    return [CurvatureSample.from_principal(float(x[i]), float(k_m[i]), float(k_p[i]))
-            for i in range(len(x))]
+    return list(map(CurvatureSample, x.tolist(), k_m.tolist(), k_p.tolist(),
+                    (0.5 * (k_m + k_p)).tolist(), (k_m * k_p).tolist()))
 
 
 def profile_to_csv(p: Profile) -> str:

@@ -17,11 +17,11 @@ def run(argv, capsys):
     return code, out.out, out.err
 
 
-def _cli_subprocess(argv):
+def _cli_subprocess(argv, python_opts=()):
     src = os.path.dirname(os.path.dirname(os.path.abspath(revolve.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     # a timeout, so that a check that stops working cannot hang the suite
-    return subprocess.run([sys.executable, "-m", "revolve.cli", *argv],
+    return subprocess.run([sys.executable, *python_opts, "-m", "revolve.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
 
 
@@ -132,6 +132,14 @@ def test_prescribe_numerical_failure_is_exit_3(tmp_path, capsys):
                         "--domain", "1:3", "--out", str(tmp_path / "b")], capsys)
     assert code == 3
     assert "numerical" in err
+
+
+def test_prescribe_domain_error_inside_a_panel_is_exit_2(tmp_path, capsys):
+    # ln(x - 1.5) is undefined at the quadrature nodes below 1.5
+    code, _, err = run(["prescribe", "--kind", "km", "--expr", "ln(x - 1.5)",
+                        "--domain", "1:3", "--out", str(tmp_path / "b")], capsys)
+    assert code == 2
+    assert "math domain error" in err
 
 
 def test_profile_without_state_fails_cleanly(tmp_path, capsys):
@@ -271,3 +279,34 @@ def test_unusable_sizes_and_tolerances_exit_2(tmp_path, capsys, stage, flag, val
     assert r.returncode == 2, r.stderr
     assert words in r.stderr
     assert not (d / "profile.csv").exists() and not (d / "verify.json").exists()
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(revolve.__file__)))
+    code = ("import sys, revolve; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["mesh", "--ntheta", "8"],
+    ["classify-mean-inverse", "--mu", "0.25"],
+    ["--help"],
+], ids=["mesh", "classify-mean-inverse", "help"])
+def test_cli_commands_without_quadrature_load_no_scipy(tmp_path, argv):
+    if argv[0] == "mesh":
+        # a stored quarter circle: the mesh stage reads it and needs no quadrature
+        t = np.linspace(0.0, 0.5 * math.pi, 9)
+        p = revolve.Profile(s=t, x=np.cos(t) + 1.0, z=np.sin(t), tx=-np.sin(t), tz=np.cos(t))
+        (tmp_path / "profile.csv").write_text(revolve.profile_to_csv(p))
+        argv = [*argv, "--out", str(tmp_path)]
+    # -X importtime lists every module the process imports on stderr
+    proc = _cli_subprocess(argv, ["-X", "importtime"])
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "revolve.mesh" in imported
+    assert not [m for m in imported if m.split(".")[0] == "scipy"]

@@ -1,9 +1,11 @@
-"""Parity of the two scalar fast paths with the reference code they replace.
+"""Parity of the fast paths with the reference code they replace.
 
 Expression.as_function compiles the tree; the tree walker ``_eval`` (what
-``Expression.__call__`` runs) is the reference. AnchoredAntiderivative
+``Expression.__call__`` runs) is the reference for its float body, and the
+float body is the reference for its array body. AnchoredAntiderivative
 evaluates its spline on floats by itself; SciPy's spline is the reference.
-Both must agree bit for bit, and errors must keep their type and message.
+The float paths must agree bit for bit, the array body to 4 units in the
+last place, and errors must keep their type and message on every path.
 """
 import math
 
@@ -32,12 +34,26 @@ def _assert_bit_equal(e, xs, params=_PARAMS):
         assert got.hex() == want.hex(), f"{e.pretty()} at x={x!r}: {got!r} != {want!r}"
 
 
+def _assert_array_close(e, xs, params=_PARAMS):
+    """The array body against the float body, within 4 units in the last place."""
+    if isinstance(e, str):
+        e = parse_expr(e)
+    f = e.as_function(params)
+    xs = np.asarray(xs, dtype=float)
+    got = f(xs)
+    want = np.array([f(x) for x in xs.tolist()])
+    assert got.shape == xs.shape and got.dtype == float
+    ulps = np.abs(got - want) / np.spacing(np.abs(want))
+    assert np.all(ulps <= 4.0), f"{e.pretty()}: {ulps.max():.1f} ulps"
+
+
 @pytest.mark.parametrize("fn", sorted(FUNCTIONS))
 def test_compiled_functions_bit_equal(fn):
     lo, hi = _RANGES.get(fn, (-3.0, 3.0))
     xs = np.random.default_rng(1).uniform(lo, hi, 300)
     _assert_bit_equal(f"{fn}(x)", xs)
     _assert_bit_equal(f"a * {fn}(x) - {fn}(x) / c", xs)
+    _assert_array_close(f"{fn}(x)", xs)
 
 
 @pytest.mark.parametrize("text", [
@@ -52,6 +68,7 @@ def test_compiled_operators_bit_equal(text):
     xs = np.random.default_rng(2).uniform(0.05, 3.0, 500)
     _assert_bit_equal(text, xs)
     _assert_bit_equal(parse_expr(text).derivative(), xs)
+    _assert_array_close(text, xs)
 
 
 def test_compiled_deep_expression_bit_equal():
@@ -59,6 +76,22 @@ def test_compiled_deep_expression_bit_equal():
     text = " + ".join(f"{k}.5 * x ^ {k % 4}" for k in range(300))
     _assert_bit_equal(text, [0.3, 1.1, 2.9])
     _assert_bit_equal("-" * 99 + "sin(" * 60 + "x" + ")" * 60, [5.0])
+    _assert_array_close(text, [0.3, 1.1, 2.9])
+    _assert_array_close("-" * 99 + "sin(" * 60 + "x" + ")" * 60, [5.0, 0.7])
+
+
+def test_compiled_polynomials_array_bit_equal():
+    # arithmetic and '^' only: the array body is exact
+    e = parse_expr("b * (a + a * x + b * x^2 + c * x^3) * (a + 2 * b * x + 3 * c * x^2) / x")
+    f = e.as_function(_PARAMS)
+    xs = np.random.default_rng(4).uniform(0.05, 3.0, 10_000)
+    assert f(xs).tolist() == [f(x) for x in xs.tolist()]
+
+
+def test_compiled_constant_fills_the_array():
+    f = parse_expr("a * 2 + sqrt(c)").as_function(_PARAMS)
+    got = f(np.zeros((2, 3)))
+    assert got.shape == (2, 3) and np.all(got == f(0.0))
 
 
 @pytest.mark.parametrize("text, x", [
@@ -72,6 +105,11 @@ def test_compiled_domain_errors_match(text, x):
         e(x, _PARAMS)
     with pytest.raises(EvaluationDomainError) as got:
         e.as_function(_PARAMS)(x)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    # the array path: the fault sends the array through the float body
+    with pytest.raises(EvaluationDomainError) as got:
+        e.as_function(_PARAMS)(np.array([10.0, x, 10.0]))
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
 

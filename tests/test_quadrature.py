@@ -4,9 +4,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import catenoid_momentum
 from revolve.errors import QuadratureFailure
-from revolve.quadrature import (AnchoredAntiderivative, integrate,
-                                sqrt_endpoint_integral)
+from revolve.quadrature import (AnchoredAntiderivative, array_callable,
+                                integrate, sqrt_endpoint_integral, takes_arrays)
+from revolve.reconstruct import graph_height
 
 TOLS = (1e-8, 1e-10, 1e-12)
 
@@ -66,13 +68,117 @@ def test_antiderivative_raises_where_integrand_is_not_finite():
 
 
 def test_antiderivative_evaluates_each_knot_once():
+    # count every point of every call, whether it comes alone or in an array
     calls = Counter()
+    sizes = []
 
     def f(t):
-        calls[t] += 1
-        return math.exp(math.sin(5.0 * t)) * t
+        sizes.append(np.size(t))
+        calls.update(np.atleast_1d(t).tolist())
+        return np.exp(np.sin(5.0 * t)) * t
 
     A = AnchoredAntiderivative(f, 0.0, 2.0, tol=1e-12)
     knots = A._spline.x.tolist()
     assert len(knots) > 1000
+    assert max(sizes) > 1000  # the knots and nodes came in arrays
     assert all(calls[x] == 1 for x in knots)
+
+
+# --- the array protocol ---------------------------------------------------
+
+def _recording(fn):
+    """fn, recording the type of every argument it receives."""
+    seen = []
+
+    def f(x):
+        seen.append(type(x))
+        return fn(x)
+    return f, seen
+
+
+@pytest.mark.parametrize("fn", [
+    math.sin,
+    lambda x: math.exp(-x) if x > 0 else 1.0,
+    lambda x: 1.0,
+], ids=["math.sin", "branch on x > 0", "constant"])
+def test_array_callable_falls_back_to_per_point_calls(fn):
+    f, seen = _recording(fn)
+    g = array_callable(f, 0.0, 2.0)
+    xs = np.linspace(-0.5, 2.5, 101)
+    del seen[:]
+    got = g(xs)
+    assert got.shape == xs.shape and got.dtype == float
+    assert got.tolist() == [fn(x) for x in xs.tolist()]
+    assert set(seen) == {float}
+    assert g(0.7) == fn(0.7)
+
+
+def test_array_callable_falls_back_for_a_counter_keyed_by_argument():
+    calls = Counter()
+
+    def f(x):
+        calls[x] += 1
+        return x * x
+
+    g = array_callable(f, 0.0, 1.0)
+    xs = np.linspace(0.0, 1.0, 9)
+    calls.clear()
+    assert g(xs).tolist() == [x * x for x in xs.tolist()]
+    assert sorted(calls) == xs.tolist() and set(calls.values()) == {1}
+
+
+def test_constant_integrand_broadcasts():
+    g = array_callable(lambda x: 1.0, 0.0, 2.0)
+    np.testing.assert_array_equal(g(np.zeros((3, 4))), np.ones((3, 4)))
+    assert abs(integrate(lambda x: 1.0, 0.0, 2.0) - 2.0) <= 1e-15
+
+
+@pytest.mark.parametrize("ulps, vectorized", [(0, True), (1, True), (4, True), (8, False)])
+def test_array_callable_takes_arrays_within_four_ulps(ulps, vectorized):
+    def fn(x):
+        if isinstance(x, np.ndarray):
+            return (1.0 + x) + ulps * np.spacing(1.0 + x)
+        return 1.0 + x
+
+    f, seen = _recording(fn)
+    g = array_callable(f, 0.0, 1.0)
+    del seen[:]
+    g(np.linspace(0.0, 1.0, 5))
+    assert (seen == [np.ndarray]) is vectorized
+
+
+def test_marked_callables_pass_through_unprobed():
+    f = takes_arrays(lambda x: x + 1.0)
+    assert array_callable(f, 0.0, 1.0) is f
+
+
+def test_array_call_fault_surfaces_the_per_point_error():
+    g = array_callable(lambda x: 1.0 / (x - 1.0), 0.0, 2.0)
+    np.testing.assert_array_equal(g(np.array([0.0, 2.0])), [-1.0, 1.0])
+    with pytest.raises(ZeroDivisionError):
+        g(np.array([0.5, 1.0]))
+
+
+def test_graph_height_matches_the_per_panel_loop():
+    # the engine run over all panels gives each panel the sum that one
+    # integrate call per panel gives, to the bit
+    m = catenoid_momentum()  # K = -1/x, singular at x = 1
+
+    def dz(x):
+        k = -1.0 / x
+        return k / np.sqrt(1.0 - k * k)
+
+    for x0, x1, n, spacing in ((1.0, 4.0, 65, "auto"), (1.2, 3.5, 129, "uniform")):
+        tol = 1e-11
+        xs, zs = graph_height(m, x0, x1, n=n, tol=tol, spacing=spacing)
+        panel_tol = max(tol / (4.0 * math.sqrt(n)), 1e-13)
+        end_tol = max(0.25 * tol, 2e-12)
+        want = [0.0]
+        for i in range(n - 1):
+            a, b = float(xs[i]), float(xs[i + 1])
+            if i == 0 and x0 == 1.0:
+                val = sqrt_endpoint_integral(dz, a, b, True, False, tol=end_tol)
+            else:
+                val = integrate(dz, a, b, tol=panel_tol)
+            want.append(want[-1] + val)
+        assert zs.tolist() == want
