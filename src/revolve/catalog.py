@@ -213,11 +213,14 @@ def hopf_kuhnel(q: float, a: float = 1.0) -> CatalogEntry:
 
     m = Momentum(eval=K, deriv=dK, domain=dom)
 
-    anti = AnchoredAntiderivative(lambda v: _pow(math.cos(v), inv_q),
-                                  -t_cap, t_cap, anchor=0.0, tol=1e-12)
+    @lru_cache(maxsize=1)
+    def anti() -> AnchoredAntiderivative:
+        # built on the first point() call, so listing the entry costs nothing
+        return AnchoredAntiderivative(lambda v: _pow(math.cos(v), inv_q),
+                                      -t_cap, t_cap, anchor=0.0, tol=1e-12)
 
     def pt(t: float) -> tuple[float, float]:
-        return (a * _pow(math.cos(t), inv_q), (a / q) * float(anti(t)))
+        return (a * _pow(math.cos(t), inv_q), (a / q) * float(anti()(t)))
 
     def vel(t: float) -> tuple[float, float]:
         ct, st = math.cos(t), math.sin(t)

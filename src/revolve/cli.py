@@ -269,9 +269,8 @@ def _cmd_catalog(args) -> int:
         t0, t1 = entry.closed_profile.param_range
         ts = np.linspace(t0, t1, 1025)
         xs, zs = entry.closed_profile.sample(ts)
-        rows = ["t,x,z"]
-        rows += [f"{t:.17g},{x:.17g},{z:.17g}" for t, x, z in zip(ts, xs, zs)]
-        files["closed_profile.csv"] = "\n".join(rows) + "\n"
+        files["closed_profile.csv"] = "t,x,z\n" + "%.17g,%.17g,%.17g\n" * len(ts) % tuple(
+            np.column_stack((ts, xs, zs)).ravel().tolist())
     _write_all(args.out, files)
     print(f"catalog entry {args.name!r} stored in {args.out}")
     return 0

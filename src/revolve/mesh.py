@@ -225,16 +225,18 @@ def discrete_mesh_curvature(mesh: SurfaceMesh
 
 
 def write_obj(mesh: SurfaceMesh) -> str:
-    """ASCII OBJ: v/f records, 1-based indices, 17 significant digits.
-    Byte-identical for identical meshes."""
-    lines = ["# rotational surface mesh",
-             "# normal convention: n = (-tz*cos(theta), -tz*sin(theta), tx); "
-             "discrete H is signed against this normal"]
-    for vx, vy, vz in mesh.vertices:
-        lines.append(f"v {vx:.17g} {vy:.17g} {vz:.17g}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"f {a + 1} {b + 1} {c + 1}")
-    return "\n".join(lines) + "\n"
+    """ASCII OBJ: two comment lines, v/f records, 1-based indices, 17
+    significant digits. Each record block is one ``%`` format over a flat
+    tuple; ``%.17g`` is the float formatter of ``f"{x:.17g}"``, ``-0``,
+    ``nan`` and subnormals alike. Byte-identical for identical meshes."""
+    header = ("# rotational surface mesh\n"
+              "# normal convention: n = (-tz*cos(theta), -tz*sin(theta), tx); "
+              "discrete H is signed against this normal\n")
+    verts = "v %.17g %.17g %.17g\n" * len(mesh.vertices) % tuple(
+        mesh.vertices.ravel().tolist())
+    faces = "f %d %d %d\n" * len(mesh.triangles) % tuple(
+        (mesh.triangles + 1).ravel().tolist())
+    return header + verts + faces
 
 
 def write_stl(mesh: SurfaceMesh) -> bytes:

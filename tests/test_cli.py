@@ -295,7 +295,8 @@ def test_import_loads_no_scipy():
     ["mesh", "--ntheta", "8"],
     ["classify-mean-inverse", "--mu", "0.25"],
     ["--help"],
-], ids=["mesh", "classify-mean-inverse", "help"])
+    ["catalog", "list"],
+], ids=["mesh", "classify-mean-inverse", "help", "catalog-list"])
 def test_cli_commands_without_quadrature_load_no_scipy(tmp_path, argv):
     if argv[0] == "mesh":
         # a stored quarter circle: the mesh stage reads it and needs no quadrature

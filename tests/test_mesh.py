@@ -256,3 +256,29 @@ def test_mesh_output_pinned(name):
         json.dumps([r.tolist() for r in m.rings]).encode(),
         m.normals.tobytes()))
     assert got == _PINNED[name]
+
+
+def _obj_per_line(mesh):
+    """The one-f-string-per-record OBJ writer, kept as the reference."""
+    lines = ["# rotational surface mesh",
+             "# normal convention: n = (-tz*cos(theta), -tz*sin(theta), tx); "
+             "discrete H is signed against this normal"]
+    for vx, vy, vz in mesh.vertices:
+        lines.append(f"v {vx:.17g} {vy:.17g} {vz:.17g}")
+    for a, b, c in mesh.triangles:
+        lines.append(f"f {a + 1} {b + 1} {c + 1}")
+    return "\n".join(lines) + "\n"
+
+
+def test_write_obj_matches_per_line_formatter():
+    rng = np.random.default_rng(8)
+    special = [-0.0, 5e-324, 1e308, -1e-300, 0.1, 1.0, math.nan, -math.inf]
+    scaled = rng.standard_normal(10_000) * 10.0 ** rng.integers(-300, 300, 10_000)
+    verts = np.concatenate((special, scaled)).reshape(-1, 3)
+    tris = rng.integers(0, len(verts), (500, 3))
+    m = SurfaceMesh(vertices=verts, triangles=tris, rings=[], normals=verts,
+                    n_theta=8)
+    assert write_obj(m) == _obj_per_line(m)
+
+    m = revolve(sphere_profile(33), n_theta=128)
+    assert write_obj(m) == _obj_per_line(m)

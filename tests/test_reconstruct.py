@@ -193,6 +193,30 @@ def test_profile_csv_format():
     assert np.array_equal(row[:, 1], p.x)
 
 
+def _csv_per_line(p):
+    """The one-f-string-per-row profile writer, kept as the reference."""
+    buf = io.StringIO()
+    buf.write("s,x,z,tx,tz\n")
+    for i in range(len(p)):
+        buf.write(f"{p.s[i]:.17g},{p.x[i]:.17g},{p.z[i]:.17g},"
+                  f"{p.tx[i]:.17g},{p.tz[i]:.17g}\n")
+    return buf.getvalue()
+
+
+def test_profile_csv_matches_per_line_formatter():
+    rng = np.random.default_rng(8)
+    special = [-0.0, 5e-324, 1e308, -1e-300, 0.1, 1.0, math.nan, -math.inf,
+               math.inf, 2.5]
+    scaled = rng.standard_normal(10_000) * 10.0 ** rng.integers(-300, 300, 10_000)
+    cols = np.concatenate((special, scaled)).reshape(5, -1)
+    p = Profile(*cols, branch_events=())
+    assert profile_to_csv(p) == _csv_per_line(p)
+
+    p = integrate_profile(catenoid_momentum(), start_x=1.5, s_max=0.5,
+                          samples_per_branch=16)
+    assert profile_to_csv(p) == _csv_per_line(p)
+
+
 def test_profile_len_and_fields():
     p = Profile(s=np.array([0.0, 1.0]), x=np.array([1.0, 2.0]),
                 z=np.array([0.0, 0.5]), tx=np.array([1.0, 1.0]),
