@@ -28,6 +28,7 @@ from .expr import parse_expr
 from .mesh import discrete_mesh_curvature, revolve, write_obj, write_stl
 from .momentum import (Momentum, admissible_intervals, momentum_from_gauss,
                        momentum_from_km, momentum_from_kp, momentum_from_mean)
+from .quadrature import takes_arrays
 from .reconstruct import integrate_profile, momentum_of_profile, profile_to_csv
 from .reconstruct import Profile
 
@@ -198,12 +199,12 @@ def _cmd_verify(args) -> int:
 
     # dual-route momentum rebuilds from the derived H and K_G
     ref = float(grid[0])
-    h_star = lambda x: mean_curvature(m, x)
+    h_star = takes_arrays(lambda x: mean_curvature(m, x))
     m_h = momentum_from_mean(h_star, ref * m.eval(ref), (ref, float(grid[-1])),
                              tol=args.tol_quad)
     checks["mean_roundtrip"] = float(max(
         abs(m_h.eval(float(x)) - m.eval(float(x))) for x in grid))
-    g_star = lambda x: gauss_curvature(m, x)
+    g_star = takes_arrays(lambda x: gauss_curvature(m, x))
     m_g = momentum_from_gauss(g_star, m.eval(ref) ** 2, 1, (ref, float(grid[-1])),
                               tol=args.tol_quad)
     checks["gauss_roundtrip"] = float(max(

@@ -64,14 +64,26 @@ class MeanInverseBranch:
     angle: float | None  # theta = arcsin(2 mu), delta = arccosh(2 mu), or None
 
 
-def principal_curvatures(m: Momentum, x: float) -> tuple[float, float]:
+def principal_curvatures(m: Momentum, x):
     """(k_m, k_p) = (K'(x), K(x)/x); the axis value is the umbilic limit.
 
     At x = 0 the parallel curvature has the finite limit K'(0) only when
     K(0) = 0 (the profile meets the axis orthogonally); anything else raises
-    AxisSingularity.
+    AxisSingularity. x may be a float or an array: an array takes one array
+    call of K and of K' (through the array protocol), and its samples on the
+    axis take the float path, AxisSingularity included.
     """
     axis_eps = _AXIS_REL * max(1.0, m.width)
+    if isinstance(x, np.ndarray):
+        k_m = array_callable(m.deriv, *m.domain)(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k_p = array_callable(m.eval, *m.domain)(x) / x
+        on_axis = np.flatnonzero(np.abs(x) < axis_eps)
+        if on_axis.size:
+            k_m, k_p = np.array(k_m, dtype=float), np.array(k_p, dtype=float)
+            for i in on_axis.tolist():
+                k_m.flat[i], k_p.flat[i] = principal_curvatures(m, float(x.flat[i]))
+        return k_m, k_p
     if abs(x) < axis_eps:
         k0 = m.eval(x)
         if abs(k0) > 1e-9:
@@ -82,12 +94,14 @@ def principal_curvatures(m: Momentum, x: float) -> tuple[float, float]:
     return m.deriv(x), m.eval(x) / x
 
 
-def mean_curvature(m: Momentum, x: float) -> float:
+def mean_curvature(m: Momentum, x):
+    """H at a float or, elementwise, an array of x."""
     k_m, k_p = principal_curvatures(m, x)
     return 0.5 * (k_m + k_p)
 
 
-def gauss_curvature(m: Momentum, x: float) -> float:
+def gauss_curvature(m: Momentum, x):
+    """K_G at a float or, elementwise, an array of x."""
     k_m, k_p = principal_curvatures(m, x)
     return k_m * k_p
 
@@ -157,7 +171,7 @@ def constraint_residual(H: Callable[[float], float], G: Callable[[float], float]
     return float(out) if np.isscalar(x) else out
 
 
-def weingarten_residual(m: Momentum, q: float, x: float) -> float:
+def weingarten_residual(m: Momentum, q: float, x):
     """k_m - q * k_p; identically zero on the linear Weingarten families."""
     k_m, k_p = principal_curvatures(m, x)
     return k_m - q * k_p

@@ -68,15 +68,21 @@ class SurfaceMesh:
         return len(self.vertices) - n_edges + len(self.triangles)
 
     def boundary_loops(self) -> int:
-        """Number of closed cycles of boundary edges."""
-        from scipy.sparse import coo_matrix
-        from scipy.sparse.csgraph import connected_components
+        """Number of closed cycles of boundary edges: the connected
+        components of the edges on one triangle, by union-find."""
         lo, hi, counts = _edge_table(self.triangles, len(self.vertices))
-        lo, hi = lo[counts == 1], hi[counts == 1]
-        n = len(self.vertices)
-        graph = coo_matrix((np.ones(len(lo)), (lo, hi)), shape=(n, n))
-        _, labels = connected_components(graph, directed=False)
-        return len(np.unique(labels[np.concatenate([lo, hi])]))
+        edges = list(zip(lo[counts == 1].tolist(), hi[counts == 1].tolist()))
+        parent = {v: v for edge in edges for v in edge}
+
+        def root(v: int) -> int:
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]  # path halving
+                v = parent[v]
+            return v
+
+        for a, b in edges:
+            parent[root(a)] = root(b)
+        return sum(1 for v, p in parent.items() if v == p)
 
 
 def _edge_table(triangles: np.ndarray, n_vertices: int

@@ -1,4 +1,4 @@
-"""Quadrature and differentiation utilities.
+"""Quadrature, root finding and differentiation utilities.
 
 Integrands are array-first: the engine hands an integrand a float array of
 nodes and takes back the array of its values. :func:`array_callable` passes
@@ -7,7 +7,7 @@ momenta and integrands the constructors build) and makes any other callable
 fit, by its own array call where a probe shows that agrees with per-point
 calls and by a per-point loop otherwise.
 
-One engine integrates every finite range: adaptive bisection into 8-node
+One engine integrates every range: adaptive bisection into 8-node
 Gauss-Legendre panels (:func:`integrate`). Each round evaluates the halves of
 all open panels in one call and adds each panel's weighted node values in
 node order, so panel sums are the floats a per-point loop would give
@@ -15,23 +15,23 @@ whenever the array and per-point values agree. On top of it,
 :func:`sqrt_endpoint_integral` removes inverse-square-root endpoint blow-ups
 by the substitution x = a + v**2, and :class:`AnchoredAntiderivative` caches
 A(x) = int_anchor^x f(t) dt as a cubic Hermite interpolant whose slopes are
-the exact integrand values. QUADPACK (:func:`gk_quad`) is left only for
-ranges that may be infinite or end on a singularity: the strip from the
-anchor to the cache, and points outside it.
+the exact integrand values. The strip from the anchor to the cache, and the
+points outside it, go to the same engine: an end where f is undefined or not
+finite takes the square-root substitution, an infinite anchor the map
+x = b + 1 - 1/t, and a strip that does not converge raises QuadratureFailure.
 
 Flows and root finding evaluate an antiderivative one float at a time, so a
 float inside the cached interval takes a scalar path: a bisection on the
-knots, kept as a Python list, and the spline's own coefficients summed in
-SciPy's PPoly order. It returns the same bits as the SciPy spline at about a
-seventh of the cost. Arrays take the SciPy spline, and points outside the
-cache direct quadrature. SciPy is imported inside the functions that use it,
-so importing the package loads none of it.
+knots, kept as a Python list, and the piece's four coefficients summed from
+the lowest power. Arrays take the same interval rule and operation order in
+NumPy, so both paths return the same bits. :func:`bracketed_root` is Brent's
+method, iterate for iterate as in the classic C implementation.
 """
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_right
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -46,13 +46,13 @@ __all__ = [
     "AnchoredAntiderivative",
     "numeric_derivative",
     "bracketed_root",
-    "gk_quad",
 ]
 
 _EPS = float(np.finfo(float).eps)
 _MIN_WIDTH = 64 * _EPS  # narrowest panel, relative to max(1, |x|)
 _MAX_PANELS = 4096
 _INITIAL_KNOTS = 17  # first knots of an antiderivative cache
+_BRENT_ITERATIONS = 100
 
 # Nodes and weights of the 8-node Gauss-Legendre rule on [-1, 1].
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -286,25 +286,70 @@ def sqrt_endpoint_integral(f: Callable[[float], float], a: float, b: float,
     return integrate(g, 0.0, v_top, tol=tol)
 
 
-def gk_quad(f: Callable[[float], float], a: float, b: float,
-            tol: float = 1e-12) -> float:
-    """Adaptive Gauss-Kronrod integral (QUADPACK) with a hard error check.
+def _value_or_nan(f: Callable[[float], float], x: float) -> float:
+    """f(x), or nan where f cannot be evaluated."""
+    try:
+        return float(f(x))
+    except _UNDEFINED:
+        return math.nan
 
-    For ranges that may be infinite or end on an integrable singularity.
-    Poor error estimates become a typed QuadratureFailure instead of a
-    console warning.
+
+def _strip(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
+    """int_a^b f for a range that may be infinite or end where f is undefined:
+    the strip from an anchor to a cache, or to a point outside it.
+
+    An infinite end is mapped onto (0, 1] by x = b + 1 - 1/t (resp.
+    x = a - 1 + 1/t). An end where f raises or is not finite takes the
+    substitution x = end +- v**2 with the weight 2v taken as
+    sqrt(|x - end|) of the rounded node, so an inverse square root is smooth
+    in v. A node that rounds onto the end moves to the float next to it;
+    QuadratureFailure when the mass that move could hide exceeds tol, as it
+    does for a blow-up stronger than an inverse square root.
     """
-    from scipy.integrate import quad
+    if a == b:
+        return 0.0
+    if b < a:
+        return -_strip(f, b, a, tol)
+    if math.isinf(a) or math.isinf(b):
+        if math.isinf(a) and math.isinf(b):
+            raise QuadratureFailure(f"cannot integrate over [{a!r}, {b!r}]")
+        end, sign = (b, -1.0) if math.isinf(a) else (a, 1.0)
+        return _strip(lambda t: f(end + sign * (1.0 / t - 1.0)) / (t * t), 0.0, 1.0, tol)
+    f = array_callable(f, a, b)
+    bad_lo, bad_hi = (not math.isfinite(_value_or_nan(f, x)) for x in (a, b))
+    mid = 0.5 * (a + b)
+    if not (bad_lo or bad_hi) or not math.isfinite(_value_or_nan(f, mid)):
+        return integrate(f, a, b, tol)  # a node raises where f is undefined inside
+    if bad_lo and bad_hi:
+        return _strip(f, a, mid, 0.5 * tol) + _strip(f, mid, b, 0.5 * tol)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        val, abserr = quad(f, a, b, epsabs=tol, epsrel=1e-13, limit=200)
-    if not math.isfinite(val):
-        raise QuadratureFailure(f"integral over [{a!r}, {b!r}] is not finite")
-    if abserr > max(100.0 * tol, 1e-13 * abs(val), 1e-13):
-        raise QuadratureFailure(
-            f"Gauss-Kronrod error estimate {abserr:.3e} too large on [{a!r}, {b!r}]")
-    return val
+    end, sign = (a, 1.0) if bad_lo else (b, -1.0)
+    first = math.nextafter(end, end + sign)  # the float next to the end
+
+    def g_x(x: np.ndarray) -> np.ndarray:
+        return 2.0 * np.sqrt(sign * (x - end)) * f(x)
+
+    if end != 0.0:  # nodes round onto any other end before the width floor
+        # how fast g grows towards the end, from 16 ulps in to the first float
+        try:
+            with np.errstate(all="ignore"):
+                g1, g2 = np.abs(g_x(np.array([first, end + 16.0 * (first - end)]))).tolist()
+        except _UNDEFINED:
+            g1 = g2 = math.nan
+        order = math.log(g1 / g2) / math.log(4.0) if g1 > g2 > 0.0 else 0.0
+        hidden = (math.sqrt(abs(first - end)) * g1 * order / (1.0 - order)
+                  if order < 1.0 else math.inf)
+        if not (math.isfinite(g1) and math.isfinite(g2) and hidden <= tol):
+            raise QuadratureFailure(
+                f"the singularity of the integrand at x={end!r} is stronger than an "
+                "inverse square root; its strip cannot be integrated")
+
+    @takes_arrays
+    def g(v: np.ndarray) -> np.ndarray:
+        x = end + sign * v * v
+        return g_x(np.where(x == end, first, x))
+
+    return integrate(g, 0.0, math.sqrt(b - a), tol)
 
 
 class AnchoredAntiderivative:
@@ -322,8 +367,6 @@ class AnchoredAntiderivative:
 
     def __init__(self, f: Callable[[float], float], lo: float, hi: float,
                  anchor: float | None = None, tol: float = 1e-12):
-        from scipy.interpolate import CubicHermiteSpline
-
         if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
             raise ValueError(f"bad interval [{lo!r}, {hi!r}]")
         self._f = f
@@ -334,21 +377,21 @@ class AnchoredAntiderivative:
 
         width = self.hi - self.lo
         if width == 0.0:
-            self._spline = None
-            self._base = 0.0 if self.anchor == self.lo else gk_quad(f, self.anchor, self.lo, tol)
+            self._knots = None
+            self._base = 0.0 if self.anchor == self.lo else _strip(f, self.anchor, self.lo, tol)
             self._inset_lo = self._inset_hi = self.lo
             return
 
         # Keep spline knots away from endpoints where f itself is singular
         # (but integrable); the short end strips are integrated directly.
         inset = 1e-8 * width
-        ends = {x: self._safe_f(x) for x in (self.lo, self.hi)}
+        ends = {x: _value_or_nan(f, x) for x in (self.lo, self.hi)}
         self._inset_lo = self.lo if math.isfinite(ends[self.lo]) else self.lo + inset
         self._inset_hi = self.hi if math.isfinite(ends[self.hi]) else self.hi - inset
 
         self._base = 0.0
         if self.anchor != self._inset_lo:
-            self._base = gk_quad(f, self.anchor, self._inset_lo, tol)
+            self._base = _strip(f, self.anchor, self._inset_lo, tol)
 
         f_array = array_callable(f, self.lo, self.hi)
 
@@ -363,19 +406,18 @@ class AnchoredAntiderivative:
         xs, fs, vals = _bisect(
             f_array, np.linspace(self._inset_lo, self._inset_hi, _INITIAL_KNOTS),
             self.tol, knot)
-        acc = np.concatenate(([0.0], np.cumsum(vals)))
-        self._spline = CubicHermiteSpline(xs, self._base + acc, fs)
-        # Per knot interval: its left knot and the spline's four coefficients,
-        # highest power first, for the scalar path of __call__.
-        self._lefts = self._spline.x[:-1].tolist()
-        self._pieces = list(zip(self._lefts, *self._spline.c.tolist()))
-
-    def _safe_f(self, x: float) -> float:
-        """f(x), or nan where f cannot be evaluated."""
-        try:
-            return float(self._f(x))
-        except _UNDEFINED:
-            return math.nan
+        ys = self._base + np.concatenate(([0.0], np.cumsum(vals)))
+        self._knots, self._values, self._slopes = xs, ys, fs
+        # The cubic Hermite piece on each knot interval, highest power first,
+        # by the formulas of SciPy's CubicHermiteSpline.
+        dx = np.diff(xs)
+        slope = np.diff(ys) / dx
+        t = (fs[:-1] + fs[1:] - 2 * slope) / dx
+        self._coef = (t / dx, (slope - fs[:-1]) / dx - t, fs[:-1], ys[:-1])
+        # Per knot interval: its left knot and the four coefficients, for the
+        # scalar path of __call__.
+        self._lefts = xs[:-1].tolist()
+        self._pieces = list(zip(self._lefts, *(c.tolist() for c in self._coef)))
 
     def _knot_values(self, f_array, xs: np.ndarray) -> np.ndarray:
         """f at the knots xs from one array call; QuadratureFailure at the
@@ -384,21 +426,33 @@ class AnchoredAntiderivative:
             with np.errstate(all="ignore"):
                 fs = f_array(xs)
         except _UNDEFINED:
-            fs = np.array([self._safe_f(x) for x in xs.tolist()])
+            fs = np.array([_value_or_nan(self._f, x) for x in xs.tolist()])
         finite = np.isfinite(fs)
         if not np.all(finite):
             x = float(xs[np.argmin(finite)])
             raise QuadratureFailure(f"integrand not finite at the knot x={x!r}")
         return fs
 
+    def _hermite(self, x: np.ndarray) -> np.ndarray:
+        """The cached interpolant at an array of points inside the cache, by
+        the scalar path's interval rule and operation order."""
+        i = np.searchsorted(self._knots[:-1], x, side="right") - 1
+        c0, c1, c2, c3 = (c[i] for c in self._coef)
+        s = x - self._knots[i]
+        res = (0.0 + c3) + c2 * s
+        z = s * s
+        res = res + c1 * z
+        z = z * s
+        return res + c0 * z
+
     def __call__(self, x):
-        if self._spline is None:
+        if self._knots is None:
             return self._base if np.isscalar(x) else np.full(np.shape(x), self._base)
         if isinstance(x, float) and self._inset_lo <= x <= self._inset_hi:
-            # SciPy's PPoly evaluation, operation for operation: the interval
-            # is knots[i] <= x < knots[i + 1], with the last knot in the last
-            # interval, and the powers of s are accumulated from the lowest.
-            # float(x) makes a numpy scalar return a Python float, as before.
+            # The interval is knots[i] <= x < knots[i + 1], with the last knot
+            # in the last interval, and the powers of s are accumulated from
+            # the lowest, as SciPy's PPoly evaluates. float(x) makes a numpy
+            # scalar return a Python float.
             xi, c0, c1, c2, c3 = self._pieces[bisect_right(self._lefts, x) - 1]
             s = float(x) - xi
             res = (0.0 + c3) + c2 * s
@@ -409,19 +463,35 @@ class AnchoredAntiderivative:
         xarr = np.asarray(x, dtype=float)
         inside = (xarr >= self._inset_lo) & (xarr <= self._inset_hi)
         if np.all(inside):
-            out = self._spline(xarr)
+            out = self._hermite(xarr)
             return float(out) if np.isscalar(x) else out
         out = np.empty(xarr.shape)
-        out[inside] = self._spline(xarr[inside])
+        out[inside] = self._hermite(xarr[inside])
         for idx in np.ndindex(xarr.shape):
             if not inside[idx]:
-                xv = float(xarr[idx])
-                if xv < self._inset_lo:
-                    out[idx] = self._base + gk_quad(self._f, self._inset_lo, xv, self.tol)
-                else:
-                    out[idx] = float(self._spline(self._inset_hi)) + gk_quad(
-                        self._f, self._inset_hi, xv, self.tol)
+                out[idx] = self._outside(float(xarr[idx]))
         return float(out) if np.isscalar(x) else out
+
+    def _outside(self, x: float) -> float:
+        """A(x) outside the cache, by a strip from its nearer end; between an
+        inset and its domain end, from that end, so that the strip ends on
+        the singularity of f and the substitution absorbs it."""
+        f, tol = self._f, self.tol
+        if x < self._inset_lo:
+            if self.lo < self._inset_lo and x >= self.lo:
+                return self._at_lo + _strip(f, self.lo, x, tol)
+            return self._base + _strip(f, self._inset_lo, x, tol)
+        if self._inset_hi < self.hi and x <= self.hi:
+            return self._at_hi - _strip(f, x, self.hi, tol)
+        return self(self._inset_hi) + _strip(f, self._inset_hi, x, tol)
+
+    @cached_property
+    def _at_lo(self) -> float:
+        return self._base - _strip(self._f, self.lo, self._inset_lo, self.tol)
+
+    @cached_property
+    def _at_hi(self) -> float:
+        return self(self._inset_hi) + _strip(self._f, self._inset_hi, self.hi, self.tol)
 
 
 _FD_REL_STEP = _EPS ** 0.2  # ~7.4e-4, optimal for 4th order
@@ -446,15 +516,58 @@ def numeric_derivative(f: Callable[[float], float], x: float,
 
 def bracketed_root(g: Callable[[float], float], a: float, b: float,
                    xtol: float = 1e-12) -> float:
-    """Root of g on [a, b] via Brent's method; typed error when unbracketed."""
-    from scipy.optimize import brentq
+    """Root of g on [a, b] by Brent's method; typed error when unbracketed.
 
-    ga, gb = g(a), g(b)
-    if ga == 0.0:
-        return a
-    if gb == 0.0:
-        return b
-    if ga * gb > 0:
+    The iteration is brentq.c of SciPy (and of Brent's ALGOL original)
+    operation for operation, so the iterates and the root are its bits: it
+    stops when g vanishes or the bracket's half-width falls below
+    (xtol + 4 eps |x|) / 2. RootBracketFailure when g has the same sign at
+    both ends, is nan, or has not converged after _BRENT_ITERATIONS.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(g(xpre)), float(g(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.isnan(fpre) or math.isnan(fcur) or (
+            math.copysign(1.0, fpre) == math.copysign(1.0, fcur)):
         raise RootBracketFailure(
-            f"no sign change on [{a!r}, {b!r}] (g(a)={ga:.3e}, g(b)={gb:.3e})")
-    return float(brentq(g, a, b, xtol=xtol, rtol=4 * np.finfo(float).eps))
+            f"no sign change on [{a!r}, {b!r}] (g(a)={fpre:.3e}, g(b)={fcur:.3e})")
+    xblk = fblk = spre = scur = 0.0
+    rtol = 4 * _EPS
+    for _ in range(_BRENT_ITERATIONS):
+        if fpre != 0.0 and fcur != 0.0 and (
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(g(xcur))
+        if math.isnan(fcur):
+            raise RootBracketFailure(f"g({xcur!r}) is nan; Brent's method cannot continue")
+    raise RootBracketFailure(
+        f"Brent's method did not converge on [{a!r}, {b!r}] in {_BRENT_ITERATIONS} iterations")

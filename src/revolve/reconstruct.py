@@ -19,6 +19,8 @@ which is the same curve (sin(phi) = K(x) is a first integral) but stays
 Lipschitz through the turning points K^2 = 1, where the sign of xdot flips.
 Turning points are located as transversal zeros of cos(phi) and recorded as
 branch events; hitting the declared x-domain transversally stops the flow.
+The system is integrated by the DOP853 method of :mod:`revolve._dop853`,
+which locates the events on its dense output by Brent's method.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _dop853 as dop853
 from .curvature import CurvatureSample
 from .errors import (AxisSingularity, DegeneratePolyline, DomainViolation,
                      EventLocatorFailure, NonIntegrableSingularity,
@@ -203,8 +206,6 @@ def integrate_profile(m: Momentum, start_x: float, direction: int = +1,
     and stops when it crosses the momentum's x-domain or reaches s_max
     (s_min < 0 extends the same curve backwards in arclength).
     """
-    from scipy.integrate import solve_ivp
-
     if samples_per_branch < 2:
         raise ParamOutOfRange(
             f"need at least two samples per branch, got {samples_per_branch!r}")
@@ -253,9 +254,8 @@ def integrate_profile(m: Momentum, start_x: float, direction: int = +1,
     def run(s_end: float):
         if s_end == 0.0:
             return None
-        sol = solve_ivp(rhs, (0.0, s_end), (start_x, 0.0, phi0), method="DOP853",
-                        dense_output=True, rtol=rtol, atol=atol,
-                        events=(ev_turn, ev_lo, ev_hi), max_step=abs(s_end))
+        sol = dop853.solve(rhs, s_end, (start_x, 0.0, phi0), rtol=rtol, atol=atol,
+                           max_step=abs(s_end), events=(ev_turn, ev_lo, ev_hi))
         if sol.status == -1:
             raise StepUnderflow(f"profile flow stalled: {sol.message}")
         turns = [float(t) for t in sol.t_events[0] if abs(t) > 1e-12]

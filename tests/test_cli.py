@@ -127,11 +127,15 @@ def test_prescribe_rejects_bad_expression(tmp_path, capsys):
 
 
 def test_prescribe_numerical_failure_is_exit_3(tmp_path, capsys):
-    # meridian curvature with a non-integrable pole inside the domain
-    code, _, err = run(["prescribe", "--kind", "km", "--expr", "1/(x-2)^2",
-                        "--domain", "1:3", "--out", str(tmp_path / "b")], capsys)
-    assert code == 3
-    assert "numerical" in err
+    # meridian curvature with a non-integrable pole inside the domain, and
+    # one whose strip from the anchor 0 ends on a blow-up stronger than an
+    # inverse square root
+    for opts in (["--expr", "1/(x-2)^2", "--domain", "1:3"],
+                 ["--expr", "x^(-0.75)", "--domain", "1:2", "--anchor", "0"]):
+        code, _, err = run(["prescribe", "--kind", "km", *opts,
+                            "--out", str(tmp_path / "b")], capsys)
+        assert code == 3
+        assert "numerical" in err
 
 
 def test_prescribe_domain_error_inside_a_panel_is_exit_2(tmp_path, capsys):
@@ -291,18 +295,43 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("argv", [
-    ["mesh", "--ntheta", "8"],
-    ["classify-mean-inverse", "--mu", "0.25"],
-    ["--help"],
-    ["catalog", "list"],
-], ids=["mesh", "classify-mean-inverse", "help", "catalog-list"])
-def test_cli_commands_without_quadrature_load_no_scipy(tmp_path, argv):
-    if argv[0] == "mesh":
-        # a stored quarter circle: the mesh stage reads it and needs no quadrature
+_FLOW = ["--smax", "1.0", "--smin", "-1.0", "--samples", "64"]
+
+# Every stage of the README chains. A stage that reads state finds it made
+# in-process by the named set-up stage.
+_STAGES = {
+    "mesh": (None, ["mesh", "--ntheta", "8"]),
+    "classify-mean-inverse": (None, ["classify-mean-inverse", "--mu", "0.25"]),
+    "help": (None, ["--help"]),
+    "catalog-list": (None, ["catalog", "list"]),
+    "prescribe-kp": (None, ["prescribe", "--kind", "kp", "--expr", "1/x^2",
+                            "--domain", "1.001:3", "--anchor", "0"]),
+    "prescribe-mean": (None, ["prescribe", "--kind", "mean", "--expr", "1",
+                              "--const", "0.12", "--domain", "0.07:0.93", "--anchor", "0"]),
+    "prescribe-gauss": (None, ["prescribe", "--kind", "gauss", "--expr", "1/(4*x)",
+                               "--domain", "0.001:2", "--anchor", "0"]),
+    "catalog-build": (None, ["catalog", "build", "hopf_kuhnel", "--param", "q=2"]),
+    "profile": ("prescribe-kp", ["profile", "--start", "1.5", *_FLOW]),
+    "verify-q": ("catalog-build", ["verify", "--q", "2", "--grid", "20", *_FLOW]),
+    "verify-expr": ("prescribe-kp", ["verify", "--start", "1.5", "--grid", "20",
+                                     "--expr-h", "1 - 1/x", "--expr-kg", "1 - 2/x",
+                                     "--gamma-h", "-0.4999995", "--c-g", "0.4990005",
+                                     *_FLOW]),
+}
+
+
+@pytest.mark.parametrize("stage", list(_STAGES))
+def test_cli_commands_without_quadrature_load_no_scipy(tmp_path, capsys, stage):
+    # every stage, quadrature and flow included, runs without SciPy
+    state, argv = _STAGES[stage]
+    if stage == "mesh":
+        # a stored quarter circle: the mesh stage reads it
         t = np.linspace(0.0, 0.5 * math.pi, 9)
         p = revolve.Profile(s=t, x=np.cos(t) + 1.0, z=np.sin(t), tx=-np.sin(t), tz=np.cos(t))
         (tmp_path / "profile.csv").write_text(revolve.profile_to_csv(p))
+    if state is not None:
+        assert run([*_STAGES[state][1], "--out", str(tmp_path)], capsys)[0] == 0
+    if stage not in ("classify-mean-inverse", "help", "catalog-list"):
         argv = [*argv, "--out", str(tmp_path)]
     # -X importtime lists every module the process imports on stderr
     proc = _cli_subprocess(argv, ["-X", "importtime"])
@@ -311,3 +340,28 @@ def test_cli_commands_without_quadrature_load_no_scipy(tmp_path, argv):
                 if line.startswith("import time:")]
     assert "revolve.mesh" in imported
     assert not [m for m in imported if m.split(".")[0] == "scipy"]
+
+
+def test_surface_run_loads_no_scipy():
+    # the library path of a surface: momentum from a Python callable, flow,
+    # mesh, discrete curvature and topology
+    src = os.path.dirname(os.path.dirname(os.path.abspath(revolve.__file__)))
+    code = """if True:
+        import math, sys
+        import revolve as rv
+        cases = [(rv.momentum_from_kp(lambda x: 1.0, (0.0, 1.0)), dict(start_x=0.0, s_max=4.0)),
+                 (rv.momentum_from_mean(lambda x: 1.0, 0.12, (0.07, 0.93), anchor=0.0),
+                  dict(start_x=0.5, s_max=5.0)),
+                 (rv.momentum_from_kp(lambda x: 1.0 / x ** 2, (1.0, 3.0)),
+                  dict(start_x=3.0, direction=-1, s_max=6.0))]
+        loops = []
+        for m, flow in cases:
+            mesh = rv.revolve(rv.integrate_profile(m, samples_per_branch=32, **flow), n_theta=16)
+            rv.discrete_mesh_curvature(mesh)
+            loops.append((mesh.euler_characteristic(), mesh.boundary_loops()))
+        print(loops, [m for m in sys.modules if m.split('.')[0] == 'scipy'])
+    """
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[(2, 0), (0, 2), (0, 2)] []"

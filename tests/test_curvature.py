@@ -139,3 +139,26 @@ def test_mean_roundtrip_through_momentum():
     m2 = momentum_from_mean(H, c, (1.5, 3.5))
     for x in np.linspace(1.5, 3.5, 21):
         assert_close(m2.eval(x), m.eval(x), 1e-10, "mean round trip")
+
+
+def test_pointwise_curvatures_take_arrays():
+    from revolve.expr import parse_expr
+    from revolve.momentum import momentum_from_kp
+
+    # the README catenoid from a compiled prescription: the bits of per-point calls
+    e = parse_expr("1/x^2")
+    m = momentum_from_kp(e.as_function({}), (1.001, 3.0),
+                         p_deriv=e.derivative().as_function({}))
+    xs = np.linspace(1.001, 3.0, 101)
+    for fn in (mean_curvature, gauss_curvature):
+        assert fn(m, xs).tobytes() == np.array([fn(m, x) for x in xs.tolist()]).tobytes()
+    # a catalog-style momentum of scalar lambdas, with a sample on the axis
+    s = sphere_momentum(2.0, hi=1.9)
+    xs = np.array([0.0, 0.5, 1.9])
+    k_m, k_p = principal_curvatures(s, xs)
+    assert k_m.tolist() == [0.5] * 3 and k_p.tolist() == [0.5] * 3
+    # an axis sample where K(0) != 0 raises as the float path does
+    tilted = Momentum(eval=lambda x: 0.5 + 0.1 * x, deriv=lambda x: 0.1, domain=(0.0, 1.0))
+    with pytest.raises(AxisSingularity):
+        mean_curvature(tilted, np.array([0.5, 0.0]))
+    assert gauss_curvature(tilted, np.array([0.5]))[0] == gauss_curvature(tilted, 0.5)

@@ -41,6 +41,27 @@ def test_open_band_topology():
     assert m.boundary_loops() == 2
 
 
+def test_boundary_loops_count_separate_components():
+    # a cap (pole plus one open ring) has one loop
+    cap = revolve(Profile(s=np.linspace(0.0, 1.0, 9), x=np.sin(np.linspace(0.0, 1.0, 9)),
+                          z=-np.cos(np.linspace(0.0, 1.0, 9)),
+                          tx=np.cos(np.linspace(0.0, 1.0, 9)),
+                          tz=np.sin(np.linspace(0.0, 1.0, 9))), n_theta=12)
+    assert cap.boundary_loops() == 1
+    # two disjoint bands in one mesh: four loops, whatever the vertex order
+    band = revolve(open_band_profile(5), n_theta=10)
+    n = len(band.vertices)
+    both = SurfaceMesh(np.concatenate((band.vertices, band.vertices + 5.0)),
+                       np.concatenate((band.triangles, n + band.triangles[::-1])),
+                       band.rings, band.normals, band.n_theta)
+    assert both.boundary_loops() == 4
+    perm = np.random.default_rng(0).permutation(2 * n)
+    shuffled = SurfaceMesh(both.vertices[np.argsort(perm)], perm[both.triangles],
+                           band.rings, band.normals, band.n_theta)
+    assert shuffled.boundary_loops() == 4
+    assert shuffled.euler_characteristic() == 0
+
+
 def test_catenoid_annulus_has_two_boundary_loops():
     p = integrate_profile(catenoid_momentum(), start_x=2.0, s_max=1.0,
                           s_min=-1.0, samples_per_branch=64)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import catenoid_momentum
-from revolve.errors import QuadratureFailure
-from revolve.quadrature import (AnchoredAntiderivative, array_callable,
+from revolve.errors import QuadratureFailure, RootBracketFailure
+from revolve.expr import parse_expr
+from revolve.quadrature import (AnchoredAntiderivative, array_callable, bracketed_root,
                                 integrate, sqrt_endpoint_integral, takes_arrays)
 from revolve.reconstruct import graph_height
 
@@ -78,10 +79,100 @@ def test_antiderivative_evaluates_each_knot_once():
         return np.exp(np.sin(5.0 * t)) * t
 
     A = AnchoredAntiderivative(f, 0.0, 2.0, tol=1e-12)
-    knots = A._spline.x.tolist()
+    knots = A._knots.tolist()
     assert len(knots) > 1000
     assert max(sizes) > 1000  # the knots and nodes came in arrays
     assert all(calls[x] == 1 for x in knots)
+
+
+# --- strips: from the anchor to the cache, and points outside it -----------
+
+def test_strip_anchor_at_minus_infinity():
+    from scipy.integrate import quad
+
+    A = AnchoredAntiderivative(math.exp, -1.0, 2.0, anchor=-math.inf, tol=1e-12)
+    assert abs(A._base - quad(math.exp, -math.inf, -1.0, epsabs=1e-14)[0]) <= 1e-12
+    assert abs(A(-1.0) - math.exp(-1.0)) <= 1e-12
+    # an algebraic tail: int_-inf^x dt / (1 + t^2) = atan(x) + pi/2
+    B = AnchoredAntiderivative(lambda t: 1.0 / (1.0 + t * t), -1.0, 2.0,
+                               anchor=-math.inf, tol=1e-12)
+    for x in (-1.0, 0.0, 2.0):
+        assert abs(B(x) - (math.atan(x) + 0.5 * math.pi)) <= 1e-12
+
+
+def test_strip_inverse_square_root_end():
+    # f(1) raises: the cache stops at an inset, the last strip takes x = 1 - v^2
+    from scipy.integrate import quad
+
+    f = lambda t: 1.0 / math.sqrt(1.0 - t)  # noqa: E731
+    A = AnchoredAntiderivative(f, -1.0, 1.0, tol=1e-12)
+    assert A._inset_hi < 1.0
+    for x in (1.0, 1.0 - 1e-9, 1.0 - 1e-13):
+        assert abs(A(x) - (2.0 * math.sqrt(2.0) - 2.0 * math.sqrt(1.0 - x))) <= 1e-12
+    assert abs(A(1.0) - quad(f, -1.0, 1.0, epsabs=1e-13)[0]) <= 1e-12
+
+
+def test_strip_removable_zero_over_zero_at_the_anchor():
+    # gauss 1/(4x) anchored at 0 on 0:2: x*K_G = x/(4x) is 0/0 at the anchor,
+    # so the strip below the cache starts where the integrand raises
+    G = parse_expr("1/(4*x)").as_function({})
+    A = AnchoredAntiderivative(takes_arrays(lambda t: t * G(t)), 0.0, 2.0,
+                               anchor=0.0, tol=1e-12)
+    assert A._inset_lo > 0.0
+    for x in (0.0, 1e-12, 1e-9, A._inset_lo, 1e-3, 0.5, 2.0):
+        assert abs(A(x) - 0.25 * x) <= 1e-13, x
+
+
+@pytest.mark.parametrize("q", [0.55, 0.6, 0.75, 0.9])
+def test_strip_end_singularity_stronger_than_inverse_square_root(q):
+    # int_0^1 t^-q dt = 1/(1 - q): the strip from the anchor 0, and the one
+    # from the cache past [0, 0.5] to the blow-up of (1 - t)^-q at 1, are
+    # either right to their tolerance or refused, never cut off
+    for f, lo, hi, anchor, x in ((lambda t: t ** -q, 1.0, 2.0, 0.0, 1.0),
+                                 (lambda t: (1.0 - t) ** -q, 0.0, 0.5, None, 1.0)):
+        try:
+            got = AnchoredAntiderivative(f, lo, hi, anchor=anchor, tol=1e-12)(x)
+        except QuadratureFailure:
+            continue
+        assert abs(got - 1.0 / (1.0 - q)) <= 1e-11
+
+
+# --- Brent's method against SciPy's brentq ---------------------------------
+
+_ROOT_FUNCTIONS = [
+    lambda x, r: (x - r) * (1.0 + (x - r) ** 2),
+    lambda x, r: math.tanh(20.0 * (x - r)),
+    lambda x, r: math.exp(x) - math.exp(r),
+    lambda x, r: (x - r) ** 3,
+    lambda x, r: math.cos(x) - math.cos(r),
+    lambda x, r: math.copysign(abs(x - r) ** 0.3, x - r),
+]
+
+
+def test_bracketed_root_matches_brentq():
+    from scipy.optimize import brentq
+
+    rng = np.random.default_rng(11)
+    for _ in range(600):
+        fn = _ROOT_FUNCTIONS[int(rng.integers(len(_ROOT_FUNCTIONS)))]
+        lo, r, hi = np.sort(rng.uniform(0.1, 3.0, 3)).tolist()
+        xtol = float(rng.choice([4 * np.finfo(float).eps, 1e-12, 1e-10, 1e-6]))
+        g = lambda x, fn=fn, r=r: fn(x, r)  # noqa: E731
+        try:
+            want = brentq(g, lo, hi, xtol=xtol, rtol=4 * np.finfo(float).eps)
+        except RuntimeError:  # no convergence in 100 iterations
+            with pytest.raises(RootBracketFailure):
+                bracketed_root(g, lo, hi, xtol=xtol)
+            continue
+        assert bracketed_root(g, lo, hi, xtol=xtol).hex() == want.hex()
+
+
+def test_bracketed_root_typed_failures():
+    with pytest.raises(RootBracketFailure):
+        bracketed_root(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(RootBracketFailure):
+        bracketed_root(lambda x: x if x < 0.5 else math.nan, -1.0, 1.0)
+    assert bracketed_root(lambda x: x, 0.0, 1.0) == 0.0
 
 
 # --- the array protocol ---------------------------------------------------

@@ -222,3 +222,49 @@ def test_profile_len_and_fields():
                 z=np.array([0.0, 0.5]), tx=np.array([1.0, 1.0]),
                 tz=np.array([0.0, 0.0]), branch_events=())
     assert len(p) == 2
+
+
+# --- the DOP853 port against SciPy's solve_ivp ------------------------------
+
+def _scipy_solve(fun, t_bound, y0, rtol, atol, max_step, events):
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(fun, (0.0, t_bound), y0, method="DOP853", dense_output=True,
+                     rtol=rtol, atol=atol, events=events, max_step=max_step)
+
+
+def _unduloid_momentum(c=0.12):
+    # H = 1 anchored on the axis: K = x + c/x, turning where x^2 - x + c = 0
+    r = math.sqrt(1.0 - 4.0 * c)
+    lo, hi = 0.25 * (1.0 - r), 0.5 * (1.0 + 0.5 * (1.0 + r))
+    return Momentum(eval=lambda x: x + c / x, deriv=lambda x: 1.0 - c / x ** 2,
+                    domain=(lo, hi))
+
+
+@pytest.mark.parametrize("m, kwargs, n_turns", [
+    (catenoid_momentum(), dict(start_x=2.0, s_max=1.5, s_min=-2.5), 1),
+    (_unduloid_momentum(), dict(start_x=0.5, s_max=11.5), 7),
+    (sphere_momentum(), dict(start_x=0.0, s_max=4.0), 1),
+], ids=["two-sided catenoid", "8-branch unduloid", "pole-to-pole sphere"])
+def test_flow_port_bit_equal_to_solve_ivp(monkeypatch, m, kwargs, n_turns):
+    import revolve.reconstruct as rec
+
+    got = integrate_profile(m, samples_per_branch=200, **kwargs)
+    monkeypatch.setattr(rec.dop853, "solve", _scipy_solve)
+    want = integrate_profile(m, samples_per_branch=200, **kwargs)
+    assert len(got.branch_events) >= n_turns
+    assert [t.hex() for t in got.branch_events] == [t.hex() for t in want.branch_events]
+    for name in ("s", "x", "z", "tx", "tz"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_flow_port_coefficients_equal_scipy_tables():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    import revolve._dop853 as port
+
+    assert (port.N_STAGES, port.N_STAGES_EXTENDED, port.INTERPOLATOR_POWER) == (
+        ref.N_STAGES, ref.N_STAGES_EXTENDED, ref.INTERPOLATOR_POWER)
+    for name in ("A", "B", "C", "D", "E3", "E5"):
+        mine, theirs = getattr(port, name), getattr(ref, name)
+        assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes(), name
