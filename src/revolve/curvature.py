@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,9 +41,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CurvatureSample:
-    """Both principal curvatures at one parallel, with the derived H and K_G."""
+class CurvatureSample(NamedTuple):
+    """Both principal curvatures at one parallel, with the derived H and K_G.
+
+    A named tuple: fields read by name or position, and a row compares
+    equal to the plain tuple (x, k_m, k_p, H, K_G)."""
 
     x: float
     k_m: float

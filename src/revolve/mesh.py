@@ -8,9 +8,11 @@ Topology is index arithmetic on the n_s x n_theta ring grid: one cumulative
 sum over a keep-mask numbers the vertices (a pole row keeps only column 0),
 column j of strip i gives (r0[j], r1[j], r1[j+1]) and (r0[j], r1[j+1],
 r0[j+1]) with j+1 wrapped by np.roll, and the one that collapses next to a
-pole is dropped. One edge table (each undirected edge with the number of
-triangles on it) serves edge_counts, euler_characteristic, boundary_loops
-and the boundary and manifold checks of discrete_mesh_curvature.
+pole is dropped. The edge table (each undirected edge with the number of
+triangles on it) is built once per mesh: SurfaceMesh keeps a summary of it
+(the edge count, the most triangles on one edge, the boundary edges) that
+serves euler_characteristic, boundary_loops and the boundary and manifold
+checks of discrete_mesh_curvature; edge_counts builds the full table.
 
 Normal and sign convention: per-vertex reference normals follow the surface
 convention n = (-tz*cos(theta), -tz*sin(theta), tx) built from the profile
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,12 +47,25 @@ __all__ = [
 _POLE_EPS = 1e-12
 
 
+class _EdgeSummary(NamedTuple):
+    """What the mesh's checks need of its edge table: the number of edges,
+    the most triangles on any one edge, and the (lo, hi) ends of the
+    boundary edges, those on exactly one triangle."""
+
+    n_edges: int
+    max_share: int
+    lo: np.ndarray
+    hi: np.ndarray
+
+
 @dataclass
 class SurfaceMesh:
     """Triangle mesh of a revolved profile.
 
     rings[i] holds the vertex indices of sample i's parallel (a single index
-    for a pole); per_vertex is filled by discrete_mesh_curvature.
+    for a pole); per_vertex is filled by discrete_mesh_curvature. The edge
+    summary is built on first use and dropped when vertices or triangles is
+    rebound (not when the arrays are edited in place).
     """
 
     vertices: np.ndarray
@@ -58,20 +74,35 @@ class SurfaceMesh:
     normals: np.ndarray
     n_theta: int
     per_vertex: tuple[np.ndarray, np.ndarray] | None = field(default=None)
+    _edges: _EdgeSummary | None = field(default=None, init=False,
+                                        compare=False, repr=False)
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in ("vertices", "triangles"):
+            object.__setattr__(self, "_edges", None)
+        object.__setattr__(self, name, value)
+
+    def _edge_summary(self) -> _EdgeSummary:
+        if self._edges is None:
+            lo, hi, counts = _edge_table(self.triangles, len(self.vertices))
+            one = counts == 1
+            self._edges = _EdgeSummary(len(counts), int(counts.max(initial=0)),
+                                       lo[one], hi[one])
+        return self._edges
 
     def edge_counts(self) -> dict[tuple[int, int], int]:
         lo, hi, counts = _edge_table(self.triangles, len(self.vertices))
         return dict(zip(zip(lo.tolist(), hi.tolist()), counts.tolist()))
 
     def euler_characteristic(self) -> int:
-        n_edges = len(_edge_table(self.triangles, len(self.vertices))[2])
-        return len(self.vertices) - n_edges + len(self.triangles)
+        return (len(self.vertices) - self._edge_summary().n_edges
+                + len(self.triangles))
 
     def boundary_loops(self) -> int:
         """Number of closed cycles of boundary edges: the connected
         components of the edges on one triangle, by union-find."""
-        lo, hi, counts = _edge_table(self.triangles, len(self.vertices))
-        edges = list(zip(lo[counts == 1].tolist(), hi[counts == 1].tolist()))
+        summary = self._edge_summary()
+        edges = list(zip(summary.lo.tolist(), summary.hi.tolist()))
         parent = {v: v for edge in edges for v in edge}
 
         def root(v: int) -> int:
@@ -154,51 +185,64 @@ def fundamental_forms(m: Momentum, x: float
 
 def _mixed_areas_and_angles(v: np.ndarray, t: np.ndarray
                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-vertex Meyer mixed area, angle sums, and cotangent Laplacian."""
-    n = len(v)
+    """Per-vertex Meyer mixed area, angle sums, and cotangent Laplacian.
+
+    Each sum is one np.bincount over its contributions in a fixed order:
+    corner 0, 1, 2 for the areas and angles, and for each Laplacian
+    component the (va, +w) then (vb, -w) terms of corner 0, 1, 2, where w
+    is the corner's cotangent times its opposite edge va -> vb. Every vertex
+    therefore adds its terms in the same order as one scatter-add per
+    corner would, and the sums are reproducible to the bit."""
+    n, m = len(v), len(t)
     p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
     e0 = p2 - p1  # edge opposite corner 0
     e1 = p0 - p2
     e2 = p1 - p0
-    cr = np.cross(e2, -e1)
-    twice_area = np.linalg.norm(cr, axis=1)
+    # each (m, 3) or (3, m) temporary is freed once used: they, not the
+    # sums, set the peak memory of a large mesh
+    del p0, p1, p2
+    twice_area = np.linalg.norm(np.cross(e2, -e1), axis=1)
     twice_area = np.maximum(twice_area, 1e-300)
     # dot products of the edge pairs meeting at each corner
-    d0 = np.einsum("ij,ij->i", e2, -e1)
-    d1 = np.einsum("ij,ij->i", e0, -e2)
-    d2 = np.einsum("ij,ij->i", e1, -e0)
-    cot0, cot1, cot2 = d0 / twice_area, d1 / twice_area, d2 / twice_area
-    ang0 = np.arctan2(twice_area, d0)
-    ang1 = np.arctan2(twice_area, d1)
-    ang2 = np.arctan2(twice_area, d2)
+    d = np.stack((np.einsum("ij,ij->i", e2, -e1),
+                  np.einsum("ij,ij->i", e0, -e2),
+                  np.einsum("ij,ij->i", e1, -e0)))
+    cot = d / twice_area
+    ang = np.empty((3, m))
+    for k in range(3):
+        np.arctan2(twice_area, d[k], out=ang[k])
 
     l0 = np.einsum("ij,ij->i", e0, e0)
     l1 = np.einsum("ij,ij->i", e1, e1)
     l2 = np.einsum("ij,ij->i", e2, e2)
     area = 0.5 * twice_area
-    obtuse0, obtuse1, obtuse2 = d0 < 0.0, d1 < 0.0, d2 < 0.0
 
     # Voronoi-safe area split
-    a_corner = np.empty((len(t), 3))
-    a_corner[:, 0] = (l2 * cot2 + l1 * cot1) / 8.0
-    a_corner[:, 1] = (l0 * cot0 + l2 * cot2) / 8.0
-    a_corner[:, 2] = (l1 * cot1 + l0 * cot0) / 8.0
-    for k, obt in enumerate((obtuse0, obtuse1, obtuse2)):
-        a_corner[obt, :] = (area[obt] / 4.0)[:, None]
-        a_corner[obt, k] = area[obt] / 2.0
+    a_corner = np.empty((3, m))
+    a_corner[0] = (l2 * cot[2] + l1 * cot[1]) / 8.0
+    a_corner[1] = (l0 * cot[0] + l2 * cot[2]) / 8.0
+    a_corner[2] = (l1 * cot[1] + l0 * cot[0]) / 8.0
+    del l0, l1, l2
+    for k in range(3):
+        obt = d[k] < 0.0
+        a_corner[:, obt] = area[obt] / 4.0
+        a_corner[k, obt] = area[obt] / 2.0
+    del d, area, twice_area
 
-    a_mixed = np.zeros(n)
-    angle_sum = np.zeros(n)
-    lap = np.zeros((n, 3))
-    for k, ang, cot, (ia, ib) in ((0, ang0, cot0, (1, 2)),
-                                  (1, ang1, cot1, (2, 0)),
-                                  (2, ang2, cot2, (0, 1))):
-        np.add.at(a_mixed, t[:, k], a_corner[:, k])
-        np.add.at(angle_sum, t[:, k], ang)
-        va, vb = t[:, ia], t[:, ib]
-        w = cot[:, None] * (v[vb] - v[va])
-        np.add.at(lap, va, w)
-        np.add.at(lap, vb, -w)
+    corner_v = t.T.ravel()
+    a_mixed = np.bincount(corner_v, a_corner.ravel(), minlength=n)
+    angle_sum = np.bincount(corner_v, ang.ravel(), minlength=n)
+    del corner_v, a_corner, ang
+
+    # (va, vb) of corner 0, 1, 2: the ends of the edge opposite it
+    edge_v = t[:, [1, 2, 2, 0, 0, 1]].T.ravel()
+    w = np.empty((3, 2, m))
+    lap = np.empty((n, 3))
+    for c in range(3):
+        for k, e in enumerate((e0, e1, e2)):
+            np.multiply(cot[k], e[:, c], out=w[k, 0])
+        np.negative(w[:, 0], out=w[:, 1])
+        lap[:, c] = np.bincount(edge_v, w.ravel(), minlength=n)
     return a_mixed, angle_sum, lap
 
 
@@ -209,12 +253,12 @@ def discrete_mesh_curvature(mesh: SurfaceMesh
     incomplete), and angle-defect Gauss curvature over the Meyer mixed area
     (boundary defect measured against pi). Results are also cached on
     mesh.per_vertex."""
-    lo, hi, counts = _edge_table(mesh.triangles, len(mesh.vertices))
-    if np.any(counts > 2):
+    edges = mesh._edge_summary()
+    if edges.max_share > 2:
         raise NonManifold("an edge is shared by more than two triangles")
     boundary_v = np.zeros(len(mesh.vertices), dtype=bool)
-    boundary_v[lo[counts == 1]] = True
-    boundary_v[hi[counts == 1]] = True
+    boundary_v[edges.lo] = True
+    boundary_v[edges.hi] = True
 
     a_mixed, angle_sum, lap = _mixed_areas_and_angles(mesh.vertices,
                                                       mesh.triangles)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -372,7 +373,9 @@ def discrete_curvatures(p: Profile) -> list[CurvatureSample]:
 
     k_m is the turning rate of the unit tangent (:func:`_slope` of its angle
     over arclength) and k_p = tz / x. Samples on the axis have no
-    parallel curvature; |x| < 1e-12 raises AxisSingularity.
+    parallel curvature; |x| < 1e-12 raises AxisSingularity. One
+    CurvatureSample row per sample, built from the columns by
+    ``tuple.__new__`` without a Python call per row.
     """
     if len(p) < 3:
         raise DegeneratePolyline("need at least three samples")
@@ -382,8 +385,9 @@ def discrete_curvatures(p: Profile) -> list[CurvatureSample]:
     s = np.asarray(p.s, dtype=float)
     k_m = _slope(np.unwrap(np.arctan2(p.tz, p.tx)), np.diff(s))
     k_p = np.asarray(p.tz, dtype=float) / x
-    return list(map(CurvatureSample, x.tolist(), k_m.tolist(), k_p.tolist(),
-                    (0.5 * (k_m + k_p)).tolist(), (k_m * k_p).tolist()))
+    return list(map(tuple.__new__, repeat(CurvatureSample),
+                    zip(x.tolist(), k_m.tolist(), k_p.tolist(),
+                        (0.5 * (k_m + k_p)).tolist(), (k_m * k_p).tolist())))
 
 
 def profile_to_csv(p: Profile) -> str:

@@ -39,6 +39,15 @@ def sphere_momentum(R=1.0, hi=None):
                     domain=(0.0, hi if hi is not None else R))
 
 
+def unduloid_momentum(c=0.12):
+    """H = 1 anchored on the axis: K = x + c/x, turning where x^2 - x + c = 0."""
+    from revolve.momentum import Momentum
+    r = math.sqrt(1.0 - 4.0 * c)
+    lo, hi = 0.25 * (1.0 - r), 0.5 * (1.0 + 0.5 * (1.0 + r))
+    return Momentum(eval=lambda x: x + c / x, deriv=lambda x: 1.0 - c / x ** 2,
+                    domain=(lo, hi))
+
+
 def unit_speed_error(profile):
     return float(np.max(np.abs(profile.tx ** 2 + profile.tz ** 2 - 1.0)))
 

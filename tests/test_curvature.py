@@ -131,6 +131,17 @@ def test_curvature_sample_from_principal():
     assert s.K_G == pytest.approx(-0.125)
 
 
+def test_curvature_sample_is_a_named_row():
+    s = CurvatureSample(x=2.0, k_m=0.5, k_p=-0.25, H=0.125, K_G=-0.125)
+    assert (s.x, s.k_m, s.k_p, s.H, s.K_G) == (2.0, 0.5, -0.25, 0.125, -0.125)
+    assert s == CurvatureSample.from_principal(2.0, 0.5, -0.25)
+    assert s == (2.0, 0.5, -0.25, 0.125, -0.125)  # a plain tuple compares equal
+    x, k_m, k_p, H, K_G = s
+    assert (x, K_G) == (2.0, -0.125)
+    with pytest.raises(AttributeError):
+        s.k_m = 1.0
+
+
 def test_mean_roundtrip_through_momentum():
     # H measured from a momentum feeds back into the same momentum
     m = catenoid_momentum()

@@ -6,7 +6,8 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import assert_close, catenoid_momentum, sphere_momentum
+from conftest import (assert_close, catenoid_momentum, sphere_momentum,
+                      unduloid_momentum)
 from revolve.errors import (AxisSingularity, DegenerateProfile, NonManifold,
                             ParamOutOfRange)
 from revolve.mesh import (SurfaceMesh, discrete_mesh_curvature,
@@ -49,17 +50,24 @@ def test_boundary_loops_count_separate_components():
                           tz=np.sin(np.linspace(0.0, 1.0, 9))), n_theta=12)
     assert cap.boundary_loops() == 1
     # two disjoint bands in one mesh: four loops, whatever the vertex order
+    both, shuffled = _two_bands()
+    assert both.boundary_loops() == 4
+    assert shuffled.boundary_loops() == 4
+    assert shuffled.euler_characteristic() == 0
+
+
+def _two_bands():
+    """Two disjoint open bands in one mesh, and the same mesh with its
+    vertices renumbered at random."""
     band = revolve(open_band_profile(5), n_theta=10)
     n = len(band.vertices)
     both = SurfaceMesh(np.concatenate((band.vertices, band.vertices + 5.0)),
                        np.concatenate((band.triangles, n + band.triangles[::-1])),
                        band.rings, band.normals, band.n_theta)
-    assert both.boundary_loops() == 4
     perm = np.random.default_rng(0).permutation(2 * n)
     shuffled = SurfaceMesh(both.vertices[np.argsort(perm)], perm[both.triangles],
                            band.rings, band.normals, band.n_theta)
-    assert shuffled.boundary_loops() == 4
-    assert shuffled.euler_characteristic() == 0
+    return both, shuffled
 
 
 def test_catenoid_annulus_has_two_boundary_loops():
@@ -155,6 +163,28 @@ def test_rotation_symmetry():
     assert float(np.max(np.abs(rotated - m.vertices[remap]))) < 1e-13
 
 
+def test_edge_table_built_once_per_mesh(monkeypatch):
+    import revolve.mesh as mesh_module
+
+    calls = []
+    table = mesh_module._edge_table
+    monkeypatch.setattr(mesh_module, "_edge_table",
+                        lambda *args: calls.append(args) or table(*args))
+    m = revolve(open_band_profile(), n_theta=32)
+    discrete_mesh_curvature(m)
+    assert (m.euler_characteristic(), m.boundary_loops()) == (0, 2)
+    assert len(calls) == 1
+    # rebinding the triangles or the vertices drops the summary
+    m.triangles = np.vstack([m.triangles, m.triangles[:1]])  # duplicate a face
+    assert m.euler_characteristic() == 1
+    with pytest.raises(NonManifold):
+        discrete_mesh_curvature(m)
+    assert max(m.edge_counts().values()) == 3
+    m.vertices = np.vstack([m.vertices, [[0.0, 0.0, 9.0]]])
+    assert m.euler_characteristic() == 2
+    assert len(calls) == 4  # one summary per rebinding, one full table
+
+
 def test_non_manifold_detected():
     m = revolve(open_band_profile(5), n_theta=8)
     bad = np.vstack([m.triangles, m.triangles[:1]])  # duplicate one face
@@ -162,6 +192,75 @@ def test_non_manifold_detected():
                          normals=m.normals, n_theta=m.n_theta)
     with pytest.raises(NonManifold):
         discrete_mesh_curvature(broken)
+
+
+def _mixed_areas_add_at(v, t):
+    """The scatter-add (np.add.at) sums, kept as the reference."""
+    n = len(v)
+    p0, p1, p2 = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
+    e0 = p2 - p1  # edge opposite corner 0
+    e1 = p0 - p2
+    e2 = p1 - p0
+    cr = np.cross(e2, -e1)
+    twice_area = np.linalg.norm(cr, axis=1)
+    twice_area = np.maximum(twice_area, 1e-300)
+    d0 = np.einsum("ij,ij->i", e2, -e1)
+    d1 = np.einsum("ij,ij->i", e0, -e2)
+    d2 = np.einsum("ij,ij->i", e1, -e0)
+    cot0, cot1, cot2 = d0 / twice_area, d1 / twice_area, d2 / twice_area
+    ang0 = np.arctan2(twice_area, d0)
+    ang1 = np.arctan2(twice_area, d1)
+    ang2 = np.arctan2(twice_area, d2)
+    l0 = np.einsum("ij,ij->i", e0, e0)
+    l1 = np.einsum("ij,ij->i", e1, e1)
+    l2 = np.einsum("ij,ij->i", e2, e2)
+    area = 0.5 * twice_area
+    a_corner = np.empty((len(t), 3))
+    a_corner[:, 0] = (l2 * cot2 + l1 * cot1) / 8.0
+    a_corner[:, 1] = (l0 * cot0 + l2 * cot2) / 8.0
+    a_corner[:, 2] = (l1 * cot1 + l0 * cot0) / 8.0
+    for k, obt in enumerate((d0 < 0.0, d1 < 0.0, d2 < 0.0)):
+        a_corner[obt, :] = (area[obt] / 4.0)[:, None]
+        a_corner[obt, k] = area[obt] / 2.0
+    a_mixed = np.zeros(n)
+    angle_sum = np.zeros(n)
+    lap = np.zeros((n, 3))
+    for k, ang, cot, (ia, ib) in ((0, ang0, cot0, (1, 2)),
+                                  (1, ang1, cot1, (2, 0)),
+                                  (2, ang2, cot2, (0, 1))):
+        np.add.at(a_mixed, t[:, k], a_corner[:, k])
+        np.add.at(angle_sum, t[:, k], ang)
+        va, vb = t[:, ia], t[:, ib]
+        w = cot[:, None] * (v[vb] - v[va])
+        np.add.at(lap, va, w)
+        np.add.at(lap, vb, -w)
+    return a_mixed, angle_sum, lap
+
+
+def _sum_mesh(name):
+    if name == "sphere":
+        return revolve(sphere_profile(65), n_theta=64)
+    if name == "open band":
+        return revolve(open_band_profile(), n_theta=32)
+    if name == "catenoid annulus":
+        return revolve(integrate_profile(catenoid_momentum(), start_x=2.0, s_max=1.0,
+                                         s_min=-1.0, samples_per_branch=64), n_theta=16)
+    if name == "shuffled two bands":
+        return _two_bands()[1]
+    return revolve(integrate_profile(unduloid_momentum(), start_x=0.5, s_max=11.5,
+                                     samples_per_branch=48), n_theta=128)
+
+
+@pytest.mark.parametrize("name", ["sphere", "open band", "catenoid annulus",
+                                  "shuffled two bands", "unduloid"])
+def test_curvature_sums_bit_equal_to_add_at(name):
+    from revolve.mesh import _mixed_areas_and_angles
+
+    m = _sum_mesh(name)
+    got = _mixed_areas_and_angles(m.vertices, m.triangles)
+    want = _mixed_areas_add_at(m.vertices, m.triangles)
+    for label, g, w in zip(("a_mixed", "angle_sum", "lap"), got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), label
 
 
 def test_fundamental_forms():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (assert_close, catenoid_momentum, sphere_momentum,
-                      unit_speed_error)
+                      unduloid_momentum, unit_speed_error)
 from revolve.errors import (DegeneratePolyline, DomainViolation,
                             NonIntegrableSingularity)
 from revolve.momentum import Momentum
@@ -181,6 +181,20 @@ def test_discrete_curvatures_catenoid():
     assert np.max(np.abs(KG[3:-3] + 1.0 / xg[3:-3] ** 4)) < 5e-5
 
 
+def test_discrete_curvatures_catenoid_converge():
+    # halving the sample spacing cuts the interior worst |H| and
+    # |K_G + 1/x^4| by at least 3x (second order: about 4x)
+    m = catenoid_momentum()
+    errs = []
+    for n in (512, 1024):
+        p = integrate_profile(m, start_x=1.5, s_max=1.5, samples_per_branch=n)
+        samples = discrete_curvatures(p)[3:-3]
+        errs.append((max(abs(c.H) for c in samples),
+                     max(abs(c.K_G + 1.0 / c.x ** 4) for c in samples)))
+    assert errs[1][0] < errs[0][0] / 3.0
+    assert errs[1][1] < errs[0][1] / 3.0
+
+
 def test_profile_csv_format():
     m = catenoid_momentum()
     p = integrate_profile(m, start_x=1.5, s_max=0.5, samples_per_branch=16)
@@ -233,17 +247,9 @@ def _scipy_solve(fun, t_bound, y0, rtol, atol, max_step, events):
                      rtol=rtol, atol=atol, events=events, max_step=max_step)
 
 
-def _unduloid_momentum(c=0.12):
-    # H = 1 anchored on the axis: K = x + c/x, turning where x^2 - x + c = 0
-    r = math.sqrt(1.0 - 4.0 * c)
-    lo, hi = 0.25 * (1.0 - r), 0.5 * (1.0 + 0.5 * (1.0 + r))
-    return Momentum(eval=lambda x: x + c / x, deriv=lambda x: 1.0 - c / x ** 2,
-                    domain=(lo, hi))
-
-
 @pytest.mark.parametrize("m, kwargs, n_turns", [
     (catenoid_momentum(), dict(start_x=2.0, s_max=1.5, s_min=-2.5), 1),
-    (_unduloid_momentum(), dict(start_x=0.5, s_max=11.5), 7),
+    (unduloid_momentum(), dict(start_x=0.5, s_max=11.5), 7),
     (sphere_momentum(), dict(start_x=0.0, s_max=4.0), 1),
 ], ids=["two-sided catenoid", "8-branch unduloid", "pole-to-pole sphere"])
 def test_flow_port_bit_equal_to_solve_ivp(monkeypatch, m, kwargs, n_turns):
