@@ -14,6 +14,9 @@ triangles on it) is built once per mesh: SurfaceMesh keeps a summary of it
 serves euler_characteristic, boundary_loops and the boundary and manifold
 checks of discrete_mesh_curvature; edge_counts builds the full table.
 
+write_obj renders its v and f record blocks from the arrays (_records), with
+the bytes that %.17g and %d formatting give each value.
+
 Normal and sign convention: per-vertex reference normals follow the surface
 convention n = (-tz*cos(theta), -tz*sin(theta), tx) built from the profile
 tangent (tx, tz); triangle winding agrees with it, and the sign of the
@@ -31,6 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._records import records
 from .errors import (AxisSingularity, DegenerateProfile, NonManifold,
                      ParamOutOfRange)
 from .momentum import _AXIS_REL, Momentum
@@ -58,14 +62,16 @@ class _EdgeSummary(NamedTuple):
     hi: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class SurfaceMesh:
     """Triangle mesh of a revolved profile.
 
     rings[i] holds the vertex indices of sample i's parallel (a single index
     for a pole); per_vertex is filled by discrete_mesh_curvature. The edge
     summary is built on first use and dropped when vertices or triangles is
-    rebound (not when the arrays are edited in place).
+    rebound; per_vertex is dropped when vertices, triangles or normals is
+    (neither when the arrays are edited in place). Meshes compare by
+    identity: == on two meshes is ``is``.
     """
 
     vertices: np.ndarray
@@ -80,6 +86,8 @@ class SurfaceMesh:
     def __setattr__(self, name: str, value) -> None:
         if name in ("vertices", "triangles"):
             object.__setattr__(self, "_edges", None)
+        if name in ("vertices", "triangles", "normals"):
+            object.__setattr__(self, "per_vertex", None)
         object.__setattr__(self, name, value)
 
     def _edge_summary(self) -> _EdgeSummary:
@@ -275,18 +283,20 @@ def discrete_mesh_curvature(mesh: SurfaceMesh
 
 
 def write_obj(mesh: SurfaceMesh) -> str:
-    """ASCII OBJ: two comment lines, v/f records, 1-based indices, 17
-    significant digits. Each record block is one ``%`` format over a flat
-    tuple; ``%.17g`` is the float formatter of ``f"{x:.17g}"``, ``-0``,
-    ``nan`` and subnormals alike. Byte-identical for identical meshes."""
+    """ASCII OBJ: two comment lines, then one ``v %.17g %.17g %.17g`` record
+    per vertex and one ``f %d %d %d`` record per triangle (1-based indices).
+
+    Every value has exactly the bytes of ``'%.17g' % v`` or ``'%d' % i``,
+    ``-0``, ``nan`` and subnormals alike (``_records``): a float with
+    1e-30 <= |v| < 1e30 takes its 17 digits from double-double arithmetic,
+    with an error below 2**-46 of the last digit; one that is non-finite,
+    outside that range or within 1e-6 of a rounding tie is formatted by
+    Python. Byte-identical for identical meshes."""
     header = ("# rotational surface mesh\n"
               "# normal convention: n = (-tz*cos(theta), -tz*sin(theta), tx); "
               "discrete H is signed against this normal\n")
-    verts = "v %.17g %.17g %.17g\n" * len(mesh.vertices) % tuple(
-        mesh.vertices.ravel().tolist())
-    faces = "f %d %d %d\n" * len(mesh.triangles) % tuple(
-        (mesh.triangles + 1).ravel().tolist())
-    return header + verts + faces
+    return "".join((header, records("v %.17g %.17g %.17g\n", mesh.vertices.T),
+                    records("f %d %d %d\n", (mesh.triangles + 1).T)))
 
 
 def write_stl(mesh: SurfaceMesh) -> bytes:

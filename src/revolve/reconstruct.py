@@ -32,6 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _dop853 as dop853
+from ._records import records
 from .curvature import CurvatureSample
 from .errors import (AxisSingularity, DegeneratePolyline, DomainViolation,
                      EventLocatorFailure, NonIntegrableSingularity,
@@ -391,8 +392,11 @@ def discrete_curvatures(p: Profile) -> list[CurvatureSample]:
 
 
 def profile_to_csv(p: Profile) -> str:
-    """Serialize a profile with a fixed header and 17 significant digits,
-    one ``%`` format over the flat row-major samples."""
-    cols = np.column_stack((p.s, p.x, p.z, p.tx, p.tz))
-    return "s,x,z,tx,tz\n" + "%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(cols) % tuple(
-        cols.ravel().tolist())
+    """Serialize a profile: the header ``s,x,z,tx,tz``, then one row per
+    sample. Every value has exactly the bytes of ``'%.17g' % v``
+    (``_records``): double-double digits for 1e-30 <= |v| < 1e30, with an
+    error below 2**-46 of the last digit, and Python's own formatting for a
+    value that is non-finite, outside that range or within 1e-6 of a
+    rounding tie."""
+    return "s,x,z,tx,tz\n" + records("%.17g,%.17g,%.17g,%.17g,%.17g\n",
+                                     (p.s, p.x, p.z, p.tx, p.tz))

@@ -100,12 +100,13 @@ def test_verify_weingarten_flag(tmp_path, capsys):
 
 def test_verify_constraint_flags(tmp_path, capsys):
     # torus pair on [1.1, 2.9] with coupled constants anchored at 1.1
+    d = str(tmp_path / "torus")
     code, _, err = run(["prescribe", "--kind", "mean", "--expr", "1 - 1/x",
                         "--const", str(1.1 * (1.1 - 2.0)),
-                        "--domain", "1.1:2.9", "--out", "/tmp/_t"], capsys)
+                        "--domain", "1.1:2.9", "--out", d], capsys)
     assert code == 0, err
     x0, K0 = 1.1, 1.1 - 2.0
-    code, out, err = run(["verify", "--out", "/tmp/_t", "--grid", "50",
+    code, out, err = run(["verify", "--out", d, "--grid", "50",
                           "--ntheta", "32",
                           "--expr-h", "1 - 1/x", "--expr-kg", "1 - 2/x",
                           "--gamma-h", str(x0 * K0 / 2.0),
@@ -182,6 +183,13 @@ def test_catalog_list_and_build(tmp_path, capsys):
     assert "Mylar" in entry["label"]
     rows = np.loadtxt(d / "closed_profile.csv", delimiter=",", skiprows=1)
     assert rows.shape[1] == 3  # t, x, z
+    # the bytes of the one-f-string-per-row writer
+    closed = revolve.catalog.build("hopf_kuhnel", q=2.0, a=1.0).closed_profile
+    ts = np.linspace(*closed.param_range, 1025)
+    xs, zs = closed.sample(ts)
+    want = "t,x,z\n" + "".join(f"{t:.17g},{x:.17g},{z:.17g}\n"
+                               for t, x, z in zip(ts, xs, zs))
+    assert (d / "closed_profile.csv").read_bytes() == want.encode()
 
     # the stored state drives the pipeline
     code, _, err = run(["profile", "--out", str(d), "--smax", "1.2"], capsys)
@@ -293,6 +301,21 @@ def test_import_loads_no_scipy():
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_start_up_imports_no_fractions_or_decimal():
+    # importing fractions pulls in decimal, about 7 ms in every CLI process;
+    # the writers build their power-of-ten table without it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(revolve.__file__)))
+    code = ("import sys, revolve.cli; "
+            "from revolve._records import records; "
+            "before = {'fractions', 'decimal'} & set(sys.modules); "
+            "records('%.17g %d\\n', [[0.1], [3]]); "
+            "print(sorted(before), sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[] []"
 
 
 _FLOW = ["--smax", "1.0", "--smin", "-1.0", "--samples", "64"]

@@ -129,6 +129,31 @@ def test_catenoid_mesh_minimal():
     assert m.per_vertex is not None
 
 
+def test_meshes_compare_by_identity():
+    # array fields make element-wise comparison ambiguous: == is identity
+    m1 = revolve(open_band_profile(), n_theta=16)
+    m2 = revolve(open_band_profile(), n_theta=16)
+    assert (m1 == m2) is False
+    assert (m1 == m1) is True
+    assert (m1 != m2) is True
+
+
+def test_rebinding_drops_cached_curvature():
+    m = revolve(open_band_profile(), n_theta=16)
+    for name in ("vertices", "triangles", "normals"):
+        H, K = discrete_mesh_curvature(m)
+        assert m.per_vertex[1] is K
+        setattr(m, name, getattr(m, name).copy())
+        assert m.per_vertex is None
+    # the mesh scaled by 2 gets its own curvature, K / 4
+    H, K = discrete_mesh_curvature(m)
+    m.vertices = 2.0 * m.vertices
+    assert m.per_vertex is None
+    _, K2 = discrete_mesh_curvature(m)
+    ok = ~np.isnan(H)
+    assert np.allclose(K2[ok], K[ok] / 4.0, atol=1e-12)
+
+
 def test_cone_mesh_is_flat():
     ts = np.linspace(0.5, 2.0, 120)
     c, s = math.cos(math.pi / 6), math.sin(math.pi / 6)
