@@ -8,11 +8,25 @@ Topology is index arithmetic on the n_s x n_theta ring grid: one cumulative
 sum over a keep-mask numbers the vertices (a pole row keeps only column 0),
 column j of strip i gives (r0[j], r1[j], r1[j+1]) and (r0[j], r1[j+1],
 r0[j+1]) with j+1 wrapped by np.roll, and the one that collapses next to a
-pole is dropped. The edge table (each undirected edge with the number of
-triangles on it) is built once per mesh: SurfaceMesh keeps a summary of it
-(the edge count, the most triangles on one edge, the boundary edges) that
-serves euler_characteristic, boundary_loops and the boundary and manifold
-checks of discrete_mesh_curvature; edge_counts builds the full table.
+pole is dropped. SurfaceMesh keeps a summary of the edge table (the edge
+count, the most triangles on one edge, the boundary edges) that serves
+euler_characteristic, boundary_loops and the boundary and manifold checks of
+discrete_mesh_curvature. revolve fills it by the same index arithmetic: a
+ring that is not a pole has n_theta ring edges, every strip n_theta meridian
+edges and a strip that is not a pole fan n_theta diagonals; every edge is on
+two triangles except the ring edges of an end ring that is not a pole. Any
+other mesh builds it once from its edge table (each undirected edge with the
+number of triangles on it, by sort and unique); edge_counts builds the full
+table.
+
+Per-ring curvature: every vertex of one parallel has the same one-ring up
+to a rotation, so on a mesh that revolve built discrete_mesh_curvature runs
+the stencils only on the triangles that touch a ring's first vertex (columns
+0 and n_theta - 1 of each strip, and every triangle of a pole fan, in mesh
+order) and repeats each ring's (H, K_G) over the ring. Those triangles keep
+mesh order, so the first vertices get the very bits of the full-mesh
+evaluation; the other vertices differ from it only by rounding. A mesh that
+revolve did not build, or whose arrays were rebound, takes the full path.
 
 write_obj renders its v and f record blocks from the arrays (_records), with
 the bytes that %.17g and %d formatting give each value.
@@ -62,16 +76,29 @@ class _EdgeSummary(NamedTuple):
     hi: np.ndarray
 
 
+class _RingGrid(NamedTuple):
+    """The ring grid of a revolved mesh: each ring's first vertex, the ring
+    sizes (1 for a pole, n_theta otherwise; vertices are numbered ring by
+    ring), and the indices of the triangles that touch a first vertex, in
+    mesh order."""
+
+    first: np.ndarray
+    sizes: np.ndarray
+    triangles: np.ndarray
+
+
 @dataclass(eq=False)
 class SurfaceMesh:
     """Triangle mesh of a revolved profile.
 
     rings[i] holds the vertex indices of sample i's parallel (a single index
-    for a pole); per_vertex is filled by discrete_mesh_curvature. The edge
-    summary is built on first use and dropped when vertices or triangles is
-    rebound; per_vertex is dropped when vertices, triangles or normals is
-    (neither when the arrays are edited in place). Meshes compare by
-    identity: == on two meshes is ``is``.
+    for a pole); per_vertex is filled by discrete_mesh_curvature. revolve
+    returns vertices, triangles and normals read-only, so an in-place edit
+    raises ValueError, and fills the edge summary and the ring grid; any
+    other mesh builds the summary on first use and has no ring grid. The
+    summary is dropped when vertices or triangles is rebound; the ring grid
+    and per_vertex are dropped when vertices, triangles or normals is.
+    Meshes compare by identity: == on two meshes is ``is``.
     """
 
     vertices: np.ndarray
@@ -82,12 +109,15 @@ class SurfaceMesh:
     per_vertex: tuple[np.ndarray, np.ndarray] | None = field(default=None)
     _edges: _EdgeSummary | None = field(default=None, init=False,
                                         compare=False, repr=False)
+    _grid: _RingGrid | None = field(default=None, init=False,
+                                    compare=False, repr=False)
 
     def __setattr__(self, name: str, value) -> None:
         if name in ("vertices", "triangles"):
             object.__setattr__(self, "_edges", None)
         if name in ("vertices", "triangles", "normals"):
             object.__setattr__(self, "per_vertex", None)
+            object.__setattr__(self, "_grid", None)
         object.__setattr__(self, name, value)
 
     def _edge_summary(self) -> _EdgeSummary:
@@ -169,14 +199,43 @@ def revolve(p, n_theta: int = 64) -> SurfaceMesh:
     tris = np.stack([idx[:-1], idx[1:], nxt[1:], idx[:-1], nxt[1:], nxt[:-1]],
                     axis=-1).reshape(-1, 3)
     a, b, c = tris.T
-    tris = tris[(a != b) & (b != c) & (c != a)]
+    kept = (a != b) & (b != c) & (c != a)
+    tris = tris[kept]
+
+    # the triangles on a first vertex: columns 0 and n_theta - 1 of every
+    # strip, and the whole of a pole fan
+    fan = pole[:-1] | pole[1:]
+    on_first = np.zeros((n_s - 1, n_theta, 2), dtype=bool)
+    on_first[:, [0, -1]] = True
+    on_first[fan] = True
+    grid = _RingGrid(first=idx[:, 0].copy(),
+                     sizes=np.where(pole, 1, n_theta),
+                     triangles=np.flatnonzero(on_first.ravel()[kept]))
+
+    # boundary edges: the ring edges of an end ring that is not a pole, in
+    # (lo, hi) order, offset by the ring's first vertex: (0, 1),
+    # (0, n_theta - 1), (1, 2), ..., (n_theta - 2, n_theta - 1)
+    j = np.arange(1, n_theta - 1)
+    lo_ring = np.concatenate(([0, 0], j))
+    hi_ring = np.concatenate(([1, n_theta - 1], j + 1))
+    ends = idx[[0, -1], 0][~pole[[0, -1]]]
+    edges = _EdgeSummary(
+        n_edges=n_theta * (int(np.count_nonzero(~pole)) + n_s - 1
+                           + int(np.count_nonzero(~fan))),
+        max_share=2,
+        lo=(ends[:, None] + lo_ring).ravel(),
+        hi=(ends[:, None] + hi_ring).ravel())
 
     flat = keep.ravel()
-    return SurfaceMesh(vertices=verts.reshape(-1, 3)[flat],
+    mesh = SurfaceMesh(vertices=verts.reshape(-1, 3)[flat],
                        triangles=tris,
                        rings=rings,
                        normals=norms.reshape(-1, 3)[flat],
                        n_theta=n_theta)
+    for arr in (mesh.vertices, mesh.triangles, mesh.normals):
+        arr.flags.writeable = False
+    mesh._edges, mesh._grid = edges, grid
+    return mesh
 
 
 def fundamental_forms(m: Momentum, x: float
@@ -260,7 +319,11 @@ def discrete_mesh_curvature(mesh: SurfaceMesh
     stored reference normals (NaN on boundary vertices, whose stencils are
     incomplete), and angle-defect Gauss curvature over the Meyer mixed area
     (boundary defect measured against pi). Results are also cached on
-    mesh.per_vertex."""
+    mesh.per_vertex.
+
+    On a mesh that revolve built, the stencils run once per ring, at its
+    first vertex, and the ring repeats that vertex's values; elsewhere they
+    run at every vertex."""
     edges = mesh._edge_summary()
     if edges.max_share > 2:
         raise NonManifold("an edge is shared by more than two triangles")
@@ -268,16 +331,24 @@ def discrete_mesh_curvature(mesh: SurfaceMesh
     boundary_v[edges.lo] = True
     boundary_v[edges.hi] = True
 
-    a_mixed, angle_sum, lap = _mixed_areas_and_angles(mesh.vertices,
-                                                      mesh.triangles)
-    a_safe = np.maximum(a_mixed, 1e-300)
-    h_vec = lap / (4.0 * a_safe[:, None])
-    H = np.einsum("ij,ij->i", h_vec, mesh.normals)
+    grid = mesh._grid
+    if grid is None:
+        at, triangles = slice(None), mesh.triangles
+    else:
+        at, triangles = grid.first, mesh.triangles[grid.triangles]
+    a_mixed, angle_sum, lap = _mixed_areas_and_angles(mesh.vertices, triangles)
+    a_safe = np.maximum(a_mixed[at], 1e-300)
+    h_vec = lap[at] / (4.0 * a_safe[:, None])
+    H = np.einsum("ij,ij->i", h_vec, mesh.normals[at])
     # half-stencil cotangent sums carry no curvature information
+    boundary_v = boundary_v[at]
     H[boundary_v] = np.nan
+    angle_sum = angle_sum[at]
     defect = np.where(boundary_v, math.pi - angle_sum,
                       2.0 * math.pi - angle_sum)
     K = defect / a_safe
+    if grid is not None:
+        H, K = np.repeat(H, grid.sizes), np.repeat(K, grid.sizes)
     mesh.per_vertex = (H, K)
     return H, K
 
@@ -301,17 +372,29 @@ def write_obj(mesh: SurfaceMesh) -> str:
 
 def write_stl(mesh: SurfaceMesh) -> bytes:
     """Binary STL, little-endian float32, 80-byte header. Byte-identical for
-    identical meshes."""
+    identical meshes.
+
+    The facet normal is taken from 1-D coordinate arrays with the
+    operations, in the order, of np.cross and np.linalg.norm; each 50-byte
+    record is one row of a (triangles, 25) uint16 array, filled through a
+    float32 view of its first 48 bytes."""
     header = b"rotational surface mesh (binary STL)"
     header = header + b"\x00" * (80 - len(header))
-    tri = mesh.vertices[mesh.triangles]
-    nrm = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
-    length = np.linalg.norm(nrm, axis=1)
-    nrm = np.where(length[:, None] > 0, nrm / np.maximum(length, 1e-300)[:, None],
-                   0.0)
-    record = np.zeros(len(tri), dtype=[("n", "<f4", 3), ("v", "<f4", (3, 3)),
-                                       ("attr", "<u2")])
-    record["n"] = nrm
-    record["v"] = tri
-    count = np.uint32(len(tri)).astype("<u4").tobytes()
+    t = mesh.triangles
+    record = np.zeros((len(t), 25), dtype="<u2")
+    out = record[:, :24].view("<f4")
+    coords = [c[t[:, k]] for k in range(3) for c in mesh.vertices.T]
+    for i, coord in enumerate(coords):
+        out[:, 3 + i] = coord
+    x0, y0, z0, x1, y1, z1, x2, y2, z2 = coords
+    ax, ay, az = x1 - x0, y1 - y0, z1 - z0
+    bx, by, bz = x2 - x0, y2 - y0, z2 - z0
+    nrm = (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+    nx, ny, nz = nrm
+    length = np.sqrt(nx * nx + ny * ny + nz * nz)
+    ok = length > 0
+    length = np.maximum(length, 1e-300)
+    for c, n in enumerate(nrm):
+        out[:, c] = np.where(ok, n / length, 0.0)
+    count = np.uint32(len(t)).astype("<u4").tobytes()
     return header + count + record.tobytes()

@@ -198,7 +198,7 @@ def test_edge_table_built_once_per_mesh(monkeypatch):
     m = revolve(open_band_profile(), n_theta=32)
     discrete_mesh_curvature(m)
     assert (m.euler_characteristic(), m.boundary_loops()) == (0, 2)
-    assert len(calls) == 1
+    assert len(calls) == 0  # revolve fills the summary by index arithmetic
     # rebinding the triangles or the vertices drops the summary
     m.triangles = np.vstack([m.triangles, m.triangles[:1]])  # duplicate a face
     assert m.euler_characteristic() == 1
@@ -207,7 +207,105 @@ def test_edge_table_built_once_per_mesh(monkeypatch):
     assert max(m.edge_counts().values()) == 3
     m.vertices = np.vstack([m.vertices, [[0.0, 0.0, 9.0]]])
     assert m.euler_characteristic() == 2
-    assert len(calls) == 4  # one summary per rebinding, one full table
+    assert len(calls) == 3  # one summary per rebinding, one full table
+
+
+def _ring_profile(name):
+    if name == "sphere":
+        return sphere_profile(33)
+    if name == "open band":
+        return open_band_profile()
+    if name in ("pole_end", "near_pole_start"):
+        return _pinned_profile(name)
+    if name == "catenoid annulus":
+        return integrate_profile(catenoid_momentum(), start_x=2.0, s_max=1.0,
+                                 s_min=-1.0, samples_per_branch=64)
+    return integrate_profile(unduloid_momentum(), start_x=0.5, s_max=11.5,
+                             samples_per_branch=48)
+
+
+@pytest.mark.parametrize("name", ["sphere", "open band", "pole_end",
+                                  "near_pole_start", "catenoid annulus",
+                                  "unduloid"])
+def test_per_ring_curvature_matches_full_path(name):
+    p = _ring_profile(name)
+    for nt in (8, 13, 128):
+        m = revolve(p, n_theta=nt)
+        # the same arrays without the ring grid: the full-mesh path
+        full = SurfaceMesh(m.vertices, m.triangles, m.rings, m.normals, nt)
+        assert m._grid is not None and full._grid is None
+
+        # revolve's edge summary is the one the edge table gives
+        got, want = m._edges, full._edge_summary()
+        assert (got.n_edges, got.max_share) == (want.n_edges, want.max_share)
+        for a, b in ((got.lo, want.lo), (got.hi, want.hi)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+        H, K = discrete_mesh_curvature(m)
+        H0, K0 = discrete_mesh_curvature(full)
+        first = np.array([r[0] for r in m.rings])
+        tol = 1e-9 * np.maximum(1.0, np.abs(np.nan_to_num(K0)))
+        for got, want in ((H, H0), (K, K0)):
+            assert got[first].tobytes() == want[first].tobytes()
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            assert np.all(np.abs(got - want)[~nan] <= tol[~nan])
+
+
+def test_meshes_without_ring_grid_take_full_path():
+    both, shuffled = _two_bands()
+    assert both._grid is None and shuffled._grid is None
+    # a rebound mesh drops its ring grid: moving one vertex off its ring's
+    # rotation changes that vertex's curvature, as on a mesh built by hand
+    m = revolve(open_band_profile(), n_theta=16)
+    v = m.vertices.copy()
+    moved = m.rings[20][5]
+    v[moved, 2] += 1e-3
+    m.vertices = v
+    assert m._grid is None
+    H, K = discrete_mesh_curvature(m)
+    H0, K0 = discrete_mesh_curvature(SurfaceMesh(v, m.triangles, m.rings,
+                                                 m.normals, m.n_theta))
+    assert H.tobytes() == H0.tobytes() and K.tobytes() == K0.tobytes()
+    assert abs(K[moved] - K[m.rings[20][0]]) > 1e-3
+
+
+def test_revolve_arrays_are_read_only():
+    for name in ("vertices", "triangles", "normals"):
+        m = revolve(open_band_profile(), n_theta=16)
+        with pytest.raises(ValueError):
+            getattr(m, name)[0] = 0
+        discrete_mesh_curvature(m)
+        assert None not in (m._edges, m._grid, m.per_vertex)
+        setattr(m, name, getattr(m, name).copy())
+        assert m._grid is None and m.per_vertex is None
+        # the edges depend on vertices and triangles, not on normals
+        assert (m._edges is None) == (name != "normals")
+
+
+@pytest.mark.parametrize("name", ["catenoid", "unduloid"])
+def test_mesh_curvature_converges_at_second_order(name):
+    # interior rings, 3 in from each end, against the closed H and K_G as
+    # |discrete - closed| / max(1, |closed|), with samples and n_theta doubled
+    if name == "catenoid":
+        momentum, flow = catenoid_momentum(), dict(start_x=2.0, s_min=-1.5,
+                                                   s_max=1.5)
+        closed = lambda x: (np.zeros_like(x), -1.0 / x ** 4)
+    else:
+        c = 0.12
+        momentum, flow = unduloid_momentum(c), dict(start_x=0.5, s_max=5.0)
+        closed = lambda x: (np.ones_like(x), 1.0 - c ** 2 / x ** 4)
+    errs = []
+    for n in (64, 128, 256):
+        p = integrate_profile(momentum, samples_per_branch=n, **flow)
+        m = revolve(p, n_theta=n)
+        idx = np.array(m.rings[3:-3])
+        errs.append([float(np.max(np.abs(got[idx] - want[:, None])
+                                  / np.maximum(1.0, np.abs(want))[:, None]))
+                     for got, want in zip(discrete_mesh_curvature(m),
+                                          closed(p.x[3:-3]))])
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(orders >= 1.75), orders
 
 
 def test_non_manifold_detected():
@@ -327,6 +425,38 @@ def test_stl_output():
     nx, ny, nz = struct.unpack_from("<3f", blob, 84)
     assert_close(math.sqrt(nx ** 2 + ny ** 2 + nz ** 2), 1.0, 1e-6, "unit normal")
     assert write_stl(revolve(open_band_profile(3), n_theta=8)) == blob
+
+
+def _stl_structured(mesh):
+    """The np.cross / structured-array STL writer, kept as the reference."""
+    header = b"rotational surface mesh (binary STL)"
+    header = header + b"\x00" * (80 - len(header))
+    tri = mesh.vertices[mesh.triangles]
+    nrm = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    length = np.linalg.norm(nrm, axis=1)
+    nrm = np.where(length[:, None] > 0, nrm / np.maximum(length, 1e-300)[:, None],
+                   0.0)
+    record = np.zeros(len(tri), dtype=[("n", "<f4", 3), ("v", "<f4", (3, 3)),
+                                       ("attr", "<u2")])
+    record["n"] = nrm
+    record["v"] = tri
+    return header + np.uint32(len(tri)).astype("<u4").tobytes() + record.tobytes()
+
+
+def test_write_stl_matches_structured_writer():
+    m = revolve(sphere_profile(65), n_theta=128)
+    assert write_stl(m) == _stl_structured(m)
+    # zero-area, NaN and large facets, and an empty mesh
+    rng = np.random.default_rng(3)
+    verts = np.concatenate(([[0.0, 0.0, 0.0], [math.nan, 1.0, 2.0], [1e30, 0.0, 0.0]],
+                            rng.standard_normal((60, 3))))
+    tris = np.concatenate(([[0, 0, 3], [1, 3, 4], [2, 3, 4]],
+                           rng.integers(0, len(verts), (200, 3))))
+    m = SurfaceMesh(vertices=verts, triangles=tris, rings=[], normals=verts,
+                    n_theta=8)
+    assert write_stl(m) == _stl_structured(m)
+    m.triangles = tris[:0]
+    assert write_stl(m) == _stl_structured(m)
 
 
 def test_pole_fan_winding_consistent():
