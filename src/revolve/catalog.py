@@ -3,14 +3,17 @@
 Every entry couples a momentum with, where one exists, an explicit
 parametrization or graph of the generating curve, so the generic
 quadrature/flow pipeline can be cross-checked against independent closed
-forms. Curves are kept exactly as their defining formulas state them
-(including sign representatives); comparisons modulo the z-translation
-freedom are the caller's business.
+forms. The momentum is defined by its formula text alone, the
+``momentum_text`` that ``catalog list`` prints: the expression compiler turns
+it into K and its symbolic derivative K', array-first (``takes_arrays``),
+with the entry's parameters bound as constants. Curves are kept exactly as
+their defining formulas state them (including sign representatives);
+comparisons modulo the z-translation freedom are the caller's business.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -18,6 +21,7 @@ import numpy as np
 
 from .curvature import classify_mean_inverse
 from .errors import ParamOutOfRange, RootBracketFailure, UnknownIdentifier
+from .expr import parse_expr
 from .momentum import Momentum
 from .quadrature import AnchoredAntiderivative, bracketed_root
 from .reconstruct import height_displacement
@@ -60,16 +64,33 @@ class ClosedProfile:
         return xs, zs
 
 
+def _momentum(text: str, params: dict[str, float],
+              domain: tuple[float, float]) -> Momentum:
+    """K compiled from the formula text and K' from its symbolic derivative,
+    with params bound as constants."""
+    e = parse_expr(text)
+    return Momentum(e.as_function(params), e.derivative().as_function(params), domain)
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A family member. Its momentum is compiled from momentum_text over
+    domain (both None for a momentum-exempt entry) when the entry is built,
+    so a parameter that gives no usable domain fails there."""
+
     name: str
     params: dict[str, float]
-    momentum: Momentum | None
+    momentum_text: str | None
+    domain: tuple[float, float] | None
     closed_profile: ClosedProfile | None
     provenance: str
-    momentum_text: str | None = None
     label: str | None = None
     weingarten_q: float | None = None
+    momentum: Momentum | None = field(init=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "momentum", None if self.momentum_text is None else
+                           _momentum(self.momentum_text, self.params, self.domain))
 
     def to_json_dict(self) -> dict:
         return {
@@ -107,53 +128,43 @@ def basic(name: str, **params: float) -> CatalogEntry:
         raise ParamOutOfRange(
             f"{name} does not take parameter(s) {', '.join(sorted(extra))}")
     if name == "plane":
-        m = Momentum(eval=lambda x: 0.0, deriv=lambda x: 0.0, domain=(0.0, 5.0))
         prof = ClosedProfile((0.0, 5.0), lambda t: (t, 0.0), lambda t: (1.0, 0.0),
                              unit_speed=True, note="horizontal line")
-        return CatalogEntry("plane", {}, m, prof,
-                            "flat disk: zero momentum, horizontal generatrix",
-                            momentum_text="0")
+        return CatalogEntry("plane", {}, "0", (0.0, 5.0), prof,
+                            "flat disk: zero momentum, horizontal generatrix")
     if name == "cone":
         th = float(params.get("theta0", math.pi / 6))
         _require(0.0 < th < math.pi / 2, f"cone needs 0 < theta0 < pi/2, got {th!r}")
         s0, c0 = math.sin(th), math.cos(th)
-        m = Momentum(eval=lambda x: s0, deriv=lambda x: 0.0, domain=(0.0, 5.0))
         prof = ClosedProfile((0.0, 5.0), lambda t: (c0 * t, s0 * t),
                              lambda t: (c0, s0), unit_speed=True,
                              note="straight line of slope tan(theta0)")
-        return CatalogEntry("cone", {"theta0": th}, m, prof,
-                            "straight generatrix of constant inclination theta0",
-                            momentum_text=f"{s0!r}")
+        return CatalogEntry("cone", {"theta0": th}, repr(s0), (0.0, 5.0), prof,
+                            "straight generatrix of constant inclination theta0")
     if name == "sphere":
         R = float(params.get("R", 1.0))
         _require(R > 0, f"sphere needs R > 0, got {R!r}")
-        m = Momentum(eval=lambda x: x / R, deriv=lambda x: 1.0 / R, domain=(0.0, R))
         prof = ClosedProfile((0.0, math.pi),
                              lambda t: (R * math.sin(t), -R * math.cos(t)),
                              lambda t: (R * math.cos(t), R * math.sin(t)),
                              note="half circle of radius R, south to north pole")
-        return CatalogEntry("sphere", {"R": R}, m, prof,
+        return CatalogEntry("sphere", {"R": R}, "x/R", (0.0, R), prof,
                             "round sphere of radius R; momentum linear in x",
-                            momentum_text="x/R", weingarten_q=1.0)
+                            weingarten_q=1.0)
     if name == "torus":
         a = float(params.get("a", 2.0))
         R = float(params.get("R", 1.0))
         _require(R > 0, f"torus needs R > 0, got {R!r}")
         _require(a != 0, "torus needs a nonzero center offset a")
-        m = Momentum(eval=lambda x: (x - a) / R, deriv=lambda x: 1.0 / R,
-                     domain=(a - R, a + R))
         prof = ClosedProfile((-math.pi, math.pi),
                              lambda t: (a + R * math.sin(t), -R * math.cos(t)),
                              lambda t: (R * math.cos(t), R * math.sin(t)),
                              note="full circle of radius R centered at x = a")
-        return CatalogEntry("torus", {"a": a, "R": R}, m, prof,
-                            "circle of radius R revolved about an axis at distance a",
-                            momentum_text="(x - a)/R")
+        return CatalogEntry("torus", {"a": a, "R": R}, "(x - a)/R", (a - R, a + R),
+                            prof, "circle of radius R revolved about an axis at distance a")
     if name == "catenoid":
         a = float(params.get("a", 1.0))
         _require(a > 0, f"catenoid needs a > 0, got {a!r}")
-        m = Momentum(eval=lambda x: a / x, deriv=lambda x: -a / (x * x),
-                     domain=(a, 5.0 * a))
 
         def pt(x: float) -> tuple[float, float]:
             return (x, a * math.acosh(max(x / a, 1.0)))
@@ -164,18 +175,18 @@ def basic(name: str, **params: float) -> CatalogEntry:
 
         prof = ClosedProfile((a, 5.0 * a), pt, vel,
                              note="graph x = a*cosh(z/a), upper half")
-        return CatalogEntry("catenoid", {"a": a}, m, prof,
+        return CatalogEntry("catenoid", {"a": a}, "a/x", (a, 5.0 * a), prof,
                             "minimal rotational surface; waist radius a",
-                            momentum_text="a/x", weingarten_q=-1.0)
+                            weingarten_q=-1.0)
     if name == "cylinder":
         a = float(params.get("a", 1.0))
         _require(a > 0, f"cylinder needs a > 0, got {a!r}")
         prof = ClosedProfile((-3.0, 3.0), lambda t: (a, t), lambda t: (0.0, 1.0),
                              unit_speed=True, note="vertical line x = a")
-        return CatalogEntry("cylinder", {"a": a}, None, prof,
+        return CatalogEntry("cylinder", {"a": a}, None, None, prof,
                             "vertical generatrix at constant distance a; "
                             "x is constant so no momentum-as-function-of-x exists",
-                            momentum_text=None, label="momentum-exempt")
+                            label="momentum-exempt")
     raise UnknownIdentifier(name)
 
 
@@ -195,7 +206,7 @@ def hopf_kuhnel(q: float, a: float = 1.0) -> CatalogEntry:
     """
     q = float(q)
     a = float(a)
-    _require(q != 0, "hopf_kuhnel needs q != 0")
+    _require(math.isfinite(q) and q != 0, f"hopf_kuhnel needs a finite q != 0, got {q!r}")
     _require(a > 0, f"hopf_kuhnel needs a > 0, got {a!r}")
     inv_q = 1.0 / q
     if q > 0:
@@ -204,14 +215,6 @@ def hopf_kuhnel(q: float, a: float = 1.0) -> CatalogEntry:
     else:
         t_cap = math.acos(4.0 ** q)  # caps the momentum window at x = 4a
         dom = (a, 4.0 * a)
-
-    def K(x: float) -> float:
-        return _pow(x / a, q)
-
-    def dK(x: float) -> float:
-        return (q / a) * _pow(x / a, q - 1.0)
-
-    m = Momentum(eval=K, deriv=dK, domain=dom)
 
     @lru_cache(maxsize=1)
     def anti() -> AnchoredAntiderivative:
@@ -229,10 +232,10 @@ def hopf_kuhnel(q: float, a: float = 1.0) -> CatalogEntry:
     prof = ClosedProfile((-t_cap, t_cap), pt, vel,
                          note="x = a*cos(t)^(1/q); z by quadrature of cos(t)^(1/q)")
     label = _HK_NAMES.get(q)
-    return CatalogEntry("hopf_kuhnel", {"q": q, "a": a}, m, prof,
+    return CatalogEntry("hopf_kuhnel", {"q": q, "a": a}, "(x/a)^q", dom, prof,
                         "power momentum (x/a)^q; meridian curvature is q times "
                         "the parallel curvature everywhere",
-                        momentum_text="(x/a)^q", label=label, weingarten_q=q)
+                        label=label, weingarten_q=q)
 
 
 def elasticoid(a: float = 1.0, k: float = 0.0) -> CatalogEntry:
@@ -249,8 +252,6 @@ def elasticoid(a: float = 1.0, k: float = 0.0) -> CatalogEntry:
     _require(k > -1, f"elasticoid needs k > -1, got {k!r}")
     lo = math.sqrt((k - 1.0) / a) if k > 1.0 else 0.0
     hi = math.sqrt((k + 1.0) / a)
-    m = Momentum(eval=lambda x: a * x * x - k, deriv=lambda x: 2.0 * a * x,
-                 domain=(lo, hi))
     if k < 0:
         label = "pseudo-sinusoid"
     elif k == 0:
@@ -267,17 +268,15 @@ def elasticoid(a: float = 1.0, k: float = 0.0) -> CatalogEntry:
             label = "elastic arc (0 < k < k1)"
         else:
             label = "elastic arc (k1 < k < 1)"
-    return CatalogEntry("elasticoid", {"a": a, "k": k}, m, None,
+    return CatalogEntry("elasticoid", {"a": a, "k": k}, "a*x^2 - k", (lo, hi), None,
                         "elastic curve rotated about its directrix; "
-                        "meridian curvature proportional to x",
-                        momentum_text="a*x^2 - k", label=label)
+                        "meridian curvature proportional to x", label=label)
 
 
 @lru_cache(maxsize=1)
 def _unit_modulus() -> float:
     def closure(k: float) -> float:
-        m = Momentum(eval=lambda x: x * x - k, deriv=lambda x: 2.0 * x,
-                     domain=(0.0, math.sqrt(k + 1.0)))
+        m = _momentum("x^2 - k", {"k": k}, (0.0, math.sqrt(k + 1.0)))
         return height_displacement(m, 0.0, math.sqrt(k + 1.0), tol=1e-11)
 
     # the net height over a half oscillation decreases through zero as k grows
@@ -330,14 +329,12 @@ def equal_strength(a: float = 1.0, beta: float = 0.0) -> CatalogEntry:
     s_span = 6.0
     x_min = pt(s_span)[0]
     x_max = math.log((1.0 - sb) / a)
-    m = Momentum(eval=lambda x: a * math.exp(x) + sb,
-                 deriv=lambda x: a * math.exp(x), domain=(x_min, x_max))
     prof = ClosedProfile((-s_span, s_span), pt, vel, unit_speed=True,
                          note="catenary of equal strength at beta = 0")
-    return CatalogEntry("equal_strength", {"a": a, "beta": beta, "c": sb}, m, prof,
+    return CatalogEntry("equal_strength", {"a": a, "beta": beta, "c": sb},
+                        "a*exp(x) + sin(beta)", (x_min, x_max), prof,
                         "exponential meridian curvature a*e^x with momentum "
-                        "constant sin(beta) in (-1, 1)",
-                        momentum_text="a*exp(x) + sin(beta)")
+                        "constant sin(beta) in (-1, 1)")
 
 
 def ondualysoid(a: float = 1.0) -> CatalogEntry:
@@ -356,15 +353,12 @@ def ondualysoid(a: float = 1.0) -> CatalogEntry:
         return (-2.0 * s / d, (1.0 - s * s) / d)
 
     s_span = 6.0
-    m = Momentum(eval=lambda x: a * math.exp(x) - 1.0,
-                 deriv=lambda x: a * math.exp(x),
-                 domain=(pt(s_span)[0], math.log(2.0 / a)))
     prof = ClosedProfile((-s_span, s_span), pt, vel, unit_speed=True,
                          note="alysoid generatrix")
-    return CatalogEntry("ondualysoid", {"a": a, "c": -1.0}, m, prof,
+    return CatalogEntry("ondualysoid", {"a": a, "c": -1.0}, "a*exp(x) - 1",
+                        (pt(s_span)[0], math.log(2.0 / a)), prof,
                         "exponential meridian curvature a*e^x at the parabolic "
-                        "momentum constant c = -1",
-                        momentum_text="a*exp(x) - 1")
+                        "momentum constant c = -1")
 
 
 def loopoid(a: float = 1.0, eta: float = 1.0) -> CatalogEntry:
@@ -396,9 +390,6 @@ def loopoid(a: float = 1.0, eta: float = 1.0) -> CatalogEntry:
         D = ch - math.sin(u)
         return (sh * math.cos(u) / D, sh * sh / D - ch)
 
-    m = Momentum(eval=lambda x: a * math.exp(x) - ch,
-                 deriv=lambda x: a * math.exp(x),
-                 domain=(math.log((ch - 1.0) / a), math.log((ch + 1.0) / a)))
     prof = ClosedProfile((-6.0, 6.0), pt, vel, unit_speed=True,
                          note="stacked loops along the axis direction")
     if math.isclose(ch, a + 1.0, rel_tol=1e-12):
@@ -407,10 +398,10 @@ def loopoid(a: float = 1.0, eta: float = 1.0) -> CatalogEntry:
         label = "cosh(eta) < a + 1"
     else:
         label = "cosh(eta) > a + 1"
-    return CatalogEntry("loopoid", {"a": a, "eta": eta, "c": -ch}, m, prof,
+    return CatalogEntry("loopoid", {"a": a, "eta": eta, "c": -ch}, "a*exp(x) - cosh(eta)",
+                        (math.log((ch - 1.0) / a), math.log((ch + 1.0) / a)), prof,
                         "exponential meridian curvature a*e^x with momentum "
-                        "constant -cosh(eta) below -1",
-                        momentum_text="a*exp(x) - cosh(eta)", label=label)
+                        "constant -cosh(eta) below -1", label=label)
 
 
 # --------------------------------------------------- mean curvature = mu/x
@@ -471,20 +462,16 @@ def mean_inverse_profile(mu: float, c: float) -> CatalogEntry:
             arg = min(1.0, max(-1.0, (sh * sh * x + ch * c) / c))
             return -(ch / (sh * sh)) * rp + (c / sh ** 3) * math.asin(arg)
 
-    def K(x: float) -> float:
-        return 2.0 * mu + c / x
-
     def vel(x: float) -> tuple[float, float]:
         p = P(x)
         return (1.0, (2.0 * mu * x + c) / math.sqrt(p) if p > 0 else math.inf)
 
-    m = Momentum(eval=K, deriv=lambda x: -c / (x * x), domain=(x_lo, x_hi))
     prof = ClosedProfile((x_lo, x_hi), lambda x: (x, z_of(x)), vel,
                          note=f"graph branch: {branch.kind}")
-    return CatalogEntry("mean_inverse_profile", params, m, prof,
+    return CatalogEntry("mean_inverse_profile", params, "2*mu + c/x", (x_lo, x_hi), prof,
                         "mean curvature inversely proportional to the distance "
                         "to the axis; branch set by comparing 2*mu with 1",
-                        momentum_text="2*mu + c/x", label=branch.kind)
+                        label=branch.kind)
 
 
 # --------------------------------------------------------- cycloid surface
@@ -504,20 +491,12 @@ def transonducycloid(R: float = 1.0, a: float = 0.0) -> CatalogEntry:
     def vel(t: float) -> tuple[float, float]:
         return (R * math.sin(t), R * (1.0 - math.cos(t)))
 
-    def K(x: float) -> float:
-        return math.sqrt(max(x - a, 0.0) / (2.0 * R))
-
-    def dK(x: float) -> float:
-        d = x - a
-        return 1.0 / (2.0 * math.sqrt(2.0 * R * d)) if d > 0 else math.inf
-
-    m = Momentum(eval=K, deriv=dK, domain=(a, a + 2.0 * R))
     prof = ClosedProfile((0.0, 2.0 * math.pi), pt, vel,
                          note="one cycloid arch, cusps at t = 0 and t = 2*pi")
-    return CatalogEntry("transonducycloid", {"R": R, "a": a}, m, prof,
+    return CatalogEntry("transonducycloid", {"R": R, "a": a}, "sqrt((x - a)/(2*R))",
+                        (a, a + 2.0 * R), prof,
                         "cycloid arch revolved about its base line; "
                         "Gauss curvature decays like 1/x when a = 0",
-                        momentum_text="sqrt((x - a)/(2*R))",
                         weingarten_q=0.5 if a == 0.0 else None)
 
 

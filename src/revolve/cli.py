@@ -75,20 +75,27 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _required(state: dict, key: str):
+    try:
+        return state[key]
+    except KeyError:
+        raise ValidationError(f"{_STATE} has no {key!r}") from None
+
+
 def _momentum_from_state(state: dict, tol: float) -> Momentum:
     if state.get("source") == "catalog":
-        entry = cat.build(state["name"], **state.get("params", {}))
+        entry = cat.build(_required(state, "name"), **state.get("params", {}))
         if entry.momentum is None:
             raise ValidationError(
                 f"catalog entry {state['name']!r} is momentum-exempt; "
                 "no pipeline can run on it")
         return entry.momentum
-    kind = state["kind"]
-    expression = parse_expr(state["expr"])
+    kind = _required(state, "kind")
+    expression = parse_expr(_required(state, "expr"))
     params = state.get("params", {})
     f = expression.as_function(params)
     df = expression.derivative().as_function(params)
-    domain = tuple(state["domain"])
+    domain = tuple(_required(state, "domain"))
     const = float(state.get("const", 0.0))
     anchor = state.get("anchor")
     anchor = None if anchor is None else float(anchor)
@@ -110,7 +117,13 @@ def _load_state(outdir: str) -> dict:
         raise ValidationError(f"no {_STATE} in {outdir!r}; run prescribe or "
                               "catalog build first")
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            state = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path} is not JSON: {exc}") from None
+    if not isinstance(state, dict):
+        raise ValidationError(f"{path} holds no JSON object")
+    return state
 
 
 def _default_start(m: Momentum) -> float:
@@ -165,9 +178,13 @@ def _cmd_mesh(args) -> int:
     path = os.path.join(args.out, "profile.csv")
     if not os.path.exists(path):
         raise ValidationError(f"no profile.csv in {args.out!r}; run profile first")
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.ndim == 1:
-        data = data[None, :]
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    if data.shape[1] != 5:
+        raise ValidationError(f"{path} needs the five columns s,x,z,tx,tz, "
+                              f"got {data.shape[1]}")
     p = Profile(s=data[:, 0], x=data[:, 1], z=data[:, 2],
                 tx=data[:, 3], tz=data[:, 4])
     mesh = revolve(p, n_theta=args.ntheta)

@@ -186,7 +186,7 @@ def classify_mean_inverse(mu: float) -> MeanInverseBranch:
     trigonometric angle theta = arcsin(2 mu), above it with a hyperbolic
     angle delta = arccosh(2 mu). Requires mu > 0.
     """
-    if mu <= 0.0:
+    if not mu > 0.0:
         raise NonPositiveMu(f"mu must be positive, got {mu!r}")
     if mu == 0.5:
         return MeanInverseBranch("Parabolic", None)

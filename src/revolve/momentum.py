@@ -75,6 +75,12 @@ def _as_interval(domain: Sequence[float]) -> tuple[float, float]:
     return lo, hi
 
 
+def _constant(c: float) -> float:
+    if not math.isfinite(c):
+        raise ParamOutOfRange(f"the integration constant must be finite, got {c!r}")
+    return float(c)
+
+
 def momentum_from_kp(p: Callable[[float], float], domain: Sequence[float],
                      p_deriv: Callable[[float], float] | None = None) -> Momentum:
     """Momentum with prescribed curvature along parallels: K(x) = x * p(x).
@@ -121,6 +127,7 @@ def momentum_from_km(k: Callable[[float], float], c: float,
     One antiderivative constant c; K(anchor) = c.
     """
     lo, hi = _as_interval(domain)
+    c = _constant(c)
     k = array_callable(k, lo, hi)
     A = AnchoredAntiderivative(k, lo, hi, anchor=anchor, tol=tol)
 
@@ -141,6 +148,7 @@ def momentum_from_mean(H: Callable[[float], float], c: float,
     otherwise the construction is singular on the axis (SingularAxis).
     """
     lo, hi = _as_interval(domain)
+    c = _constant(c)
     H_array = array_callable(H, lo, hi)
 
     @takes_arrays
@@ -196,6 +204,7 @@ def momentum_from_gauss(G: Callable[[float], float], c: float, sigma: float,
     if sigma not in (1.0, -1.0, 1, -1):
         raise ParamOutOfRange(f"sigma must be +1 or -1, got {sigma!r}")
     sigma = float(sigma)
+    c = _constant(c)
     G_array = array_callable(G, lo, hi)
 
     @takes_arrays

@@ -36,7 +36,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EvaluationDomainError, QuadratureFailure, RootBracketFailure
+from .errors import (EvaluationDomainError, ParamOutOfRange, QuadratureFailure,
+                     RootBracketFailure)
 
 __all__ = [
     "takes_arrays",
@@ -369,6 +370,9 @@ class AnchoredAntiderivative:
                  anchor: float | None = None, tol: float = 1e-12):
         if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
             raise ValueError(f"bad interval [{lo!r}, {hi!r}]")
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ParamOutOfRange(f"quadrature tolerance must be finite and positive, "
+                                  f"got {tol!r}")
         self._f = f
         self.lo = float(lo)
         self.hi = float(hi)

@@ -151,6 +151,20 @@ def height_displacement(m: Momentum, x0: float, x1: float, tol: float = 5e-11) -
     return _signed_integral(m, True, x0, x1, tol)
 
 
+def _clustered(n: int, lo: bool, hi: bool) -> np.ndarray:
+    """n fractions from 0 to 1, clustered like a cosine toward each end that
+    is flagged (a singular end of a height integral, a turning point of a
+    flow branch) and equispaced where neither is."""
+    u = np.linspace(0.0, 1.0, n)
+    if lo and hi:
+        return 0.5 * (1.0 - np.cos(math.pi * u))
+    if lo:
+        return 1.0 - np.cos(0.5 * math.pi * u)
+    if hi:
+        return np.sin(0.5 * math.pi * u)
+    return u
+
+
 def graph_height(m: Momentum, x0: float, x1: float, n: int = 513,
                  tol: float = 1e-11, spacing: str = "auto") -> tuple[np.ndarray, np.ndarray]:
     """Cumulative height z(x) over [x0, x1], anchored z(x0) = 0.
@@ -169,18 +183,8 @@ def graph_height(m: Momentum, x0: float, x1: float, n: int = 513,
     K = array_callable(m.eval, *m.domain)
     sing_lo, sing_hi = _singular_ends(m, K, x0, x1)
 
-    u = np.linspace(0.0, 1.0, n)
-    if spacing == "uniform":
-        ws = u
-    elif sing_lo and sing_hi:
-        ws = 0.5 * (1.0 - np.cos(math.pi * u))
-    elif sing_lo:
-        ws = 1.0 - np.cos(0.5 * math.pi * u)
-    elif sing_hi:
-        ws = np.sin(0.5 * math.pi * u)
-    else:
-        ws = u
-    xs = x0 + (x1 - x0) * ws
+    auto = spacing != "uniform"
+    xs = x0 + (x1 - x0) * _clustered(n, auto and sing_lo, auto and sing_hi)
     xs[0], xs[-1] = x0, x1
 
     f = _integrand(K, height=True)
@@ -214,6 +218,9 @@ def integrate_profile(m: Momentum, start_x: float, direction: int = +1,
     if not all(math.isfinite(t) and t > 0.0 for t in (rtol, atol)):
         raise ParamOutOfRange(
             f"flow tolerances must be finite and positive, got rtol={rtol!r}, atol={atol!r}")
+    if math.isnan(s_max) or math.isnan(s_min):
+        raise ParamOutOfRange(f"arclength caps must be numbers, got s_max={s_max!r}, "
+                              f"s_min={s_min!r}")
     lo, hi = m.domain
     w = hi - lo
     if not (lo - 1e-12 * w <= start_x <= hi + 1e-12 * w):
@@ -275,18 +282,8 @@ def integrate_profile(m: Momentum, start_x: float, direction: int = +1,
         grids = []
         for bi in range(len(bounds) - 1):
             b0, b1 = bounds[bi], bounds[bi + 1]
-            ev0 = bi > 0
-            ev1 = bi < len(bounds) - 2
-            u = np.linspace(0.0, 1.0, samples_per_branch)
-            if ev0 and ev1:
-                t = 0.5 * (1.0 - np.cos(math.pi * u))
-            elif ev0:
-                t = 1.0 - np.cos(0.5 * math.pi * u)
-            elif ev1:
-                t = np.sin(0.5 * math.pi * u)
-            else:
-                t = u
-            g = b0 + (b1 - b0) * t
+            g = b0 + (b1 - b0) * _clustered(samples_per_branch, bi > 0,
+                                            bi < len(bounds) - 2)
             if bi > 0:
                 g = g[1:]
             grids.append(g)

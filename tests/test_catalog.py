@@ -6,7 +6,9 @@ import pytest
 
 from conftest import assert_close, richardson_deriv
 from revolve import catalog
-from revolve.errors import ParamOutOfRange, UnknownIdentifier, ValidationError
+from revolve.errors import (EvaluationDomainError, ParamOutOfRange,
+                           UnknownIdentifier, ValidationError)
+from revolve.quadrature import _PROBE_ULPS
 
 
 def _unit_speed_err(entry, ss):
@@ -231,3 +233,35 @@ def test_list_entries_cover_all_builders():
     for e in entries:
         d = e.to_json_dict()
         assert d["provenance"]
+
+
+@pytest.mark.parametrize("entry", [e for e in catalog.list_entries() if e.momentum],
+                         ids=lambda e: e.name)
+def test_catalog_momenta_are_compiled_from_their_text(entry):
+    m = entry.momentum
+    assert m.eval.takes_arrays and m.deriv.takes_arrays
+    lo, hi = m.domain
+    w = hi - lo
+    xs = np.linspace(lo + 0.05 * w, hi - 0.05 * w, 17)
+    for f in (m.eval, m.deriv):
+        got = f(xs)
+        want = np.array([f(x) for x in xs.tolist()])
+        # a few units in the last place of the O(1) terms: NumPy's functions
+        # may differ from math's in the last bit, and a*exp(x) - 1 cancels
+        ulp = np.spacing(np.maximum(1.0, np.abs(want)))
+        assert np.all(np.abs(got - want) <= _PROBE_ULPS * ulp), f
+    h = 1e-4 * w
+    for x in xs.tolist():
+        assert_close(m.deriv(x), richardson_deriv(m.eval, x, h), 1e-9 * max(1.0, abs(m.deriv(x))),
+                     f"{entry.name} K' at {x}")
+
+
+@pytest.mark.parametrize("entry, which, x", [
+    (catalog.mean_inverse_profile(0.25, 0.0), "eval", 0.0),
+    (catalog.mean_inverse_profile(0.25, 0.0), "deriv", 0.0),
+    (catalog.transonducycloid(1.0, 0.7), "deriv", 0.7),
+    (catalog.hopf_kuhnel(0.5, 1.0), "deriv", 0.0),
+])
+def test_catalog_momenta_raise_where_undefined(entry, which, x):
+    with pytest.raises(EvaluationDomainError):
+        getattr(entry.momentum, which)(x)

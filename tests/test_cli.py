@@ -283,6 +283,8 @@ def test_gauss_anchored_on_axis(tmp_path, capsys):
     ("profile", "--tol-ode", "0", "tolerances"),
     ("verify", "--tol-ode", "0", "tolerances"),
     ("verify", "--grid", "0", "--grid"),
+    ("profile", "--smax", "nan", "arclength caps"),
+    ("profile", "--smin", "nan", "arclength caps"),
 ])
 def test_unusable_sizes_and_tolerances_exit_2(tmp_path, capsys, stage, flag, value, words):
     d = prescribe_catenoid(tmp_path / "st", capsys)
@@ -291,6 +293,57 @@ def test_unusable_sizes_and_tolerances_exit_2(tmp_path, capsys, stage, flag, val
     assert r.returncode == 2, r.stderr
     assert words in r.stderr
     assert not (d / "profile.csv").exists() and not (d / "verify.json").exists()
+
+
+@pytest.mark.parametrize("stage, name, content, words", [
+    ("profile", "momentum.json", "{not json", "is not JSON"),
+    ("verify", "momentum.json", '{"source": "prescription", "expr": "x"}', "has no 'kind'"),
+    ("mesh", "profile.csv", "s,x,z\n0,1,0\n1,1,1\n", "five columns"),
+])
+def test_malformed_state_files_exit_2(tmp_path, capsys, stage, name, content, words):
+    d = prescribe_catenoid(tmp_path / "st", capsys)
+    (d / name).write_text(content)
+    code, _, err = run([stage, "--out", str(d)], capsys)
+    assert code == 2 and words in err, err
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["classify-mean-inverse", "--mu", "nan"], "mu must be positive"),
+    (["catalog", "build", "hopf_kuhnel", "--param", "q=nan"], "finite q"),
+    (["catalog", "build", "torus", "--param", "a=nan"], "bad momentum domain"),
+    (["catalog", "build", "mean_inverse_profile", "--param", "mu=nan", "--param", "c=-1"],
+     "mu must be positive"),
+    (["catalog", "build", "catenoid", "--param", "a=inf"], "bad momentum domain"),
+    (["prescribe", "--kind", "km", "--expr", "1", "--const", "nan", "--domain", "0:1"],
+     "constant must be finite"),
+    (["prescribe", "--kind", "mean", "--expr", "1", "--const", "nan", "--domain", "0.1:1"],
+     "constant must be finite"),
+    (["prescribe", "--kind", "gauss", "--expr", "1", "--const", "inf", "--domain", "0:1"],
+     "constant must be finite"),
+    (["prescribe", "--kind", "km", "--expr", "x", "--domain", "0:1", "--tol-quad", "0"],
+     "quadrature tolerance"),
+    (["prescribe", "--kind", "km", "--expr", "x", "--domain", "0:1", "--tol-quad", "-1"],
+     "quadrature tolerance"),
+    (["prescribe", "--kind", "km", "--expr", "x", "--domain", "0:1", "--tol-quad", "nan"],
+     "quadrature tolerance"),
+])
+def test_non_finite_inputs_exit_2(tmp_path, capsys, argv, words):
+    out = [] if argv[0] == "classify-mean-inverse" else ["--out", str(tmp_path / "st")]
+    code, _, err = run(argv + out, capsys)
+    assert code == 2 and words in err, err
+    assert not (tmp_path / "st").exists()
+
+
+@pytest.mark.parametrize("stage", ["profile", "verify"])
+def test_catalog_momentum_undefined_on_the_scan_exits_2(tmp_path, capsys, stage):
+    # K = 2*mu + c/x at c = 0 is 0/0 at x = 0, where the admissible scan starts
+    d = tmp_path / "mi"
+    code, _, err = run(["catalog", "build", "mean_inverse_profile", "--param", "mu=0.25",
+                        "--param", "c=0", "--out", str(d)], capsys)
+    assert code == 0, err
+    r = _cli_subprocess([stage, "--out", str(d)])
+    assert r.returncode == 2 and "division by zero at x=0.0" in r.stderr, r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_import_loads_no_scipy():
