@@ -209,7 +209,7 @@ def _cmd_verify(args) -> int:
     lo, hi = m.domain
     w = hi - lo
     pad = 1e-3 * w
-    grid = np.linspace(lo + pad, hi - pad, args.grid)
+    grid = np.linspace(max(lo, 0.0) + pad, hi - pad, args.grid)
 
     p = _integrate(m, args)
     checks: dict[str, float] = {}

@@ -99,8 +99,8 @@ class QuadratureFailure(NumericalError):
     """An adaptive quadrature did not reach the requested tolerance."""
 
 
-class NonIntegrableSingularity(NumericalError):
-    """An endpoint singularity of the arclength integrand is too strong to integrate."""
+class NonIntegrableSingularity(QuadratureFailure):
+    """An integrand grows faster than an inverse square root at an endpoint."""
 
 
 class EventLocatorFailure(NumericalError):

@@ -11,14 +11,19 @@ One engine integrates every range: adaptive bisection into 8-node
 Gauss-Legendre panels (:func:`integrate`). Each round evaluates the halves of
 all open panels in one call and adds each panel's weighted node values in
 node order, so panel sums are the floats a per-point loop would give
-whenever the array and per-point values agree. On top of it,
-:func:`sqrt_endpoint_integral` removes inverse-square-root endpoint blow-ups
-by the substitution x = a + v**2, and :class:`AnchoredAntiderivative` caches
-A(x) = int_anchor^x f(t) dt as a cubic Hermite interpolant whose slopes are
-the exact integrand values. The strip from the anchor to the cache, and the
-points outside it, go to the same engine: an end where f is undefined or not
-finite takes the square-root substitution, an infinite anchor the map
-x = b + 1 - 1/t, and a strip that does not converge raises QuadratureFailure.
+whenever the array and per-point values agree.
+
+:func:`sqrt_endpoint_integral` is the one place where an endpoint blow-up is
+removed, by the substitution x = end +- v**2, and it has one refusal rule:
+an end where f grows faster than an inverse square root between two probes
+just inside it, or is not finite there, raises NonIntegrableSingularity (a
+QuadratureFailure). The arclength and height integrands of reconstruct
+meet it at turning points, and :class:`AnchoredAntiderivative`, which
+caches A(x) = int_anchor^x f(t) dt as a cubic Hermite interpolant whose
+slopes are the exact integrand values, at the strips from the anchor to the
+cache and to points outside it: an end of a strip where f is undefined or
+not finite is flagged for the substitution, and an infinite anchor is first
+mapped by x = b + 1 - 1/t.
 
 Flows and root finding evaluate an antiderivative one float at a time, so a
 float inside the cached interval takes a scalar path: a bisection on the
@@ -36,8 +41,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (EvaluationDomainError, ParamOutOfRange, QuadratureFailure,
-                     RootBracketFailure)
+from .errors import (EvaluationDomainError, NonIntegrableSingularity, ParamOutOfRange,
+                     QuadratureFailure, RootBracketFailure)
 
 __all__ = [
     "takes_arrays",
@@ -54,6 +59,9 @@ _MIN_WIDTH = 64 * _EPS  # narrowest panel, relative to max(1, |x|)
 _MAX_PANELS = 4096
 _INITIAL_KNOTS = 17  # first knots of an antiderivative cache
 _BRENT_ITERATIONS = 100
+# Largest |f(d)| / |f(4d)| accepted at a singular end: an inverse square
+# root gives 4**0.5 = 2, and any faster blow-up is refused.
+_GROWTH = 4.0 ** 0.51
 
 # Nodes and weights of the 8-node Gauss-Legendre rule on [-1, 1].
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -249,13 +257,17 @@ def _panel_integrals(f: Callable[[np.ndarray], np.ndarray], xs, tol: float) -> n
 def sqrt_endpoint_integral(f: Callable[[float], float], a: float, b: float,
                            singular_lo: bool, singular_hi: bool,
                            tol: float = 1e-11) -> float:
-    """Integrate f over [a, b] where f may blow up like an inverse square root
-    at one or both endpoints (a simple zero under the root).
+    """int_a^b f where f may blow up like an inverse square root at the
+    flagged endpoints; the only place the substitution x = end +- v**2 is made.
 
-    Singular sides are regularized by the substitution x = a + v**2 (resp.
-    x = b - v**2), after which the integrand is smooth and :func:`integrate`
-    reaches full double precision. The substituted integrand clamps v away
-    from the region where a + v*v rounds back onto the endpoint.
+    Each flagged end is probed first, at the distances d = max(1e-6 (b - a),
+    16 ulps of the end) and 4d: NonIntegrableSingularity when f is not finite
+    there or |f(d)| exceeds 4**0.51 |f(4d)|, i.e. f grows faster than an
+    inverse square root. Otherwise the end takes x = end +- v**2 with the
+    weight 2v taken as sqrt(|x - end|) of the rounded node, so the integrand
+    is smooth in v and :func:`integrate` reaches full precision; a node that
+    rounds onto the end moves to the float next to it. With both ends
+    flagged, each half is integrated to half the tolerance.
     """
     if a == b:
         return 0.0
@@ -269,22 +281,22 @@ def sqrt_endpoint_integral(f: Callable[[float], float], a: float, b: float,
     if not (singular_lo or singular_hi):
         return integrate(f, a, b, tol=tol)
 
-    width = b - a
-    scale = max(abs(a), abs(b), width)
-    # Below v_floor the cancellation noise of the integrand (typically a
-    # 1 - K(x)^2 difference) swamps its value; the clamped stretch carries
-    # O(v_floor^3) mass, far below any supported tolerance.
-    v_floor = 1e-5 * math.sqrt(scale)
-    v_top = math.sqrt(width)
-
     end, sign = (a, 1.0) if singular_lo else (b, -1.0)
+    first = math.nextafter(end, end + sign)  # the float next to the end
+    d = max(1e-6 * (b - a), 16.0 * abs(first - end))
+    near, far = (_value_or_nan(f, end + sign * t) for t in (d, 4.0 * d))
+    if not (math.isfinite(near) and math.isfinite(far) and abs(near) <= _GROWTH * abs(far)):
+        raise NonIntegrableSingularity(
+            f"the integrand grows faster than an inverse square root at x={end!r} "
+            f"(f = {near:.6g} at {d:.3g} from it, {far:.6g} at {4.0 * d:.3g})")
 
     @takes_arrays
     def g(v: np.ndarray) -> np.ndarray:
-        v = np.maximum(v, v_floor)
-        return 2.0 * v * f(end + sign * v * v)
+        x = end + sign * v * v
+        x = np.where(x == end, first, x)
+        return 2.0 * np.sqrt(sign * (x - end)) * f(x)
 
-    return integrate(g, 0.0, v_top, tol=tol)
+    return integrate(g, 0.0, math.sqrt(b - a), tol)
 
 
 def _value_or_nan(f: Callable[[float], float], x: float) -> float:
@@ -300,12 +312,9 @@ def _strip(f: Callable[[float], float], a: float, b: float, tol: float) -> float
     the strip from an anchor to a cache, or to a point outside it.
 
     An infinite end is mapped onto (0, 1] by x = b + 1 - 1/t (resp.
-    x = a - 1 + 1/t). An end where f raises or is not finite takes the
-    substitution x = end +- v**2 with the weight 2v taken as
-    sqrt(|x - end|) of the rounded node, so an inverse square root is smooth
-    in v. A node that rounds onto the end moves to the float next to it;
-    QuadratureFailure when the mass that move could hide exceeds tol, as it
-    does for a blow-up stronger than an inverse square root.
+    x = a - 1 + 1/t). An end where f raises or is not finite is flagged for
+    :func:`sqrt_endpoint_integral`, unless f is also undefined at the
+    midpoint, where a node of the plain engine raises the error of f.
     """
     if a == b:
         return 0.0
@@ -318,39 +327,9 @@ def _strip(f: Callable[[float], float], a: float, b: float, tol: float) -> float
         return _strip(lambda t: f(end + sign * (1.0 / t - 1.0)) / (t * t), 0.0, 1.0, tol)
     f = array_callable(f, a, b)
     bad_lo, bad_hi = (not math.isfinite(_value_or_nan(f, x)) for x in (a, b))
-    mid = 0.5 * (a + b)
-    if not (bad_lo or bad_hi) or not math.isfinite(_value_or_nan(f, mid)):
-        return integrate(f, a, b, tol)  # a node raises where f is undefined inside
-    if bad_lo and bad_hi:
-        return _strip(f, a, mid, 0.5 * tol) + _strip(f, mid, b, 0.5 * tol)
-
-    end, sign = (a, 1.0) if bad_lo else (b, -1.0)
-    first = math.nextafter(end, end + sign)  # the float next to the end
-
-    def g_x(x: np.ndarray) -> np.ndarray:
-        return 2.0 * np.sqrt(sign * (x - end)) * f(x)
-
-    if end != 0.0:  # nodes round onto any other end before the width floor
-        # how fast g grows towards the end, from 16 ulps in to the first float
-        try:
-            with np.errstate(all="ignore"):
-                g1, g2 = np.abs(g_x(np.array([first, end + 16.0 * (first - end)]))).tolist()
-        except _UNDEFINED:
-            g1 = g2 = math.nan
-        order = math.log(g1 / g2) / math.log(4.0) if g1 > g2 > 0.0 else 0.0
-        hidden = (math.sqrt(abs(first - end)) * g1 * order / (1.0 - order)
-                  if order < 1.0 else math.inf)
-        if not (math.isfinite(g1) and math.isfinite(g2) and hidden <= tol):
-            raise QuadratureFailure(
-                f"the singularity of the integrand at x={end!r} is stronger than an "
-                "inverse square root; its strip cannot be integrated")
-
-    @takes_arrays
-    def g(v: np.ndarray) -> np.ndarray:
-        x = end + sign * v * v
-        return g_x(np.where(x == end, first, x))
-
-    return integrate(g, 0.0, math.sqrt(b - a), tol)
+    if (bad_lo or bad_hi) and not math.isfinite(_value_or_nan(f, 0.5 * (a + b))):
+        bad_lo = bad_hi = False
+    return sqrt_endpoint_integral(f, a, b, bad_lo, bad_hi, tol)
 
 
 class AnchoredAntiderivative:

@@ -35,8 +35,7 @@ from . import _dop853 as dop853
 from ._records import records
 from .curvature import CurvatureSample
 from .errors import (AxisSingularity, DegeneratePolyline, DomainViolation,
-                     EventLocatorFailure, NonIntegrableSingularity,
-                     ParamOutOfRange, StepUnderflow)
+                     EventLocatorFailure, ParamOutOfRange, StepUnderflow)
 from .momentum import Momentum
 from .quadrature import (_panel_integrals, array_callable, sqrt_endpoint_integral,
                          takes_arrays)
@@ -80,28 +79,22 @@ def _gap(m: Momentum, x: float) -> float:
 
 
 def _endpoint_singular(m: Momentum, x_end: float, inward: float, width: float) -> bool:
+    """Whether 1 - K^2 vanishes (to _SINGULAR_GAP) at the endpoint x_end;
+    DomainViolation where it does not grow just inside."""
     g = _gap(m, x_end)
     if g > _SINGULAR_GAP:
         return False
-    # estimate the order of the zero of 1 - K^2; a double zero is not integrable
-    eps = 1e-6 * width
-    g1 = _gap(m, x_end + inward * eps) - max(g, 0.0)
-    g2 = _gap(m, x_end + inward * 2 * eps) - max(g, 0.0)
-    if g1 <= 0.0 or g2 <= 0.0:
+    if _gap(m, x_end + inward * 1e-6 * width) <= max(g, 0.0):
         raise DomainViolation(f"|K| >= 1 just inside the endpoint x = {x_end:.6g}")
-    order = math.log2(g2 / g1)
-    if order > 1.7:
-        raise NonIntegrableSingularity(
-            f"1 - K^2 vanishes to order ~{order:.2f} at x = {x_end:.6g}; "
-            "the arclength integral diverges")
     return True
 
 
 def _singular_ends(m: Momentum, K, a: float, b: float) -> tuple[bool, bool]:
     """Guard of the quadrature routes over [a, b], a < b, with K the array
     form of m.eval: DomainViolation where |K| > 1 inside, then one flag per
-    endpoint where 1 - K^2 has a simple zero (a zero of higher order raises
-    NonIntegrableSingularity)."""
+    endpoint where 1 - K^2 vanishes. sqrt_endpoint_integral refuses a flagged
+    end where the integrand grows faster than an inverse square root, as it
+    does where the zero is not simple (NonIntegrableSingularity)."""
     xs = np.linspace(a, b, 257)[1:-1]
     k = K(xs)
     with np.errstate(all="ignore"):

@@ -299,10 +299,20 @@ def test_unusable_sizes_and_tolerances_exit_2(tmp_path, capsys, stage, flag, val
     ("profile", "momentum.json", "{not json", "is not JSON"),
     ("verify", "momentum.json", '{"source": "prescription", "expr": "x"}', "has no 'kind'"),
     ("mesh", "profile.csv", "s,x,z\n0,1,0\n1,1,1\n", "five columns"),
+    ("profile", "momentum.json", "[1, 2]", "holds no JSON object"),
+    ("verify", "momentum.json",
+     '{"source": "prescription", "kind": "kn", "expr": "x", "domain": [1, 2]}',
+     "unknown prescription kind 'kn'"),
+    ("mesh", None, None, "no profile.csv"),
+    ("mesh", "profile.csv", "s,x,z,tx,tz\n0,1,0,one,0\n", "could not convert"),
+    ("profile", "momentum.json",
+     '{"source": "prescription", "kind": "km", "expr": "0", "const": 2, "domain": [1, 2]}',
+     "no admissible interval"),
 ])
 def test_malformed_state_files_exit_2(tmp_path, capsys, stage, name, content, words):
     d = prescribe_catenoid(tmp_path / "st", capsys)
-    (d / name).write_text(content)
+    if name is not None:  # None: the stage finds the file missing
+        (d / name).write_text(content)
     code, _, err = run([stage, "--out", str(d)], capsys)
     assert code == 2 and words in err, err
 
@@ -326,9 +336,22 @@ def test_malformed_state_files_exit_2(tmp_path, capsys, stage, name, content, wo
      "quadrature tolerance"),
     (["prescribe", "--kind", "km", "--expr", "x", "--domain", "0:1", "--tol-quad", "nan"],
      "quadrature tolerance"),
+    (["prescribe", "--kind", "km", "--expr", "x", "--domain", "0:1", "--param", "mu"],
+     "--param expects name=value"),
+    (["prescribe", "--kind", "km", "--expr", "x", "--domain", "0:1", "--param", "mu=one"],
+     "'one' is not a number"),
+    (["prescribe", "--kind", "km", "--expr", "x", "--domain", "0-1"],
+     "--domain expects lo:hi"),
+    (["prescribe", "--kind", "km", "--expr", "x", "--domain", "0:one"],
+     "--domain bounds must be numbers"),
+    (["catalog", "build"], "needs an entry name"),
+    (["catalog", "build", "sphere"], "needs --out"),
 ])
 def test_non_finite_inputs_exit_2(tmp_path, capsys, argv, words):
-    out = [] if argv[0] == "classify-mean-inverse" else ["--out", str(tmp_path / "st")]
+    # every row but two writes to --out: classify-mean-inverse takes none,
+    # and one row checks that catalog build asks for it
+    no_out = argv[0] == "classify-mean-inverse" or "--out" in words
+    out = [] if no_out else ["--out", str(tmp_path / "st")]
     code, _, err = run(argv + out, capsys)
     assert code == 2 and words in err, err
     assert not (tmp_path / "st").exists()
@@ -344,6 +367,28 @@ def test_catalog_momentum_undefined_on_the_scan_exits_2(tmp_path, capsys, stage)
     r = _cli_subprocess([stage, "--out", str(d)])
     assert r.returncode == 2 and "division by zero at x=0.0" in r.stderr, r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("params", [["a=1", "eta=1"], ["a=0.5", "R=1"]],
+                         ids=["loopoid", "spindle torus"])
+def test_verify_on_a_domain_across_the_axis(tmp_path, capsys, params):
+    # the momentum domains (-0.61, 0.93) and (-0.5, 1.5) reach x < 0; the
+    # mean and Gauss rebuilds stay on the side x > 0 of the axis
+    name = "loopoid" if "eta=1" in params else "torus"
+    d = str(tmp_path / name)
+    argv = ["catalog", "build", name]
+    for p in params:
+        argv += ["--param", p]
+    code, _, err = run([*argv, "--out", d], capsys)
+    assert code == 0, err
+    code, _, err = run(["profile", "--out", d, "--samples", "128", "--smax", "3",
+                        "--smin", "-3"], capsys)
+    assert code == 0, err
+    code, out, err = run(["verify", "--out", d, "--grid", "50", "--ntheta", "32"], capsys)
+    assert code == 0, err
+    checks = json.loads(out)["checks"]
+    assert checks["mean_roundtrip"] < 1e-8 and checks["gauss_roundtrip"] < 1e-8
+    assert checks["momentum_roundtrip"] < 1e-4 and checks["unit_speed"] < 1e-9
 
 
 def test_import_loads_no_scipy():

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import catenoid_momentum
-from revolve.errors import QuadratureFailure, RootBracketFailure
+from revolve.errors import NonIntegrableSingularity, QuadratureFailure, RootBracketFailure
 from revolve.expr import parse_expr
+from revolve.momentum import Momentum
 from revolve.quadrature import (AnchoredAntiderivative, array_callable, bracketed_root,
                                 integrate, sqrt_endpoint_integral, takes_arrays)
-from revolve.reconstruct import graph_height
+from revolve.reconstruct import arclength, graph_height
 
 TOLS = (1e-8, 1e-10, 1e-12)
 
@@ -135,6 +136,22 @@ def test_strip_end_singularity_stronger_than_inverse_square_root(q):
         except QuadratureFailure:
             continue
         assert abs(got - 1.0 / (1.0 - q)) <= 1e-11
+
+
+@pytest.mark.parametrize("q", [0.55, 0.6, 0.75, 0.9])
+def test_one_refusal_rule_for_every_singular_end(q):
+    # a blow-up like t^-q with q > 1/2 is refused wherever it meets the
+    # square-root substitution: the strip from an anchor, the strip to a
+    # point past the cache, and the arclength to an end where 1 - K^2
+    # vanishes like (hi - x)^(2q)
+    m = Momentum(eval=lambda x: math.sqrt(1.0 - (1.0 - x) ** (2.0 * q)),
+                 deriv=lambda x: 0.0, domain=(0.1, 1.0))
+    for call in (lambda: AnchoredAntiderivative(lambda t: t ** -q, 1.0, 2.0, anchor=0.0),
+                 lambda: AnchoredAntiderivative(lambda t: (1.0 - t) ** -q, 0.0, 0.5)(1.0),
+                 lambda: arclength(m, 0.2, 1.0)):
+        with pytest.raises(NonIntegrableSingularity):
+            call()
+    assert issubclass(NonIntegrableSingularity, QuadratureFailure)
 
 
 # --- Brent's method against SciPy's brentq ---------------------------------

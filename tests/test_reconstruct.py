@@ -6,9 +6,11 @@ import pytest
 
 from conftest import (assert_close, catenoid_momentum, sphere_momentum,
                       unduloid_momentum, unit_speed_error)
-from revolve.errors import (DegeneratePolyline, DomainViolation,
-                            NonIntegrableSingularity)
-from revolve.momentum import Momentum
+from revolve import catalog
+from revolve.errors import (AxisSingularity, DegeneratePolyline, DomainViolation,
+                            NonIntegrableSingularity, ParamOutOfRange,
+                            UnknownIdentifier)
+from revolve.momentum import Momentum, momentum_from_kp
 from revolve.reconstruct import (Profile, arclength, discrete_curvatures,
                                  graph_height, height_displacement,
                                  integrate_profile, momentum_of_profile,
@@ -71,6 +73,52 @@ def test_non_integrable_singularity_detected():
                  domain=(0.1, 1.0))
     with pytest.raises(NonIntegrableSingularity):
         arclength(m, 0.2, 1.0)
+
+
+@pytest.mark.parametrize("x0", [0.0, 0.3, 0.7, 0.99])
+def test_quadrature_routes_up_to_an_upper_turning_point(x0):
+    # the unit sphere K = x turns at x = 1: s = asin(x), z = -sqrt(1 - x^2)
+    m = sphere_momentum()
+    assert abs(arclength(m, x0, 1.0) - (0.5 * math.pi - math.asin(x0))) <= 1e-12
+    assert abs(height_displacement(m, x0, 1.0) - math.sqrt(1.0 - x0 * x0)) <= 1e-12
+    xs, zs = graph_height(m, x0, 1.0)
+    assert xs[-1] == 1.0
+    want = math.sqrt(1.0 - x0 * x0) - np.sqrt(1.0 - xs * xs)
+    assert np.max(np.abs(zs - want)) <= 1e-12
+
+
+def test_momentum_at_one_just_inside_the_endpoint():
+    # |K| = 1 on the whole range: 1 - K^2 vanishes at the end and stays 0
+    m = Momentum(eval=lambda x: 1.0, deriv=lambda x: 0.0, domain=(0.0, 1.0))
+    for route in (arclength, height_displacement, graph_height):
+        with pytest.raises(DomainViolation, match="just inside the endpoint"):
+            route(m, 0.2, 1.0)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: integrate_profile(sphere_momentum(), start_x=1.5), DomainViolation),
+    (lambda: integrate_profile(Momentum(lambda x: 2.0 * x, lambda x: 2.0, (0.0, 1.0)),
+                               start_x=0.75), DomainViolation),
+    (lambda: graph_height(sphere_momentum(), 0.5, 0.5), DomainViolation),
+    (lambda: graph_height(sphere_momentum(), 0.2, 0.5, n=1), DomainViolation),
+    (lambda: discrete_curvatures(Profile(*np.ones((5, 2)))), DegeneratePolyline),
+    (lambda: discrete_curvatures(Profile(s=np.arange(3.0), x=np.array([0.0, 1.0, 2.0]),
+                                         z=np.zeros(3), tx=np.ones(3), tz=np.zeros(3))),
+     AxisSingularity),
+    (lambda: catalog.build("spheroid"), UnknownIdentifier),
+    (lambda: catalog.build("sphere", radius=1.0), ParamOutOfRange),
+], ids=["start outside the domain", "|K(start)| > 1", "x1 <= x0", "n < 2",
+        "two samples", "on the axis", "unknown entry", "bad keyword"])
+def test_library_raises_typed_errors(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_kp_numeric_derivative_on_arrays_is_per_point():
+    # without p_deriv, K' = p + x p' by finite differences, point by point
+    m = momentum_from_kp(lambda x: 1.0 / x ** 2, (1.0, 3.0))
+    xs = np.linspace(1.0, 3.0, 9)
+    assert m.deriv(xs).tolist() == [m.deriv(x) for x in xs.tolist()]
 
 
 def test_integrate_profile_basic_catenoid():
