@@ -209,7 +209,8 @@ def _cmd_verify(args) -> int:
     lo, hi = m.domain
     w = hi - lo
     pad = 1e-3 * w
-    grid = np.linspace(max(lo, 0.0) + pad, hi - pad, args.grid)
+    side = 1.0 if hi > 0.0 else -1.0  # the checks keep to x > 0 where the domain has it
+    grid = np.linspace((max(lo, 0.0) if side > 0.0 else lo) + pad, hi - pad, args.grid)
 
     p = _integrate(m, args)
     checks: dict[str, float] = {}
@@ -232,9 +233,10 @@ def _cmd_verify(args) -> int:
 
     mesh = revolve(p, n_theta=args.ntheta)
     H_disc, K_disc = discrete_mesh_curvature(mesh)
-    # interior rings off the axis and away from |K| = 1, one row per ring
-    rings = np.arange(1, len(mesh.rings) - 1)
-    rings = rings[np.abs(p.x[rings]) >= 1e-9]
+    # interior rings off the axis on the checked side, their neighbours not
+    # across it (mirrored there), away from |K| = 1, one row per ring
+    rings, sx = np.arange(1, len(mesh.rings) - 1), side * p.x
+    rings = rings[(sx[rings] >= 1e-9) & (np.minimum(sx[rings - 1], sx[rings + 1]) > -1e-12)]
     rings = rings[~(1.0 - m.sample(p.x[rings]) ** 2 < 1e-6)]
     xr = p.x[rings]
     idx = np.array([mesh.rings[i] for i in rings.tolist()],

@@ -13,17 +13,15 @@ all open panels in one call and adds each panel's weighted node values in
 node order, so panel sums are the floats a per-point loop would give
 whenever the array and per-point values agree.
 
-:func:`sqrt_endpoint_integral` is the one place where an endpoint blow-up is
-removed, by the substitution x = end +- v**2, and it has one refusal rule:
-an end where f grows faster than an inverse square root between two probes
-just inside it, or is not finite there, raises NonIntegrableSingularity (a
-QuadratureFailure). The arclength and height integrands of reconstruct
-meet it at turning points, and :class:`AnchoredAntiderivative`, which
-caches A(x) = int_anchor^x f(t) dt as a cubic Hermite interpolant whose
-slopes are the exact integrand values, at the strips from the anchor to the
-cache and to points outside it: an end of a strip where f is undefined or
-not finite is flagged for the substitution, and an infinite anchor is first
-mapped by x = b + 1 - 1/t.
+:func:`sqrt_endpoint_integral` is the one place that removes an endpoint
+blow-up: by x = end +- v**2 beyond two probes next to the end, by a model of
+f through them nearer it, and with NonIntegrableSingularity (a
+QuadratureFailure) where f grows faster than an inverse square root there or
+is not finite. It takes the turning points of reconstruct's integrands, and
+the strips of :class:`AnchoredAntiderivative` (A(x) = int_anchor^x f(t) dt
+cached as a cubic Hermite interpolant with slopes f(x_i)) from the anchor
+and to points outside the cache; an infinite anchor is mapped by
+x = b + 1 - 1/t first.
 
 Flows and root finding evaluate an antiderivative one float at a time, so a
 float inside the cached interval takes a scalar path: a bisection on the
@@ -62,6 +60,11 @@ _BRENT_ITERATIONS = 100
 # Largest |f(d)| / |f(4d)| accepted at a singular end: an inverse square
 # root gives 4**0.5 = 2, and any faster blow-up is refused.
 _GROWTH = 4.0 ** 0.51
+# Probe distance from a singular end, relative to max(|a|, |b|, b - a), and
+# how near 1/2 the probes' power must be to take the end as an inverse square
+# root (rounding noise in f, as in 1 - K^2 at a turning point, moves it ~1e-7).
+_PROBE_DISTANCE = 1e-8
+_SQRT_BAND = 1e-5
 
 # Nodes and weights of the 8-node Gauss-Legendre rule on [-1, 1].
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -260,14 +263,16 @@ def sqrt_endpoint_integral(f: Callable[[float], float], a: float, b: float,
     """int_a^b f where f may blow up like an inverse square root at the
     flagged endpoints; the only place the substitution x = end +- v**2 is made.
 
-    Each flagged end is probed first, at the distances d = max(1e-6 (b - a),
-    16 ulps of the end) and 4d: NonIntegrableSingularity when f is not finite
-    there or |f(d)| exceeds 4**0.51 |f(4d)|, i.e. f grows faster than an
-    inverse square root. Otherwise the end takes x = end +- v**2 with the
-    weight 2v taken as sqrt(|x - end|) of the rounded node, so the integrand
-    is smooth in v and :func:`integrate` reaches full precision; a node that
-    rounds onto the end moves to the float next to it. With both ends
-    flagged, each half is integrated to half the tolerance.
+    A flagged end is probed at the rounded distances t1 ~ d and t4 ~ 4d,
+    d = 1e-8 max(|a|, |b|, b - a), past b - a if need be:
+    NonIntegrableSingularity where f is not finite there or |f(t1)| exceeds
+    4**0.51 |f(t4)|. Within t4 of the end, where f may be mostly rounding
+    noise, f is integrated by a model: sqrt(t) f = A + B t through the probes
+    when their power is 1/2 to within 1e-5, else the power law t**-p through
+    probes 1e-4 as far out. Beyond t4, x = end +- v**2 with the weight 2v
+    taken as sqrt(|x - end|) of the rounded node is smooth in v, and
+    :func:`integrate` reaches full precision. With both ends flagged, each
+    half is integrated to half the tolerance.
     """
     if a == b:
         return 0.0
@@ -282,21 +287,40 @@ def sqrt_endpoint_integral(f: Callable[[float], float], a: float, b: float,
         return integrate(f, a, b, tol=tol)
 
     end, sign = (a, 1.0) if singular_lo else (b, -1.0)
-    first = math.nextafter(end, end + sign)  # the float next to the end
-    d = max(1e-6 * (b - a), 16.0 * abs(first - end))
-    near, far = (_value_or_nan(f, end + sign * t) for t in (d, 4.0 * d))
-    if not (math.isfinite(near) and math.isfinite(far) and abs(near) <= _GROWTH * abs(far)):
-        raise NonIntegrableSingularity(
-            f"the integrand grows faster than an inverse square root at x={end!r} "
-            f"(f = {near:.6g} at {d:.3g} from it, {far:.6g} at {4.0 * d:.3g})")
+    width = b - a
+    least = 16.0 * abs(math.nextafter(end, end + sign) - end)
+    d = max(_PROBE_DISTANCE * max(abs(a), abs(b), width), least)
+    t1, f1, t4, f4, p = _probe_end(f, end, sign, d)
+    if abs(p - 0.5) <= _SQRT_BAND:
+        slope = (math.sqrt(t4) * f4 - math.sqrt(t1) * f1) / (t4 - t1)
+        t = min(t4, width)
+        tail = 2.0 * math.sqrt(t) * (math.sqrt(t4) * f4 + slope * (t / 3.0 - t4))
+    else:
+        t1, f1, t4, f4, p = _probe_end(f, end, sign, max(1e-4 * d, least))
+        t = min(t4, width)
+        tail = f4 * t4 * (t / t4) ** (1.0 - p) / (1.0 - p)
 
     @takes_arrays
     def g(v: np.ndarray) -> np.ndarray:
         x = end + sign * v * v
-        x = np.where(x == end, first, x)
         return 2.0 * np.sqrt(sign * (x - end)) * f(x)
 
-    return integrate(g, 0.0, math.sqrt(b - a), tol)
+    return tail + integrate(g, math.sqrt(t), math.sqrt(width), tol)
+
+
+def _probe_end(f: Callable[[float], float], end: float, sign: float,
+               d: float) -> tuple[float, float, float, float, float]:
+    """(t1, f1, t4, f4, p): f at the rounded distances t1 ~ d and t4 ~ 4d
+    from the end, and the power p of |f| ~ t**-p through them;
+    NonIntegrableSingularity where f is not finite there or p > 0.51."""
+    t1, t4 = (sign * ((end + sign * t) - end) for t in (d, 4.0 * d))
+    f1, f4 = (_value_or_nan(f, end + sign * t) for t in (t1, t4))
+    if not (math.isfinite(f1) and math.isfinite(f4) and abs(f1) <= _GROWTH * abs(f4)):
+        raise NonIntegrableSingularity(
+            f"the integrand grows faster than an inverse square root at x={end!r} "
+            f"(f = {f1:.6g} at {t1:.3g} from it, {f4:.6g} at {t4:.3g})")
+    p = math.log(abs(f1 / f4)) / math.log(t4 / t1) if f1 != 0.0 else 0.0
+    return t1, f1, t4, f4, p
 
 
 def _value_or_nan(f: Callable[[float], float], x: float) -> float:

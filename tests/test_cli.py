@@ -369,12 +369,14 @@ def test_catalog_momentum_undefined_on_the_scan_exits_2(tmp_path, capsys, stage)
     assert "Traceback" not in r.stderr
 
 
-@pytest.mark.parametrize("params", [["a=1", "eta=1"], ["a=0.5", "R=1"]],
-                         ids=["loopoid", "spindle torus"])
-def test_verify_on_a_domain_across_the_axis(tmp_path, capsys, params):
-    # the momentum domains (-0.61, 0.93) and (-0.5, 1.5) reach x < 0; the
-    # mean and Gauss rebuilds stay on the side x > 0 of the axis
-    name = "loopoid" if "eta=1" in params else "torus"
+@pytest.mark.parametrize("name, params", [("loopoid", ["a=1", "eta=1"]),
+                                          ("torus", ["a=0.5", "R=1"]),
+                                          ("equal_strength", [])],
+                         ids=["loopoid", "spindle torus", "left of the axis"])
+def test_verify_on_a_domain_across_the_axis(tmp_path, capsys, name, params):
+    # the momentum domains (-0.61, 0.93) and (-0.5, 1.5) reach x < 0: the
+    # checks keep to the side x > 0 of the axis, without the rings next to
+    # one across it; equal_strength's (-5.31, 0) lies wholly on the side x < 0
     d = str(tmp_path / name)
     argv = ["catalog", "build", name]
     for p in params:
@@ -388,6 +390,8 @@ def test_verify_on_a_domain_across_the_axis(tmp_path, capsys, params):
     assert code == 0, err
     checks = json.loads(out)["checks"]
     assert checks["mean_roundtrip"] < 1e-8 and checks["gauss_roundtrip"] < 1e-8
+    if params:
+        assert checks["discrete_mean"] < 0.2 and checks["discrete_gauss"] < 0.4
     assert checks["momentum_roundtrip"] < 1e-4 and checks["unit_speed"] < 1e-9
 
 

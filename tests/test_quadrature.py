@@ -154,6 +154,25 @@ def test_one_refusal_rule_for_every_singular_end(q):
     assert issubclass(NonIntegrableSingularity, QuadratureFailure)
 
 
+@pytest.mark.parametrize("q", [0.1, 0.3, 0.45, 0.49])
+def test_end_singularities_weaker_than_inverse_square_root(q):
+    # the same three routes for q < 1/2 reach their tolerances
+    for f, lo, hi, anchor in ((lambda t: t ** -q, 1.0, 2.0, 0.0),
+                              (lambda t: (1.0 - t) ** -q, 0.0, 0.5, None)):
+        got = AnchoredAntiderivative(f, lo, hi, anchor=anchor, tol=1e-12)(1.0)
+        assert abs(got - 1.0 / (1.0 - q)) <= 1e-12
+    m = Momentum(eval=lambda x: math.sqrt(1.0 - (1.0 - x) ** (2.0 * q)),
+                 deriv=lambda x: 0.0, domain=(0.1, 1.0))
+    assert abs(arclength(m, 0.2, 1.0) - 0.8 ** (1.0 - q) / (1.0 - q)) <= 5e-11
+
+
+def test_strip_logarithmic_end():
+    # int_0^x ln t dt = x ln x - x: not a power law at the anchor 0
+    A = AnchoredAntiderivative(math.log, 1.0, 2.0, anchor=0.0, tol=1e-12)
+    for x in (1.0, 2.0):
+        assert abs(A(x) - (x * math.log(x) - x)) <= 1e-12
+
+
 # --- Brent's method against SciPy's brentq ---------------------------------
 
 _ROOT_FUNCTIONS = [

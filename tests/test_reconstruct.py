@@ -10,7 +10,7 @@ from revolve import catalog
 from revolve.errors import (AxisSingularity, DegeneratePolyline, DomainViolation,
                             NonIntegrableSingularity, ParamOutOfRange,
                             UnknownIdentifier)
-from revolve.momentum import Momentum, momentum_from_kp
+from revolve.momentum import Momentum, momentum_from_kp, momentum_from_mean
 from revolve.reconstruct import (Profile, arclength, discrete_curvatures,
                                  graph_height, height_displacement,
                                  integrate_profile, momentum_of_profile,
@@ -85,6 +85,20 @@ def test_quadrature_routes_up_to_an_upper_turning_point(x0):
     assert xs[-1] == 1.0
     want = math.sqrt(1.0 - x0 * x0) - np.sqrt(1.0 - xs * xs)
     assert np.max(np.abs(zs - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [257, 2049, 16385])
+def test_quadrature_routes_between_the_turning_points_of_an_unduloid(n):
+    # H = 1 with K = x + 0.12/x from the antiderivative cache: 1 - K^2 is
+    # rounding noise within about 1e-15 of each end; the floats nearest the
+    # turning points (1 -+ sqrt(0.52))/2, and the 40-digit height between them
+    m = momentum_from_mean(lambda x: 1.0, 0.12, (0.13944487245360107, 0.860555127546399),
+                           anchor=0.0)
+    height = 1.3405053876890782479
+    xs, zs = graph_height(m, *m.domain, n=n)
+    assert abs(zs[-1] - height) <= 1e-11
+    assert abs(height_displacement(m, *m.domain) - height) <= 5e-11
+    assert abs(arclength(m, *m.domain) - 0.5 * math.pi) <= 5e-11
 
 
 def test_momentum_at_one_just_inside_the_endpoint():
