@@ -82,7 +82,29 @@ def _required(state: dict, key: str):
         raise ValidationError(f"{_STATE} has no {key!r}") from None
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+_FIELDS = {  # what each field of a state file must hold where it is present
+    "name": (lambda v: isinstance(v, str), "a string"),
+    "expr": (lambda v: isinstance(v, str), "a string"),
+    "params": (lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
+               "an object of numbers"),
+    "domain": (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),
+               "[lo, hi]"),
+    "const": (_is_number, "a number"),
+    "anchor": (lambda v: v is None or _is_number(v), "a number or null"),
+    "sign": (lambda v: _is_number(v) and v in (1, -1), "1 or -1"),
+}
+
+
 def _momentum_from_state(state: dict, tol: float) -> Momentum:
+    """The momentum a state file describes; each field is checked against
+    _FIELDS before any constructor runs."""
+    for key, (ok, what) in _FIELDS.items():
+        if key in state and not ok(state[key]):
+            raise ValidationError(f"{_STATE}: {key!r} must be {what}, got {state[key]!r}")
     if state.get("source") == "catalog":
         entry = cat.build(_required(state, "name"), **state.get("params", {}))
         if entry.momentum is None:
@@ -138,8 +160,7 @@ def _integrate(m: Momentum, args) -> Profile:
     start = args.start if args.start is not None else _default_start(m)
     return integrate_profile(m, start, direction=args.direction,
                              s_max=args.smax, s_min=args.smin,
-                             samples_per_branch=args.samples,
-                             rtol=args.tol_ode, atol=args.tol_ode * 1e-2)
+                             samples_per_branch=args.samples, rtol=args.tol_ode)
 
 
 # ------------------------------------------------------------- subcommands
@@ -178,8 +199,12 @@ def _cmd_mesh(args) -> int:
     path = os.path.join(args.out, "profile.csv")
     if not os.path.exists(path):
         raise ValidationError(f"no profile.csv in {args.out!r}; run profile first")
+    with open(path, encoding="utf-8") as fh:
+        rows = fh.read().splitlines()[1:]
+    if not any(row.strip() for row in rows):
+        raise ValidationError(f"{path} has no data rows")
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        data = np.loadtxt(rows, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise ValidationError(f"{path}: {exc}") from None
     if data.shape[1] != 5:
@@ -241,8 +266,10 @@ def _cmd_verify(args) -> int:
     xr = p.x[rings]
     idx = np.array([mesh.rings[i] for i in rings.tolist()],
                    dtype=np.int64).reshape(-1, mesh.n_theta)
-    checks["discrete_mean"] = _worst(H_disc[idx] - mean_curvature(m, xr)[:, None])
-    checks["discrete_gauss"] = _worst(K_disc[idx] - gauss_curvature(m, xr)[:, None])
+    # relative to max(1, |analytic|): K_G = K K'/x diverges where K(0) != 0 on the axis
+    for key, disc, exact in (("discrete_mean", H_disc, mean_curvature(m, xr)[:, None]),
+                             ("discrete_gauss", K_disc, gauss_curvature(m, xr)[:, None])):
+        checks[key] = _worst((disc[idx] - exact) / np.maximum(1.0, np.abs(exact)))
 
     if args.q is not None:
         checks["weingarten"] = _worst(weingarten_residual(m, args.q, grid))
@@ -325,7 +352,7 @@ def _add_flow_opts(sp) -> None:
     sp.add_argument("--samples", type=int, default=512,
                     help="samples per monotone branch")
     sp.add_argument("--tol-ode", type=float, default=1e-10,
-                    help="flow relative tolerance (default 1e-10)")
+                    help="flow rtol; atol is 1e-2 * rtol (default 1e-10)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("mesh", help="revolve the traced profile into a mesh")
     sp.add_argument("--ntheta", type=int, default=64, help="ring resolution")
     sp.add_argument("--format", choices=("obj", "stl"), default="obj")
-    _add_state_opts(sp)
+    sp.add_argument("--out", required=True, help="state/artifact directory")
     sp.set_defaults(func=_cmd_mesh)
 
     sp = sub.add_parser("verify", help="run residual checks, write verify.json")
@@ -390,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("name", nargs="?", default=None)
     sp.add_argument("--param", action="append", metavar="NAME=VALUE")
     sp.add_argument("--out", default=None, help="state directory (build)")
-    sp.add_argument("--tol-quad", type=float, default=1e-12)
+    sp.add_argument("--tol-quad", type=float, default=1e-12, help="unused")
     sp.set_defaults(func=_cmd_catalog)
 
     sp = sub.add_parser("classify-mean-inverse",

@@ -175,6 +175,8 @@ def revolve(p, n_theta: int = 64) -> SurfaceMesh:
     n_s = len(x)
     if n_s < 2:
         raise DegenerateProfile("need at least two profile samples")
+    if not all(np.isfinite(c).all() for c in (x, z, tx, tz)):
+        raise DegenerateProfile("profile samples must be finite")
     if np.any((np.diff(x) == 0.0) & (np.diff(z) == 0.0)):
         raise DegenerateProfile("repeated consecutive profile samples")
     pole = np.abs(x) < _POLE_EPS

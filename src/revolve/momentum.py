@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _AXIS_REL = 1e-13  # |x| below this fraction of the domain width counts as on-axis
+_N_SCAN = 4096  # panels of the admissible-interval scan
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,11 @@ class Momentum:
     @property
     def width(self) -> float:
         return self.domain[1] - self.domain[0]
+
+    def gap(self, x: float) -> float:
+        """1 - K(x)^2: zero at a turning point, negative where |K| > 1."""
+        k = self.eval(x)
+        return 1.0 - k * k
 
     def sample(self, xs: Sequence[float]) -> np.ndarray:
         return array_callable(self.eval, *self.domain)(np.asarray(xs, dtype=float).ravel())
@@ -249,35 +255,30 @@ def momentum_from_gauss(G: Callable[[float], float], c: float, sigma: float,
     return Momentum(eval_, deriv, (lo, hi))
 
 
-def admissible_intervals(m: Momentum, n_scan: int = 4096) -> list[tuple[float, float]]:
+def admissible_intervals(m: Momentum) -> list[tuple[float, float]]:
     """Maximal open sub-intervals of m.domain where K(x)^2 < 1.
 
     Interval edges interior to the domain are zeros of 1 - K^2 refined to
     1e-12; edges coinciding with domain endpoints inherit them exactly. The
-    scan is sampled (n_scan points), so features narrower than the grid may
-    be missed.
+    scan samples _N_SCAN + 1 equispaced points in one array call, so features
+    narrower than the grid may be missed.
     """
     lo, hi = m.domain
-
-    def g(x: float) -> float:
-        k = m.eval(x)
-        return 1.0 - k * k
-
-    xs = np.linspace(lo, hi, n_scan + 1)
+    xs = np.linspace(lo, hi, _N_SCAN + 1)
     ks = array_callable(m.eval, lo, hi)(xs)
     with np.errstate(all="ignore"):
         pos = (1.0 - ks * ks > 0.0).tolist()
     intervals: list[tuple[float, float]] = []
     i = 0
-    while i <= n_scan:
+    while i <= _N_SCAN:
         if not pos[i]:
             i += 1
             continue
         j = i
-        while j + 1 <= n_scan and pos[j + 1]:
+        while j + 1 <= _N_SCAN and pos[j + 1]:
             j += 1
-        left = xs[i] if i == 0 else bracketed_root(g, float(xs[i - 1]), float(xs[i]))
-        right = xs[j] if j == n_scan else bracketed_root(g, float(xs[j]), float(xs[j + 1]))
+        left = xs[i] if i == 0 else bracketed_root(m.gap, float(xs[i - 1]), float(xs[i]))
+        right = xs[j] if j == _N_SCAN else bracketed_root(m.gap, float(xs[j]), float(xs[j + 1]))
         if right - left > 1e-12 * max(1.0, hi - lo):
             intervals.append((float(left), float(right)))
         i = j + 1

@@ -372,7 +372,7 @@ class AnchoredAntiderivative:
     def __init__(self, f: Callable[[float], float], lo: float, hi: float,
                  anchor: float | None = None, tol: float = 1e-12):
         if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
-            raise ValueError(f"bad interval [{lo!r}, {hi!r}]")
+            raise ParamOutOfRange(f"bad interval [{lo!r}, {hi!r}]")
         if not (math.isfinite(tol) and tol > 0.0):
             raise ParamOutOfRange(f"quadrature tolerance must be finite and positive, "
                                   f"got {tol!r}")

@@ -73,18 +73,13 @@ class Profile:
         return len(self.s)
 
 
-def _gap(m: Momentum, x: float) -> float:
-    k = m.eval(x)
-    return 1.0 - k * k
-
-
 def _endpoint_singular(m: Momentum, x_end: float, inward: float, width: float) -> bool:
     """Whether 1 - K^2 vanishes (to _SINGULAR_GAP) at the endpoint x_end;
     DomainViolation where it does not grow just inside."""
-    g = _gap(m, x_end)
+    g = m.gap(x_end)
     if g > _SINGULAR_GAP:
         return False
-    if _gap(m, x_end + inward * 1e-6 * width) <= max(g, 0.0):
+    if m.gap(x_end + inward * 1e-6 * width) <= max(g, 0.0):
         raise DomainViolation(f"|K| >= 1 just inside the endpoint x = {x_end:.6g}")
     return True
 
@@ -159,12 +154,12 @@ def _clustered(n: int, lo: bool, hi: bool) -> np.ndarray:
 
 
 def graph_height(m: Momentum, x0: float, x1: float, n: int = 513,
-                 tol: float = 1e-11, spacing: str = "auto") -> tuple[np.ndarray, np.ndarray]:
+                 tol: float = 1e-11) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative height z(x) over [x0, x1], anchored z(x0) = 0.
 
-    Returns (x_samples, z_samples). With spacing='auto' the grid clusters
-    toward endpoints where |K| -> 1; 'uniform' forces an equispaced grid.
-    End panels the guard flags take the square-root substitution. All other
+    Returns (x_samples, z_samples) on n points, equispaced unless an end is
+    singular (|K| -> 1 there), where the grid clusters like a cosine toward
+    it. End panels the guard flags take the square-root substitution. All other
     panels go to one run of the adaptive Gauss-Legendre engine of the
     quadrature layer, which gives each the sum a separate ``integrate`` call
     would.
@@ -176,8 +171,7 @@ def graph_height(m: Momentum, x0: float, x1: float, n: int = 513,
     K = array_callable(m.eval, *m.domain)
     sing_lo, sing_hi = _singular_ends(m, K, x0, x1)
 
-    auto = spacing != "uniform"
-    xs = x0 + (x1 - x0) * _clustered(n, auto and sing_lo, auto and sing_hi)
+    xs = x0 + (x1 - x0) * _clustered(n, sing_lo, sing_hi)
     xs[0], xs[-1] = x0, x1
 
     f = _integrand(K, height=True)
@@ -196,21 +190,24 @@ def graph_height(m: Momentum, x0: float, x1: float, n: int = 513,
 
 def integrate_profile(m: Momentum, start_x: float, direction: int = +1,
                       s_max: float = 1.0, s_min: float = 0.0,
-                      samples_per_branch: int = 512,
-                      rtol: float = 1e-10, atol: float = 1e-12) -> Profile:
+                      samples_per_branch: int = 512, rtol: float = 1e-10) -> Profile:
     """Trace the unit-speed generating curve through (start_x, 0).
 
     direction is the initial sign of xdot. The flow continues through
     turning points (|K| = 1 with K' != 0), recording them in branch_events,
     and stops when it crosses the momentum's x-domain or reaches s_max
-    (s_min < 0 extends the same curve backwards in arclength).
+    (s_min < 0 extends the same curve backwards in arclength). Each
+    direction is one DOP853 run with relative tolerance rtol and absolute
+    tolerance 1e-2 * rtol, sampled samples_per_branch times per monotone
+    branch; the backward half joins the forward one at s = 0.
     """
     if samples_per_branch < 2:
         raise ParamOutOfRange(
             f"need at least two samples per branch, got {samples_per_branch!r}")
+    atol = 1e-2 * rtol
     if not all(math.isfinite(t) and t > 0.0 for t in (rtol, atol)):
-        raise ParamOutOfRange(
-            f"flow tolerances must be finite and positive, got rtol={rtol!r}, atol={atol!r}")
+        raise ParamOutOfRange("flow tolerances rtol and 1e-2 * rtol must be finite and "
+                              f"positive, got rtol={rtol!r}")
     if math.isnan(s_max) or math.isnan(s_min):
         raise ParamOutOfRange(f"arclength caps must be numbers, got s_max={s_max!r}, "
                               f"s_min={s_min!r}")
@@ -240,8 +237,8 @@ def integrate_profile(m: Momentum, start_x: float, direction: int = +1,
 
     # A turning point exactly on a domain endpoint touches it tangentially;
     # exclude these touches from the terminal exit events by a small margin.
-    m_lo = 1e-9 * w if abs(_gap(m, lo)) < 1e-9 else 0.0
-    m_hi = 1e-9 * w if abs(_gap(m, hi)) < 1e-9 else 0.0
+    m_lo = 1e-9 * w if abs(m.gap(lo)) < 1e-9 else 0.0
+    m_hi = 1e-9 * w if abs(m.gap(hi)) < 1e-9 else 0.0
 
     def ev_lo(s, y):
         return y[0] - (lo - m_lo)
@@ -253,9 +250,9 @@ def integrate_profile(m: Momentum, start_x: float, direction: int = +1,
     ev_hi.terminal = True
     ev_hi.direction = +1
 
-    def run(s_end: float):
-        if s_end == 0.0:
-            return None
+    def trace(s_end: float):
+        """(s, y, turns) of the flow from s = 0 towards s_end: the samples
+        ordered from s = 0 outwards, and the turning points passed."""
         sol = dop853.solve(rhs, s_end, (start_x, 0.0, phi0), rtol=rtol, atol=atol,
                            max_step=abs(s_end), events=(ev_turn, ev_lo, ev_hi))
         if sol.status == -1:
@@ -268,54 +265,23 @@ def integrate_profile(m: Momentum, start_x: float, direction: int = +1,
                 raise EventLocatorFailure(
                     f"degenerate turning point at x = {xe:.6g} (K' ~ {dKe:.3g}); "
                     "continuation undefined")
-        return sol, sorted(turns, key=abs)
-
-    def sample_half(sol, turns, s_end: float):
-        bounds = [0.0] + turns + [s_end]
-        grids = []
-        for bi in range(len(bounds) - 1):
-            b0, b1 = bounds[bi], bounds[bi + 1]
-            g = b0 + (b1 - b0) * _clustered(samples_per_branch, bi > 0,
-                                            bi < len(bounds) - 2)
-            if bi > 0:
-                g = g[1:]
-            grids.append(g)
-        svals = np.concatenate(grids)
-        y = sol.sol(svals)
-        return svals, y
-
-    parts = []
-    events_all: list[float] = []
-
-    fwd = run(float(s_max))
-    if fwd is not None:
-        sol, turns = fwd
         s_end = float(sol.t[-1])
-        turns = [t for t in turns if t < s_end]
-        svals, y = sample_half(sol, sorted(turns), s_end)
-        parts.append((svals, y))
-        events_all.extend(turns)
+        turns = sorted((t for t in turns if abs(t) < abs(s_end)), key=abs)
+        bounds = [0.0, *turns, s_end]
+        grids = [b0 + (b1 - b0) * _clustered(samples_per_branch, i > 0, i < len(turns))
+                 for i, (b0, b1) in enumerate(zip(bounds, bounds[1:]))]
+        s = np.concatenate([grids[0]] + [g[1:] for g in grids[1:]])  # each turn once
+        return s, sol.sol(s), turns
 
-    if s_min < 0.0:
-        bwd = run(float(s_min))
-        if bwd is not None:
-            sol, turns = bwd
-            s_end = float(sol.t[-1])
-            turns = [t for t in turns if t > s_end]
-            svals, y = sample_half(sol, sorted(turns, reverse=True), s_end)
-            order = np.argsort(svals)
-            svals, y = svals[order], y[:, order]
-            svals, y = svals[:-1], y[:, :-1]  # drop duplicate s = 0
-            parts.insert(0, (svals, y))
-            events_all.extend(turns)
-
-    if not parts:
+    none = (np.empty(0), np.empty((3, 0)), [])
+    s_fwd, y_fwd, turns_fwd = trace(float(s_max)) if s_max != 0.0 else none
+    s_bwd, y_bwd, turns_bwd = trace(float(s_min)) if s_min < 0.0 else none
+    s = np.concatenate((s_bwd[:0:-1], s_fwd))  # the backward half without its s = 0
+    if not len(s):
         raise DomainViolation("empty arclength range")
-    s = np.concatenate([p[0] for p in parts])
-    ys = np.concatenate([p[1] for p in parts], axis=1)
-    phi = ys[2]
-    return Profile(s=s, x=ys[0], z=ys[1], tx=np.cos(phi), tz=np.sin(phi),
-                   branch_events=sorted(events_all))
+    x, z, phi = np.concatenate((y_bwd[:, :0:-1], y_fwd), axis=1)
+    return Profile(s=s, x=x, z=z, tx=np.cos(phi), tz=np.sin(phi),
+                   branch_events=sorted(turns_fwd + turns_bwd))
 
 
 def _slope(y: np.ndarray, h: np.ndarray) -> np.ndarray:

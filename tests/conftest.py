@@ -192,7 +192,7 @@ def run_momentum_sweep(n_cases=SWEEP_CASES):
 
         # slope of the cumulative height graph: the centered stencil must hit
         # K/sqrt(1-K^2) within its own truncation allowance plus the floor
-        xg, zg = graph_height(m, lo, hi, n=513, spacing="uniform")
+        xg, zg = graph_height(m, lo, hi, n=513)  # |K| <= 0.95: equispaced
         h = xg[1] - xg[0]
         d4 = (zg[:-4] - 8 * zg[1:-3] + 8 * zg[3:-1] - zg[4:]) / (12.0 * h)
         kv = K(xg[2:-2])

@@ -295,6 +295,10 @@ def test_unusable_sizes_and_tolerances_exit_2(tmp_path, capsys, stage, flag, val
     assert not (d / "profile.csv").exists() and not (d / "verify.json").exists()
 
 
+# a valid gauss state, one of whose fields the row overrides (the later key wins)
+_GAUSS_STATE = '{"source": "prescription", "kind": "gauss", "expr": "x", "domain": [0.1, 1], %s}'
+
+
 @pytest.mark.parametrize("stage, name, content, words", [
     ("profile", "momentum.json", "{not json", "is not JSON"),
     ("verify", "momentum.json", '{"source": "prescription", "expr": "x"}', "has no 'kind'"),
@@ -308,7 +312,28 @@ def test_unusable_sizes_and_tolerances_exit_2(tmp_path, capsys, stage, flag, val
     ("profile", "momentum.json",
      '{"source": "prescription", "kind": "km", "expr": "0", "const": 2, "domain": [1, 2]}',
      "no admissible interval"),
+    ("profile", "momentum.json", _GAUSS_STATE % '"const": "abc"', "'const' must be a number"),
+    ("profile", "momentum.json", _GAUSS_STATE % '"domain": 5', "'domain' must be [lo, hi]"),
+    ("profile", "momentum.json", _GAUSS_STATE % '"domain": [1]', "'domain' must be [lo, hi]"),
+    ("profile", "momentum.json", _GAUSS_STATE % '"domain": [1, "2"]',
+     "'domain' must be [lo, hi]"),
+    ("profile", "momentum.json", _GAUSS_STATE % '"expr": 5', "'expr' must be a string"),
+    ("profile", "momentum.json", _GAUSS_STATE % '"params": [1]',
+     "'params' must be an object of numbers"),
+    ("profile", "momentum.json", _GAUSS_STATE % '"params": {"a": "q"}',
+     "'params' must be an object of numbers"),
+    ("profile", "momentum.json", _GAUSS_STATE % '"anchor": "zz"',
+     "'anchor' must be a number or null"),
+    ("profile", "momentum.json", _GAUSS_STATE % '"sign": "x"', "'sign' must be 1 or -1"),
+    ("profile", "momentum.json", '{"source": "catalog", "name": "torus", "params": {"R": "big"}}',
+     "'params' must be an object of numbers"),
+    ("profile", "momentum.json", '{"source": "catalog", "name": "torus", "params": [1]}',
+     "'params' must be an object of numbers"),
+    ("mesh", "profile.csv", "s,x,z,tx,tz\n", "no data rows"),
+    ("mesh", "profile.csv", "s,x,z,tx,tz\n0,1,0,0,1\n1,nan,1,0,1\n2,1,2,0,1\n",
+     "must be finite"),
 ])
+@pytest.mark.filterwarnings("error")  # a refusal prints no NumPy warning
 def test_malformed_state_files_exit_2(tmp_path, capsys, stage, name, content, words):
     d = prescribe_catenoid(tmp_path / "st", capsys)
     if name is not None:  # None: the stage finds the file missing
@@ -377,6 +402,8 @@ def test_verify_on_a_domain_across_the_axis(tmp_path, capsys, name, params):
     # the momentum domains (-0.61, 0.93) and (-0.5, 1.5) reach x < 0: the
     # checks keep to the side x > 0 of the axis, without the rings next to
     # one across it; equal_strength's (-5.31, 0) lies wholly on the side x < 0
+    # and ends on the axis with K(0) = 1, where K_G = K K'/x diverges: the
+    # discrete errors are relative to max(1, |analytic|)
     d = str(tmp_path / name)
     argv = ["catalog", "build", name]
     for p in params:
@@ -390,8 +417,7 @@ def test_verify_on_a_domain_across_the_axis(tmp_path, capsys, name, params):
     assert code == 0, err
     checks = json.loads(out)["checks"]
     assert checks["mean_roundtrip"] < 1e-8 and checks["gauss_roundtrip"] < 1e-8
-    if params:
-        assert checks["discrete_mean"] < 0.2 and checks["discrete_gauss"] < 0.4
+    assert checks["discrete_mean"] < 0.2 and checks["discrete_gauss"] < 0.4
     assert checks["momentum_roundtrip"] < 1e-4 and checks["unit_speed"] < 1e-9
 
 

@@ -8,7 +8,8 @@ from revolve.curvature import (CurvatureSample, classify_mean_inverse,
                                constraint_residual, gauss_curvature,
                                gauss_from_mean, gauss_monomial, mean_curvature,
                                principal_curvatures, weingarten_residual)
-from revolve.errors import (AxisSingularity, ExponentForbidden, NonPositiveMu)
+from revolve.errors import (AxisSingularity, ExponentForbidden, NonPositiveMu,
+                            ParamOutOfRange)
 from revolve.momentum import Momentum, momentum_from_mean
 
 
@@ -97,6 +98,17 @@ def test_constraint_residual_flags_mismatched_constants():
     r = constraint_residual(lambda x: 1.0 - 1.0 / x, lambda x: 1.0 - 2.0 / x,
                             x0 * K0 / 2.0 + 0.1, K0 ** 2 / 2.0, xs, (1.1, 2.9))
     assert np.max(np.abs(r)) > 1e-3
+
+
+@pytest.mark.parametrize("domain", [(2.0, 1.0), (1.0, math.nan)])
+def test_bad_interval_is_a_typed_error(domain):
+    # the antiderivatives of both callers refuse the interval with a
+    # ValidationError (CLI exit 2), not a bare ValueError
+    xs = np.array([1.5])
+    with pytest.raises(ParamOutOfRange, match="bad interval"):
+        gauss_from_mean(lambda x: 1.0, 0.0, xs, domain)
+    with pytest.raises(ParamOutOfRange, match="bad interval"):
+        constraint_residual(lambda x: 1.0, lambda x: 1.0, 0.0, 0.0, xs, domain)
 
 
 def test_weingarten_residual_on_power_family():

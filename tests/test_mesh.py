@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -90,6 +91,16 @@ def test_revolve_input_validation():
                   branch_events=())
     with pytest.raises(DegenerateProfile):
         revolve(rep)
+
+
+@pytest.mark.parametrize("column", ["x", "z", "tx", "tz"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_revolve_refuses_non_finite_samples(column, bad):
+    p = open_band_profile()
+    values = np.array(getattr(p, column), dtype=float)
+    values[len(values) // 2] = bad
+    with pytest.raises(DegenerateProfile, match="finite"):
+        revolve(dataclasses.replace(p, **{column: values}), n_theta=8)
 
 
 def test_sphere_discrete_curvature_and_convergence():

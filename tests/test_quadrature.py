@@ -295,9 +295,9 @@ def test_graph_height_matches_the_per_panel_loop():
         k = -1.0 / x
         return k / np.sqrt(1.0 - k * k)
 
-    for x0, x1, n, spacing in ((1.0, 4.0, 65, "auto"), (1.2, 3.5, 129, "uniform")):
+    for x0, x1, n in ((1.0, 4.0, 65), (1.2, 3.5, 129)):
         tol = 1e-11
-        xs, zs = graph_height(m, x0, x1, n=n, tol=tol, spacing=spacing)
+        xs, zs = graph_height(m, x0, x1, n=n, tol=tol)
         panel_tol = max(tol / (4.0 * math.sqrt(n)), 1e-13)
         end_tol = max(0.25 * tol, 2e-12)
         want = [0.0]

@@ -1,5 +1,6 @@
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -7,7 +8,8 @@ import pytest
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 with open(os.path.join(_ROOT, "README.md"), encoding="utf-8") as _fh:
-    _BLOCKS = re.findall(r"^```python\n(.*?)^```", _fh.read(), re.M | re.S)
+    _README = _fh.read()
+_BLOCKS = re.findall(r"^```python\n(.*?)^```", _README, re.M | re.S)
 
 
 def test_readme_has_python():
@@ -21,3 +23,30 @@ def test_readme_python_runs(code, tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _cli_lines(text):
+    """Every `revolve ...` command of the README's ```sh blocks, in order, as
+    argument lists, with continuation lines joined and comments dropped."""
+    lines = []
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv and argv[0] == "revolve":
+                lines.append(argv[1:])
+    return lines
+
+
+_CLI = _cli_lines(_README)
+
+
+def test_readme_cli_lines_run(tmp_path):
+    # the chain shares one state directory, so the lines run in order; a
+    # line that names a deleted option or subcommand exits 2
+    assert len(_CLI) >= 10
+    env = dict(os.environ, PYTHONPATH=os.path.join(_ROOT, "src"))
+    for argv in _CLI:
+        proc = subprocess.run([sys.executable, "-m", "revolve.cli", *argv],
+                              capture_output=True, text=True, env=env, cwd=tmp_path,
+                              timeout=120)
+        assert proc.returncode == 0, (argv, proc.stderr)

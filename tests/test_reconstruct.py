@@ -53,9 +53,9 @@ def test_graph_height_matches_closed_form():
     assert xs[0] == 1.0 and xs[-1] == 4.0
 
 
-def test_graph_height_uniform_spacing_option():
-    m = catenoid_momentum()
-    xs, _ = graph_height(m, 1.5, 3.0, n=33, spacing="uniform")
+def test_graph_height_equispaced_without_singular_end():
+    m = catenoid_momentum()  # |K| < 1 on [1.5, 3]
+    xs, _ = graph_height(m, 1.5, 3.0, n=33)
     steps = np.diff(xs)
     assert np.max(np.abs(steps - steps[0])) < 1e-12
 
