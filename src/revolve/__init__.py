@@ -2,8 +2,8 @@
 
 The package turns a prescribed curvature (parallel, meridian, mean, or
 Gauss) into the momentum K(x) — the z-component of the generating curve's
-unit tangent as a function of x — reconstructs the curve by quadrature or by
-the unit-speed flow, revolves it into meshes, and cross-checks everything
+unit tangent as a function of x — reconstructs the curve by quadrature over
+its monotone branches, revolves it into meshes, and cross-checks everything
 against a catalog of closed-form families.
 """
 from .curvature import (CurvatureSample, MeanInverseBranch,
@@ -17,8 +17,8 @@ from .errors import (AxisSingularity, DegeneratePolyline, DegenerateProfile,
                      ExpressionSyntaxError, NegativeRadicand, NonManifold,
                      NonIntegrableSingularity, NonPositiveMu, NumericalError,
                      ParamOutOfRange, QuadratureFailure, RevolveError,
-                     RootBracketFailure, SingularAxis, StepUnderflow,
-                     UnknownIdentifier, ValidationError)
+                     RootBracketFailure, SingularAxis, UnknownIdentifier,
+                     ValidationError)
 from .expr import Expression, parse_expr
 from .momentum import (Momentum, admissible_intervals,
                        momentum_from_gauss, momentum_from_km,
@@ -51,7 +51,7 @@ __all__ = [
     "DegeneratePolyline", "DegenerateProfile", "NonManifold",
     "ExpressionSyntaxError", "UnknownIdentifier", "EvaluationDomainError",
     "QuadratureFailure", "NonIntegrableSingularity", "EventLocatorFailure",
-    "StepUnderflow", "RootBracketFailure",
+    "RootBracketFailure",
 ]
 
 __version__ = "0.1.0"

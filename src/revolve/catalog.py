@@ -2,7 +2,7 @@
 
 Every entry couples a momentum with, where one exists, an explicit
 parametrization or graph of the generating curve, so the generic
-quadrature/flow pipeline can be cross-checked against independent closed
+quadrature/trace pipeline can be cross-checked against independent closed
 forms. The momentum is defined by its formula text alone, the
 ``momentum_text`` that ``catalog list`` prints: the expression compiler turns
 it into K and its symbolic derivative K', array-first (``takes_arrays``),

@@ -352,7 +352,8 @@ def _add_flow_opts(sp) -> None:
     sp.add_argument("--samples", type=int, default=512,
                     help="samples per monotone branch")
     sp.add_argument("--tol-ode", type=float, default=1e-10,
-                    help="flow rtol; atol is 1e-2 * rtol (default 1e-10)")
+                    help="trace tolerance: relative to the band's width, per "
+                         "quadrature panel (default 1e-10)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -104,11 +104,8 @@ class NonIntegrableSingularity(QuadratureFailure):
 
 
 class EventLocatorFailure(NumericalError):
-    """A turning point of the profile flow is degenerate and continuation is undefined."""
-
-
-class StepUnderflow(NumericalError):
-    """The profile integrator stalled before reaching the requested arc length."""
+    """A turning point of a traced profile is degenerate (1 - K^2 has no simple
+    zero there): the branch length diverges and continuation is undefined."""
 
 
 class RootBracketFailure(NumericalError):

@@ -19,8 +19,7 @@ The constructors take their prescription through the quadrature layer's
 array protocol (``array_callable``), so their integrands and scans make one
 call per array, and the momenta they return take a float or a NumPy array:
 ``eval`` and ``deriv`` of an array are the arrays of their per-point values
-(``deriv`` of the mean and Gauss kinds, which only flows call, by a
-per-point loop).
+(``deriv`` of the mean and Gauss kinds by a per-point loop).
 """
 from __future__ import annotations
 
@@ -258,8 +257,10 @@ def momentum_from_gauss(G: Callable[[float], float], c: float, sigma: float,
 def admissible_intervals(m: Momentum) -> list[tuple[float, float]]:
     """Maximal open sub-intervals of m.domain where K(x)^2 < 1.
 
-    Interval edges interior to the domain are zeros of 1 - K^2 refined to
-    1e-12; edges coinciding with domain endpoints inherit them exactly. The
+    Interval edges interior to the domain are zeros of 1 - K^2 refined to a
+    few units in the last place of the domain's ends, since the arclength
+    to a turning point changes like the square root of an error in its
+    position; edges coinciding with domain endpoints inherit them exactly. The
     scan samples _N_SCAN + 1 equispaced points in one array call, so features
     narrower than the grid may be missed.
     """
@@ -267,19 +268,16 @@ def admissible_intervals(m: Momentum) -> list[tuple[float, float]]:
     xs = np.linspace(lo, hi, _N_SCAN + 1)
     ks = array_callable(m.eval, lo, hi)(xs)
     with np.errstate(all="ignore"):
-        pos = (1.0 - ks * ks > 0.0).tolist()
+        pos = np.concatenate(([False], 1.0 - ks * ks > 0.0, [False]))
+    # the runs of pos: run i covers the scan points first[i] .. last[i]
+    first, last = np.flatnonzero(np.diff(pos.view(np.int8)) != 0).reshape(-1, 2).T
+    last = last - 1
+    xtol = 2.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
     intervals: list[tuple[float, float]] = []
-    i = 0
-    while i <= _N_SCAN:
-        if not pos[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 <= _N_SCAN and pos[j + 1]:
-            j += 1
-        left = xs[i] if i == 0 else bracketed_root(m.gap, float(xs[i - 1]), float(xs[i]))
-        right = xs[j] if j == _N_SCAN else bracketed_root(m.gap, float(xs[j]), float(xs[j + 1]))
+    for i, j in zip(first.tolist(), last.tolist()):
+        left = xs[i] if i == 0 else bracketed_root(m.gap, float(xs[i - 1]), float(xs[i]), xtol)
+        right = (xs[j] if j == _N_SCAN
+                 else bracketed_root(m.gap, float(xs[j]), float(xs[j + 1]), xtol))
         if right - left > 1e-12 * max(1.0, hi - lo):
             intervals.append((float(left), float(right)))
-        i = j + 1
     return intervals

@@ -13,22 +13,24 @@ all open panels in one call and adds each panel's weighted node values in
 node order, so panel sums are the floats a per-point loop would give
 whenever the array and per-point values agree.
 
-:func:`sqrt_endpoint_integral` is the one place that removes an endpoint
-blow-up: by x = end +- v**2 beyond two probes next to the end, by a model of
-f through them nearer it, and with NonIntegrableSingularity (a
-QuadratureFailure) where f grows faster than an inverse square root there or
-is not finite. It takes the turning points of reconstruct's integrands, and
-the strips of :class:`AnchoredAntiderivative` (A(x) = int_anchor^x f(t) dt
-cached as a cubic Hermite interpolant with slopes f(x_i)) from the anchor
-and to points outside the cache; an infinite anchor is mapped by
-x = b + 1 - 1/t first.
+:func:`sqrt_endpoint_integral` removes an endpoint blow-up: by
+x = end +- v**2 beyond two probes next to the end, by a model of f through
+them nearer it, and with NonIntegrableSingularity (a QuadratureFailure)
+where f grows faster than an inverse square root there or is not finite.
+It takes the turning points of reconstruct's integrands, and the strips of
+:class:`AnchoredAntiderivative` (A(x) = int_anchor^x f(t) dt cached as a
+cubic Hermite interpolant with slopes f(x_i)) from the anchor and to points
+outside the cache; an infinite anchor is mapped by x = b + 1 - 1/t first.
+The profile trace of reconstruct takes the same model (:func:`_end_model`) at
+its turning points, which it maps by a cosine instead of v**2.
 
-Flows and root finding evaluate an antiderivative one float at a time, so a
-float inside the cached interval takes a scalar path: a bisection on the
-knots, kept as a Python list, and the piece's four coefficients summed from
-the lowest power. Arrays take the same interval rule and operation order in
-NumPy, so both paths return the same bits. :func:`bracketed_root` is Brent's
-method, iterate for iterate as in the classic C implementation.
+Root finding and pointwise curvatures evaluate an antiderivative one float
+at a time, so a float inside the cached interval takes a scalar path: a
+bisection on the knots, kept as a Python list, and the piece's four
+coefficients summed from the lowest power. Arrays take the same interval
+rule and operation order in NumPy, so both paths return the same bits.
+:func:`bracketed_root` is Brent's method, iterate for iterate as in the
+classic C implementation.
 """
 from __future__ import annotations
 
@@ -263,14 +265,12 @@ def sqrt_endpoint_integral(f: Callable[[float], float], a: float, b: float,
     """int_a^b f where f may blow up like an inverse square root at the
     flagged endpoints; the only place the substitution x = end +- v**2 is made.
 
-    A flagged end is probed at the rounded distances t1 ~ d and t4 ~ 4d,
-    d = 1e-8 max(|a|, |b|, b - a), past b - a if need be:
-    NonIntegrableSingularity where f is not finite there or |f(t1)| exceeds
-    4**0.51 |f(t4)|. Within t4 of the end, where f may be mostly rounding
-    noise, f is integrated by a model: sqrt(t) f = A + B t through the probes
-    when their power is 1/2 to within 1e-5, else the power law t**-p through
-    probes 1e-4 as far out. Beyond t4, x = end +- v**2 with the weight 2v
-    taken as sqrt(|x - end|) of the rounded node is smooth in v, and
+    Within t4 ~ 4e-8 max(|a|, |b|, b - a) of a flagged end (past b - a if
+    need be), where f may be mostly rounding noise, f is integrated by the
+    two-probe model of :func:`_end_model`, which raises
+    NonIntegrableSingularity where f is not finite there or grows faster
+    than an inverse square root. Beyond t4, x = end +- v**2 with the weight
+    2v taken as sqrt(|x - end|) of the rounded node is smooth in v, and
     :func:`integrate` reaches full precision. With both ends flagged, each
     half is integrated to half the tolerance.
     """
@@ -288,39 +288,43 @@ def sqrt_endpoint_integral(f: Callable[[float], float], a: float, b: float,
 
     end, sign = (a, 1.0) if singular_lo else (b, -1.0)
     width = b - a
-    least = 16.0 * abs(math.nextafter(end, end + sign) - end)
-    d = max(_PROBE_DISTANCE * max(abs(a), abs(b), width), least)
-    t1, f1, t4, f4, p = _probe_end(f, end, sign, d)
-    if abs(p - 0.5) <= _SQRT_BAND:
-        slope = (math.sqrt(t4) * f4 - math.sqrt(t1) * f1) / (t4 - t1)
-        t = min(t4, width)
-        tail = 2.0 * math.sqrt(t) * (math.sqrt(t4) * f4 + slope * (t / 3.0 - t4))
-    else:
-        t1, f1, t4, f4, p = _probe_end(f, end, sign, max(1e-4 * d, least))
-        t = min(t4, width)
-        tail = f4 * t4 * (t / t4) ** (1.0 - p) / (1.0 - p)
+    t4, _, tail = _end_model(f, a, b, end, sign)
+    t = min(t4, width)
 
     @takes_arrays
     def g(v: np.ndarray) -> np.ndarray:
         x = end + sign * v * v
         return 2.0 * np.sqrt(sign * (x - end)) * f(x)
 
-    return tail + integrate(g, math.sqrt(t), math.sqrt(width), tol)
+    return tail(t) + integrate(g, math.sqrt(t), math.sqrt(width), tol)
 
 
-def _probe_end(f: Callable[[float], float], end: float, sign: float,
-               d: float) -> tuple[float, float, float, float, float]:
-    """(t1, f1, t4, f4, p): f at the rounded distances t1 ~ d and t4 ~ 4d
-    from the end, and the power p of |f| ~ t**-p through them;
-    NonIntegrableSingularity where f is not finite there or p > 0.51."""
-    t1, t4 = (sign * ((end + sign * t) - end) for t in (d, 4.0 * d))
-    f1, f4 = (_value_or_nan(f, end + sign * t) for t in (t1, t4))
-    if not (math.isfinite(f1) and math.isfinite(f4) and abs(f1) <= _GROWTH * abs(f4)):
-        raise NonIntegrableSingularity(
-            f"the integrand grows faster than an inverse square root at x={end!r} "
-            f"(f = {f1:.6g} at {t1:.3g} from it, {f4:.6g} at {t4:.3g})")
-    p = math.log(abs(f1 / f4)) / math.log(t4 / t1) if f1 != 0.0 else 0.0
-    return t1, f1, t4, f4, p
+def _end_model(f: Callable[[float], float], a: float, b: float, end: float,
+               sign: float):
+    """(t4, model, tail) at the singular end ``end`` of [a, b], ``sign``
+    pointing inside: model(t) stands for f at the distances t < t4 from the
+    end and tail(t) for its integral from the end to t. f is probed at the
+    rounded distances t1 ~ d and t4 ~ 4d, d ~ 1e-8 max(|a|, |b|, b - a) and
+    no nearer than 16 ulps of the end: sqrt(t) f = A + B t through the
+    probes where their power p (|f| ~ t**-p) is 1/2 to within _SQRT_BAND,
+    else the power law through probes 1e-4 as far. NonIntegrableSingularity
+    where f is not finite at a probe or p > 0.51."""
+    least = 16.0 * abs(math.nextafter(end, end + sign) - end)
+    d = max(_PROBE_DISTANCE * max(abs(a), abs(b), b - a), least)
+    for dist in (d, max(1e-4 * d, least)):
+        t1, t4 = (sign * ((end + sign * t) - end) for t in (dist, 4.0 * dist))
+        f1, f4 = (_value_or_nan(f, end + sign * t) for t in (t1, t4))
+        if not (math.isfinite(f1) and math.isfinite(f4) and abs(f1) <= _GROWTH * abs(f4)):
+            raise NonIntegrableSingularity(
+                f"the integrand grows faster than an inverse square root at x={end!r} "
+                f"(f = {f1:.6g} at {t1:.3g} from it, {f4:.6g} at {t4:.3g})")
+        p = math.log(abs(f1 / f4)) / math.log(t4 / t1) if f1 != 0.0 else 0.0
+        if dist == d and abs(p - 0.5) <= _SQRT_BAND:
+            slope = (math.sqrt(t4) * f4 - math.sqrt(t1) * f1) / (t4 - t1)
+            return (t4, lambda t: (math.sqrt(t4) * f4 + slope * (t - t4)) / np.sqrt(t),
+                    lambda t: 2.0 * math.sqrt(t) * (math.sqrt(t4) * f4 + slope * (t / 3.0 - t4)))
+    return (t4, lambda t: f4 * (t / t4) ** -p,
+            lambda t: f4 * t4 * (t / t4) ** (1.0 - p) / (1.0 - p))
 
 
 def _value_or_nan(f: Callable[[float], float], x: float) -> float:

@@ -10,17 +10,12 @@ evaluate the momentum on arrays, through the quadrature layer's array
 protocol, and graph_height integrates all its inner panels in one run of the
 engine instead of one run per panel.
 
-Flow route: the unit-speed system xdot = +-sqrt(1 - K(x)^2), zdot = K(x) is
-integrated in its tangent-angle form
-
-    xdot = cos(phi),  zdot = sin(phi),  phidot = K'(x)
-
-which is the same curve (sin(phi) = K(x) is a first integral) but stays
-Lipschitz through the turning points K^2 = 1, where the sign of xdot flips.
-Turning points are located as transversal zeros of cos(phi) and recorded as
-branch events; hitting the declared x-domain transversally stops the flow.
-The system is integrated by the DOP853 method of :mod:`revolve._dop853`,
-which locates the events on its dense output by Brent's method.
+Trace: between two turning points the curve is a graph over x, so
+integrate_profile takes each monotone branch as the two integrals above
+over the admissible band that holds its start. :class:`_Band` integrates
+the band once, on 16-node Gauss-Legendre panels in a variable that a cosine
+map clusters toward each turning end, and every crossing reuses its length
+and height; tz = K comes from K at the samples, and K' is never evaluated.
 """
 from __future__ import annotations
 
@@ -31,14 +26,13 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _dop853 as dop853
 from ._records import records
 from .curvature import CurvatureSample
 from .errors import (AxisSingularity, DegeneratePolyline, DomainViolation,
-                     EventLocatorFailure, ParamOutOfRange, StepUnderflow)
-from .momentum import Momentum
-from .quadrature import (_panel_integrals, array_callable, sqrt_endpoint_integral,
-                         takes_arrays)
+                     EventLocatorFailure, NonIntegrableSingularity, ParamOutOfRange)
+from .momentum import Momentum, admissible_intervals
+from .quadrature import (_bisect, _end_model, _panel_integrals, array_callable,
+                         bracketed_root, sqrt_endpoint_integral, takes_arrays)
 
 __all__ = [
     "Profile",
@@ -52,6 +46,7 @@ __all__ = [
 ]
 
 _SINGULAR_GAP = 1e-10  # 1 - K^2 below this at an endpoint counts as singular
+_NEAR_TURN = 1e-6  # below this 1 - K^2, rounding in K spoils sqrt(1 - K^2) as |tx|
 
 
 @dataclass(frozen=True)
@@ -139,18 +134,19 @@ def height_displacement(m: Momentum, x0: float, x1: float, tol: float = 5e-11) -
     return _signed_integral(m, True, x0, x1, tol)
 
 
-def _clustered(n: int, lo: bool, hi: bool) -> np.ndarray:
-    """n fractions from 0 to 1, clustered like a cosine toward each end that
-    is flagged (a singular end of a height integral, a turning point of a
-    flow branch) and equispaced where neither is."""
-    u = np.linspace(0.0, 1.0, n)
+def _clustered(u, lo: bool, hi: bool):
+    """(c, 1 - c, dc/du) for fractions c(u) from 0 to 1, clustered like a
+    cosine toward each end that is flagged (a singular end of a height
+    integral, a turning point of a trace) and linear where neither is; c
+    and 1 - c each to full precision near its own end."""
+    h = 0.5 * math.pi
     if lo and hi:
-        return 0.5 * (1.0 - np.cos(math.pi * u))
+        return np.sin(h * u) ** 2, np.cos(h * u) ** 2, h * np.sin(2.0 * h * u)
     if lo:
-        return 1.0 - np.cos(0.5 * math.pi * u)
+        return 2.0 * np.sin(0.5 * h * u) ** 2, np.cos(h * u), h * np.sin(h * u)
     if hi:
-        return np.sin(0.5 * math.pi * u)
-    return u
+        return np.sin(h * u), 2.0 * np.sin(0.5 * h * (1.0 - u)) ** 2, h * np.cos(h * u)
+    return u, 1.0 - u, np.ones_like(u)
 
 
 def graph_height(m: Momentum, x0: float, x1: float, n: int = 513,
@@ -171,7 +167,7 @@ def graph_height(m: Momentum, x0: float, x1: float, n: int = 513,
     K = array_callable(m.eval, *m.domain)
     sing_lo, sing_hi = _singular_ends(m, K, x0, x1)
 
-    xs = x0 + (x1 - x0) * _clustered(n, sing_lo, sing_hi)
+    xs = x0 + (x1 - x0) * _clustered(np.linspace(0.0, 1.0, n), sing_lo, sing_hi)[0]
     xs[0], xs[-1] = x0, x1
 
     f = _integrand(K, height=True)
@@ -188,100 +184,218 @@ def graph_height(m: Momentum, x0: float, x1: float, n: int = 513,
     return xs, np.cumsum(np.concatenate(([0.0], vals)))
 
 
+# The trace's panels: 16 Gauss-Legendre nodes on [-1, 1], the matrices that
+# take an integrand's values there to the Legendre coefficients of its
+# interpolant (_COEF, with a 0 for P_16) and of the interpolant's
+# antiderivative from -1 (_ANTI), and the grid of a panel's first guesses.
+_N = 16
+_TAU, _W = np.polynomial.legendre.leggauss(_N)
+
+
+def _legendre(t: np.ndarray) -> np.ndarray:
+    """P_0, ..., P_N at the points t, one row each."""
+    P = np.empty((_N + 1, len(t)))
+    P[0], P[1] = 1.0, t
+    for n in range(1, _N):  # (n + 1) P_(n+1) = (2n + 1) t P_n - n P_(n-1)
+        np.multiply(t, P[n], out=P[n + 1])
+        P[n + 1] -= P[n - 1]
+        P[n + 1] *= n / (n + 1.0)
+        P[n + 1] += t * P[n]
+    return P
+
+
+_COEF = (np.arange(_N) + 0.5) * _W[:, None] * _legendre(_TAU)[:_N].T
+_ANTI = _COEF @ np.polynomial.legendre.legint(np.eye(_N), lbnd=-1.0, axis=1)
+_COEF = np.pad(_COEF, ((0, 0), (0, 1)))
+_GRID = -np.cos(np.linspace(0.0, math.pi, 65))
+
+
+class _Band:
+    """The admissible band [a, b] of a trace, integrated once.
+
+    u in [0, 1] maps onto the band by :func:`_clustered`, which makes ds/du =
+    (dx/du) / sqrt(1 - K^2) smooth at a turning end; within 4d of one,
+    1 / sqrt(1 - K^2) is the model of :func:`_end_model`. The engine's
+    bisection of ds/du and dz/du = K ds/du to ``tol``, from knots at 0, 1
+    and x0, fixes the panels, whose 16 nodes give the arclength S and
+    height Z from a at each knot and the panels' Legendre interpolants.
+    """
+
+    def __init__(self, m: Momentum, a: float, b: float, x0: float, tol: float):
+        self.a, self.b, self.x0 = a, b, x0
+        self.K = array_callable(m.eval, *m.domain)
+        self.turn = (_endpoint_singular(m, a, +1.0, b - a),
+                     _endpoint_singular(m, b, -1.0, b - a))
+        f = _integrand(self.K, height=False)
+        self.models = [None, None]
+        for i, end, sign in ((0, a, 1.0), (1, b, -1.0)):
+            try:
+                self.models[i] = _end_model(f, a, b, end, sign)[:2] if self.turn[i] else None
+            except NonIntegrableSingularity:
+                raise EventLocatorFailure(
+                    f"degenerate turning point at x = {end:.6g}: 1 - K^2 has no simple "
+                    "zero there, so the branch length diverges") from None
+        u0 = 0.0 if x0 <= a else 1.0 if x0 >= b else bracketed_root(
+            lambda u: float(self._map(u)[0]) - x0, 0.0, 1.0, xtol=0.0)
+        knots = np.unique([0.0, u0, 1.0])
+        for height in (0, 1):
+            knots = _bisect(takes_arrays(lambda u: self._rates(u)[height]), knots, tol)[0]
+        self.mid, self.half = 0.5 * (knots[1:] + knots[:-1]), 0.5 * np.diff(knots)
+        fs, fz = (r.reshape(-1, _N) for r in
+                  self._rates((self.mid[:, None] + self.half[:, None] * _TAU).ravel()))
+        self.len = self.half * (fs @ _W)
+        self.Sk = np.concatenate(([0.0], np.cumsum(self.len)))
+        self.Zk = np.concatenate(([0.0], np.cumsum(self.half * (fz @ _W))))
+        self.S, self.Z = float(self.Sk[-1]), float(self.Zk[-1])
+        self.q0, self.z0 = (float(v[np.searchsorted(knots, u0)]) for v in (self.Sk, self.Zk))
+        # per panel, the coefficients of S, ds/du and Z; and (S, u, ds/du) on
+        # a fine grid of each panel, through which locate takes its first guess
+        self.coef = np.stack((fs @ _ANTI, fs @ _COEF, fz @ _ANTI), axis=1)
+        s_grid, ds_grid = (self.coef[:, :2] @ _legendre(_GRID)).transpose(1, 0, 2)
+        self.table = tuple(np.append(g[:, :-1], g[-1, -1]) for g in (
+            self.Sk[:-1, None] + self.half[:, None] * s_grid,
+            self.mid[:, None] + self.half[:, None] * _GRID, ds_grid))
+
+    def _map(self, u):
+        """x(u), x - a, b - x (to full precision at a turning end) and dx/du."""
+        w = self.b - self.a
+        cl, ch, dc = _clustered(u, *self.turn)
+        return np.where(cl <= ch, self.a + w * cl, self.b - w * ch), w * cl, w * ch, w * dc
+
+    def _rates(self, u):
+        """(ds/du, dz/du) at u, with 1 / sqrt(1 - K^2) by the end models
+        within 4d of a turning end."""
+        x, dlo, dhi, dxdu = self._map(u)
+        k = self.K(x)
+        g = 1.0 - k * k
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = np.where(g > 0.0, 1.0 / np.sqrt(g), np.inf)
+        for model, t in zip(self.models, (dlo, dhi)):
+            if model is not None and np.any(t < model[0]):
+                f[t < model[0]] = model[1](t[t < model[0]])
+        return dxdu * f, k * dxdu * f
+
+    def locate(self, q: np.ndarray) -> np.ndarray:
+        """Rows x, Z, |dx/ds| and the rest of q that Z leaves to dz = K ds
+        where the arclength from a is q: u cubic Hermite on _GRID, then one
+        Newton step on the panel's antiderivative, a block per panel."""
+        order = np.argsort(q, kind="stable")
+        qs = q[order]
+        S, u, F = self.table
+        i = np.clip(np.searchsorted(S, qs, side="right") - 1, 0, len(S) - 2)
+        dS = S[i + 1] - S[i]
+        t = (qs - S[i]) / dS
+        u = (u[i] + t * t * (3.0 - 2.0 * t) * (u[i + 1] - u[i])
+             + t * (1.0 - t) * dS * ((1.0 - t) / F[i] - t / F[i + 1]))
+        cuts = np.searchsorted(qs, self.Sk)
+        cuts[0], cuts[-1] = 0, len(qs)
+        counts = np.diff(cuts)
+        mid, h = np.repeat(self.mid, counts), np.repeat(self.half, counts)
+        tau = np.clip((u - mid) / h, -1.0, 1.0)
+        P = _legendre(tau)
+        s, f, z = np.empty((3, len(qs)))
+        for p, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+            s[a:b], f[a:b], z[a:b] = self.coef[p] @ P[:, a:b]
+        rest = qs - np.repeat(self.Sk[:-1], counts) - h * s
+        x, _, _, dxdu = self._map(mid + h * np.clip(tau + rest / (h * f), -1.0, 1.0))
+        z = np.repeat(self.Zk[:-1], counts) + h * z
+        for end, xe, ze in ((qs <= 0.0, self.a, 0.0), (qs >= self.S, self.b, self.Z)):
+            x[end], z[end], rest[end] = xe, ze, 0.0  # the band's ends exactly
+        out = np.empty((4, len(qs)))
+        out[:, order] = x, z, dxdu / f, rest
+        return out
+
+
+def _trace(band: _Band, e: int, cap: float, n: int):
+    """One direction of the trace from x0, e the initial direction of x and
+    cap > 0 the arclength allowed: rows sigma, x, z, tx, tz (sigma and z
+    from x0, tx = dx/dsigma) and the turning points passed, in sigma. In the
+    unfolded arclength p = q0 + e sigma the band's ends are the multiples of
+    S, a at the even ones; q is p folded into [0, S], and each crossing adds
+    the band's height Z. It stops at cap or at an end that is no turn."""
+    S, (lo, hi), p0 = band.S, band.turn, band.q0
+    k, bounds = (1 if e > 0 else 0), [p0]
+    while True:  # over the ends k S ahead, from the first end of [0, S] met
+        dist = e * (k * S - p0)
+        if dist >= cap or not (hi if k % 2 else lo):
+            bounds.append(p0 + e * cap if dist >= cap else k * S)
+            break
+        if dist > 0.0:
+            bounds.append(k * S)
+        k += e
+    p, k = [np.array([p0])], [np.zeros(1)]  # the start, in [0, S]
+    for i, (b0, b1) in enumerate(zip(bounds, bounds[1:])):
+        if b1 != b0:  # a branch: sigma clustered toward its turning points
+            seg = b0 + (b1 - b0) * _clustered(np.linspace(0.0, 1.0, n), i > 0,
+                                              i < len(bounds) - 2)[0]
+            seg[-1] = b1
+            p.append(seg[1:])
+            k.append(np.full(n - 1, math.floor(0.5 * (b0 + b1) / S)))
+    p, k = np.concatenate(p), np.concatenate(k)
+    odd = k % 2 == 1
+    r = p - k * S
+    x, zq, slope, rest = band.locate(np.clip(np.where(odd, S - r, r), 0.0, S))
+    x[0], zq[0], rest[0] = band.x0, band.z0, 0.0
+    tz = band.K(x)
+    zq += tz * rest
+    g = 1.0 - tz * tz
+    tx = np.where(odd, -e, e) * np.where(g < _NEAR_TURN, slope, np.sqrt(np.maximum(g, 0.0)))
+    z = e * (k * band.Z + np.where(odd, band.Z - zq, zq) - band.z0)
+    return np.array([np.abs(p - p0), x, z, tx, tz]), [e * (b - p0) for b in bounds[1:-1]]
+
+
 def integrate_profile(m: Momentum, start_x: float, direction: int = +1,
                       s_max: float = 1.0, s_min: float = 0.0,
                       samples_per_branch: int = 512, rtol: float = 1e-10) -> Profile:
     """Trace the unit-speed generating curve through (start_x, 0).
 
-    direction is the initial sign of xdot. The flow continues through
-    turning points (|K| = 1 with K' != 0), recording them in branch_events,
-    and stops when it crosses the momentum's x-domain or reaches s_max
-    (s_min < 0 extends the same curve backwards in arclength). Each
-    direction is one DOP853 run with relative tolerance rtol and absolute
-    tolerance 1e-2 * rtol, sampled samples_per_branch times per monotone
-    branch; the backward half joins the forward one at s = 0.
+    direction is the initial sign of dx/ds. The curve stays in the band of
+    :func:`admissible_intervals` that holds start_x (of two, the one that
+    direction points into), a graph over x between its ends: an end where
+    1 - K^2 vanishes (to 1e-10) is a turning point, which the trace passes
+    and records in branch_events, and any other end is a domain exit, where
+    it stops. It also stops at s_max and, backwards in arclength, at s_min.
+
+    Each monotone branch is the two quadratures s = int dx / sqrt(1 - K^2)
+    and z = int K dx / sqrt(1 - K^2) of :class:`_Band`, which integrates the
+    band once to rtol times its width; every crossing reuses its length and
+    height. Samples sit samples_per_branch per branch, clustered like a
+    cosine toward turning points, with tz = K and tx = +-sqrt(1 - K^2) from
+    K at the sample (near a turning point, the branch's dx/ds). K' is never
+    needed. ParamOutOfRange where s_max < 0 or s_min > 0;
+    EventLocatorFailure at a degenerate turning point (K' = 0 at |K| = 1),
+    where the branch length diverges.
     """
     if samples_per_branch < 2:
         raise ParamOutOfRange(
             f"need at least two samples per branch, got {samples_per_branch!r}")
-    atol = 1e-2 * rtol
-    if not all(math.isfinite(t) and t > 0.0 for t in (rtol, atol)):
-        raise ParamOutOfRange("flow tolerances rtol and 1e-2 * rtol must be finite and "
-                              f"positive, got rtol={rtol!r}")
-    if math.isnan(s_max) or math.isnan(s_min):
-        raise ParamOutOfRange(f"arclength caps must be numbers, got s_max={s_max!r}, "
-                              f"s_min={s_min!r}")
-    lo, hi = m.domain
-    w = hi - lo
-    if not (lo - 1e-12 * w <= start_x <= hi + 1e-12 * w):
-        raise DomainViolation(f"start_x = {start_x!r} outside domain {m.domain!r}")
-    K0 = m.eval(start_x)
-    if abs(K0) > 1.0 + 1e-12:
-        raise DomainViolation(f"|K(start_x)| = {abs(K0):.6g} > 1: not a unit tangent")
-    K0 = min(1.0, max(-1.0, K0))
-    phi0 = math.asin(K0) if direction >= 0 else math.pi - math.asin(K0)
+    if not (math.isfinite(rtol) and rtol > 0.0):
+        raise ParamOutOfRange(f"trace tolerances: rtol must be finite and positive, "
+                              f"got rtol={rtol!r}")
+    if not (math.isfinite(s_max) and math.isfinite(s_min) and s_min <= 0.0 <= s_max
+            and s_min < s_max):
+        raise ParamOutOfRange("arclength caps must be finite with s_min <= 0 <= s_max, "
+                              f"not both 0, got s_max={s_max!r}, s_min={s_min!r}")
+    e = 1 if direction >= 0 else -1
+    tol = 1e-12 * m.width
+    holding = [(a, b) for a, b in admissible_intervals(m) if a - tol <= start_x <= b + tol]
+    if not holding:
+        raise DomainViolation(f"start_x = {start_x!r} lies in no admissible band (|K| < 1) "
+                              f"of the domain {m.domain!r}")
+    a, b = next((ab for ab in holding if (start_x < ab[1] if e > 0 else start_x > ab[0])),
+                holding[0])
+    band = _Band(m, a, b, min(b, max(a, float(start_x))), rtol * (b - a))
 
-    clamp_lo = lo + 1e-12 * w
-    clamp_hi = hi - 1e-12 * w
-
-    def rhs(s, y):
-        xc = min(max(y[0], clamp_lo), clamp_hi)
-        dK = m.deriv(xc)
-        if not math.isfinite(dK):
-            dK = math.copysign(1e12, dK) if dK != 0 else 0.0
-        return (math.cos(y[2]), math.sin(y[2]), dK)
-
-    def ev_turn(s, y):
-        return math.cos(y[2])
-    ev_turn.terminal = False
-
-    # A turning point exactly on a domain endpoint touches it tangentially;
-    # exclude these touches from the terminal exit events by a small margin.
-    m_lo = 1e-9 * w if abs(m.gap(lo)) < 1e-9 else 0.0
-    m_hi = 1e-9 * w if abs(m.gap(hi)) < 1e-9 else 0.0
-
-    def ev_lo(s, y):
-        return y[0] - (lo - m_lo)
-    ev_lo.terminal = True
-    ev_lo.direction = -1
-
-    def ev_hi(s, y):
-        return y[0] - (hi + m_hi)
-    ev_hi.terminal = True
-    ev_hi.direction = +1
-
-    def trace(s_end: float):
-        """(s, y, turns) of the flow from s = 0 towards s_end: the samples
-        ordered from s = 0 outwards, and the turning points passed."""
-        sol = dop853.solve(rhs, s_end, (start_x, 0.0, phi0), rtol=rtol, atol=atol,
-                           max_step=abs(s_end), events=(ev_turn, ev_lo, ev_hi))
-        if sol.status == -1:
-            raise StepUnderflow(f"profile flow stalled: {sol.message}")
-        turns = [float(t) for t in sol.t_events[0] if abs(t) > 1e-12]
-        for t in turns:
-            xe = float(sol.sol(t)[0])
-            dKe = m.deriv(min(max(xe, clamp_lo), clamp_hi))
-            if not math.isfinite(dKe) or abs(dKe) < 1e-10:
-                raise EventLocatorFailure(
-                    f"degenerate turning point at x = {xe:.6g} (K' ~ {dKe:.3g}); "
-                    "continuation undefined")
-        s_end = float(sol.t[-1])
-        turns = sorted((t for t in turns if abs(t) < abs(s_end)), key=abs)
-        bounds = [0.0, *turns, s_end]
-        grids = [b0 + (b1 - b0) * _clustered(samples_per_branch, i > 0, i < len(turns))
-                 for i, (b0, b1) in enumerate(zip(bounds, bounds[1:]))]
-        s = np.concatenate([grids[0]] + [g[1:] for g in grids[1:]])  # each turn once
-        return s, sol.sol(s), turns
-
-    none = (np.empty(0), np.empty((3, 0)), [])
-    s_fwd, y_fwd, turns_fwd = trace(float(s_max)) if s_max != 0.0 else none
-    s_bwd, y_bwd, turns_bwd = trace(float(s_min)) if s_min < 0.0 else none
-    s = np.concatenate((s_bwd[:0:-1], s_fwd))  # the backward half without its s = 0
-    if not len(s):
-        raise DomainViolation("empty arclength range")
-    x, z, phi = np.concatenate((y_bwd[:, :0:-1], y_fwd), axis=1)
-    return Profile(s=s, x=x, z=z, tx=np.cos(phi), tz=np.sin(phi),
-                   branch_events=sorted(turns_fwd + turns_bwd))
+    rows, turns = [], []
+    if s_min < 0.0:  # backwards in s, z and tx; + 0.0 makes s = -0.0 at the start 0.0
+        r, t = _trace(band, -e, -s_min, samples_per_branch)
+        rows.append(r[:, ::-1] * np.array([-1.0, 1.0, -1.0, -1.0, 1.0])[:, None] + 0.0)
+        turns = [-v for v in t[::-1]]
+    if s_max > 0.0:
+        r, t = _trace(band, e, s_max, samples_per_branch)
+        rows.append(r[:, 1:] if rows else r)  # the start once
+        turns += t
+    return Profile(*np.concatenate(rows, axis=1), branch_events=turns)
 
 
 def _slope(y: np.ndarray, h: np.ndarray) -> np.ndarray:

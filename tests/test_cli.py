@@ -295,6 +295,25 @@ def test_unusable_sizes_and_tolerances_exit_2(tmp_path, capsys, stage, flag, val
     assert not (d / "profile.csv").exists() and not (d / "verify.json").exists()
 
 
+def test_profile_with_both_caps_below_zero_exits_2(tmp_path, capsys):
+    d = prescribe_catenoid(tmp_path / "st", capsys)
+    code, _, err = run(["profile", "--out", str(d), "--start", "1.5",
+                        "--smax", "-1", "--smin", "-1"], capsys)
+    assert code == 2 and "arclength caps" in err, err
+    assert not (d / "profile.csv").exists()
+
+
+def test_profile_through_a_degenerate_turning_point_exits_3(tmp_path, capsys):
+    # K = 1 - (x - 0.5)^2 reaches 1 with K' = 0 at x = 0.5
+    d = str(tmp_path / "st")
+    code, _, err = run(["prescribe", "--kind", "km", "--expr", "-2*(x - 0.5)",
+                        "--const", "1", "--anchor", "0.5", "--domain", "0:1",
+                        "--out", d], capsys)
+    assert code == 0, err
+    code, _, err = run(["profile", "--out", d, "--start", "0.2", "--smax", "3"], capsys)
+    assert code == 3 and "degenerate turning point at x = 0.5" in err, err
+
+
 # a valid gauss state, one of whose fields the row overrides (the later key wins)
 _GAUSS_STATE = '{"source": "prescription", "kind": "gauss", "expr": "x", "domain": [0.1, 1], %s}'
 

@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from conftest import (assert_close, catenoid_momentum, sphere_momentum,
                       unduloid_momentum, unit_speed_error)
 from revolve import catalog
 from revolve.errors import (AxisSingularity, DegeneratePolyline, DomainViolation,
-                            NonIntegrableSingularity, ParamOutOfRange,
-                            UnknownIdentifier)
+                            EventLocatorFailure, NonIntegrableSingularity,
+                            NumericalError, ParamOutOfRange, UnknownIdentifier)
 from revolve.momentum import Momentum, momentum_from_kp, momentum_from_mean
 from revolve.reconstruct import (Profile, arclength, discrete_curvatures,
                                  graph_height, height_displacement,
@@ -300,13 +301,32 @@ def test_profile_len_and_fields():
     assert len(p) == 2
 
 
-# --- the DOP853 port against SciPy's solve_ivp ------------------------------
+# --- the quadrature trace against SciPy's solve_ivp --------------------------
 
-def _scipy_solve(fun, t_bound, y0, rtol, atol, max_step, events):
+def _tangent_angle_reference(m, start_x, direction, s):
+    """x and z of the tangent-angle system x' = cos(phi), z' = sin(phi),
+    phi' = K'(x) through (start_x, 0) at the arclengths s, integrated by
+    SciPy's DOP853 at rtol 1e-12 from s = 0 each way, and its turning points
+    (zeros of cos(phi) away from s = 0)."""
     from scipy.integrate import solve_ivp
 
-    return solve_ivp(fun, (0.0, t_bound), y0, method="DOP853", dense_output=True,
-                     rtol=rtol, atol=atol, events=events, max_step=max_step)
+    k0 = min(1.0, max(-1.0, m.eval(start_x)))
+    phi0 = math.asin(k0) if direction >= 0 else math.pi - math.asin(k0)
+
+    def turn(t, y):
+        return math.cos(y[2])
+
+    x, z, turns = np.empty_like(s), np.empty_like(s), 0
+    for part in (s >= 0.0, s <= 0.0):
+        if not np.any(s[part] != 0.0):
+            continue
+        end = float(s[part][np.argmax(np.abs(s[part]))])
+        sol = solve_ivp(lambda t, y: (math.cos(y[2]), math.sin(y[2]), m.deriv(y[0])),
+                        (0.0, end), (start_x, 0.0, phi0), method="DOP853", rtol=1e-12,
+                        atol=1e-14, dense_output=True, events=turn)
+        x[part], z[part] = sol.sol(s[part])[:2]
+        turns += int(np.count_nonzero(np.abs(sol.t_events[0]) > 1e-9))
+    return x, z, turns
 
 
 @pytest.mark.parametrize("m, kwargs, n_turns", [
@@ -314,25 +334,70 @@ def _scipy_solve(fun, t_bound, y0, rtol, atol, max_step, events):
     (unduloid_momentum(), dict(start_x=0.5, s_max=11.5), 7),
     (sphere_momentum(), dict(start_x=0.0, s_max=4.0), 1),
 ], ids=["two-sided catenoid", "8-branch unduloid", "pole-to-pole sphere"])
-def test_flow_port_bit_equal_to_solve_ivp(monkeypatch, m, kwargs, n_turns):
-    import revolve.reconstruct as rec
-
-    got = integrate_profile(m, samples_per_branch=200, **kwargs)
-    monkeypatch.setattr(rec.dop853, "solve", _scipy_solve)
-    want = integrate_profile(m, samples_per_branch=200, **kwargs)
-    assert len(got.branch_events) >= n_turns
-    assert [t.hex() for t in got.branch_events] == [t.hex() for t in want.branch_events]
-    for name in ("s", "x", "z", "tx", "tz"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+def test_trace_matches_solve_ivp(m, kwargs, n_turns):
+    p = integrate_profile(m, samples_per_branch=200, **kwargs)
+    x, z, turns = _tangent_angle_reference(m, kwargs["start_x"], +1, p.s)
+    assert len(p.branch_events) == turns == n_turns
+    assert np.max(np.abs(p.x - x)) <= 1e-9
+    assert np.max(np.abs(p.z - z)) <= 1e-9
 
 
-def test_flow_port_coefficients_equal_scipy_tables():
-    from scipy.integrate._ivp import dop853_coefficients as ref
+def test_turning_points_of_an_unduloid_are_sums_of_band_lengths():
+    # H = 1, c = 0.12 between its turning points: every band has the
+    # arclength pi/2 and the height of the quadrature routes' test above
+    m = momentum_from_mean(lambda x: 1.0, 0.12, (0.13944487245360107, 0.860555127546399),
+                           anchor=0.0)
+    p = integrate_profile(m, start_x=0.5, s_max=12.0, samples_per_branch=64)
+    turns = np.array(p.branch_events)
+    assert len(turns) >= 7
+    assert np.max(np.abs(np.diff(turns) - 0.5 * math.pi)) <= 1e-11
+    at = np.searchsorted(p.s, turns)
+    assert np.array_equal(p.s[at], turns)  # a sample on every turning point
+    assert np.max(np.abs(np.diff(p.z[at]) - 1.3405053876890782479)) <= 2e-11
 
-    import revolve._dop853 as port
 
-    assert (port.N_STAGES, port.N_STAGES_EXTENDED, port.INTERPOLATOR_POWER) == (
-        ref.N_STAGES, ref.N_STAGES_EXTENDED, ref.INTERPOLATOR_POWER)
-    for name in ("A", "B", "C", "D", "E3", "E5"):
-        mine, theirs = getattr(port, name), getattr(ref, name)
-        assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes(), name
+@pytest.mark.parametrize("s_max, s_min", [(-1.0, -1.0), (-0.5, 0.0), (1.0, 0.5), (0.0, 0.0),
+                                          (math.inf, 0.0), (1.0, -math.inf)])
+def test_trace_refuses_caps_on_the_wrong_side_of_zero(s_max, s_min):
+    m = momentum_from_mean(lambda x: 1.0, 0.1, (0.15, 0.85), anchor=0.0)
+    with pytest.raises(ParamOutOfRange, match="arclength caps"):
+        integrate_profile(m, 0.5, s_max=s_max, s_min=s_min, samples_per_branch=8)
+
+
+def test_backward_trace_keeps_its_start():
+    m = momentum_from_mean(lambda x: 1.0, 0.1, (0.15, 0.85), anchor=0.0)
+    back = integrate_profile(m, 0.5, s_max=0.0, s_min=-1.0, samples_per_branch=8)
+    both = integrate_profile(m, 0.5, s_max=1.0, s_min=-1.0, samples_per_branch=8)
+    assert (back.s[-1], back.x[-1], back.z[-1]) == (0.0, 0.5, 0.0)
+    assert np.all(np.diff(back.s) > 0.0)
+    n = len(back)
+    assert np.array_equal(both.s[:n], back.s) and np.array_equal(both.x[:n], back.x)
+    assert both.branch_events[:len(back.branch_events)] == back.branch_events
+
+
+def test_degenerate_turning_point_is_a_typed_error():
+    # K = 1 - (x - 0.5)^2 touches 1 with K' = 0: the branch length to x = 0.5
+    # diverges logarithmically, so the trace cannot reach or pass it
+    m = Momentum(lambda x: 1.0 - (x - 0.5) ** 2, lambda x: -2.0 * (x - 0.5), (0.0, 1.0))
+    with pytest.raises(EventLocatorFailure, match=r"x = 0\.5\b") as info:
+        integrate_profile(m, 0.2, s_max=3.0)
+    assert isinstance(info.value, NumericalError)
+
+
+_TRACED_ENTRIES = [e for e in catalog.list_entries() if e.momentum is not None]
+
+
+@pytest.mark.parametrize("entry", _TRACED_ENTRIES, ids=[e.name for e in _TRACED_ENTRIES])
+@pytest.mark.parametrize("s_max, s_min", [(6.0, 0.0), (0.0, -6.0), (6.0, -6.0)],
+                         ids=["forward", "backward", "both ways"])
+def test_catalog_traces_every_way(entry, s_max, s_min):
+    lo, hi = entry.momentum.domain
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        p = integrate_profile(entry.momentum, 0.5 * (lo + hi), s_max=s_max, s_min=s_min,
+                              samples_per_branch=64)
+    assert np.all(np.diff(p.s) > 0.0)
+    assert np.max(np.abs(p.tx ** 2 + p.tz ** 2 - 1.0)) <= 1e-14
+    at = np.searchsorted(p.s, p.branch_events)
+    assert np.array_equal(p.s[at], p.branch_events)
+    assert np.all(np.abs(np.abs(entry.momentum.sample(p.x[at])) - 1.0) <= 1e-12)
