@@ -13,16 +13,15 @@ all open panels in one call and adds each panel's weighted node values in
 node order, so panel sums are the floats a per-point loop would give
 whenever the array and per-point values agree.
 
-:func:`sqrt_endpoint_integral` removes an endpoint blow-up: by
-x = end +- v**2 beyond two probes next to the end, by a model of f through
-them nearer it, and with NonIntegrableSingularity (a QuadratureFailure)
-where f grows faster than an inverse square root there or is not finite.
-It takes the turning points of reconstruct's integrands, and the strips of
-:class:`AnchoredAntiderivative` (A(x) = int_anchor^x f(t) dt cached as a
-cubic Hermite interpolant with slopes f(x_i)) from the anchor and to points
-outside the cache; an infinite anchor is mapped by x = b + 1 - 1/t first.
-The profile trace of reconstruct takes the same model (:func:`_end_model`) at
-its turning points, which it maps by a cosine instead of v**2.
+:func:`sqrt_endpoint_integral` removes an inverse square root blow-up at a
+flagged end by the one endpoint substitution, the cosine map of
+:func:`_clustered`, and the tail of a two-probe model of f next to the end
+(:func:`_end_model`). It takes reconstruct's integrands at turning points
+and the strips of :class:`AnchoredAntiderivative` (A(x) = int_anchor^x f(t)
+dt cached as a cubic Hermite interpolant with slopes f(x_i)) from the
+anchor and to points outside the cache, an infinite anchor mapped by
+x = b + 1 - 1/t first; graph_height and the profile trace share the map
+and the model.
 
 Root finding and pointwise curvatures evaluate an antiderivative one float
 at a time, so a float inside the cached interval takes a scalar path: a
@@ -255,7 +254,7 @@ def _panel_integrals(f: Callable[[np.ndarray], np.ndarray], xs, tol: float) -> n
     xs = np.asarray(xs, dtype=float)
     knots, _, pieces = _bisect(f, xs, tol, max_panels=_MAX_PANELS * (len(xs) - 1))
     out = np.zeros(len(xs) - 1)
-    np.add.at(out, np.searchsorted(xs, knots[:-1], side="right") - 1, pieces)
+    np.add.at(out, np.searchsorted(xs[:-1], knots[:-1], side="right") - 1, pieces)
     return out
 
 
@@ -263,40 +262,86 @@ def sqrt_endpoint_integral(f: Callable[[float], float], a: float, b: float,
                            singular_lo: bool, singular_hi: bool,
                            tol: float = 1e-11) -> float:
     """int_a^b f where f may blow up like an inverse square root at the
-    flagged endpoints; the only place the substitution x = end +- v**2 is made.
-
-    Within t4 ~ 4e-8 max(|a|, |b|, b - a) of a flagged end (past b - a if
-    need be), where f may be mostly rounding noise, f is integrated by the
-    two-probe model of :func:`_end_model`, which raises
+    flagged endpoints: one run of :func:`integrate` of f dx/du, smooth in the
+    variable u of :func:`_substitution`, plus the tail of the end model of
+    :func:`_end_model` within t4 ~ 4e-8 max(|a|, |b|, b - a) of each flagged
+    end (at most its half of b - a), where f may be mostly rounding noise.
     NonIntegrableSingularity where f is not finite there or grows faster
-    than an inverse square root. Beyond t4, x = end +- v**2 with the weight
-    2v taken as sqrt(|x - end|) of the rounded node is smooth in v, and
-    :func:`integrate` reaches full precision. With both ends flagged, each
-    half is integrated to half the tolerance.
+    than an inverse square root. With no end flagged this is :func:`integrate`.
     """
     if a == b:
         return 0.0
     if b < a:
         return -sqrt_endpoint_integral(f, b, a, singular_hi, singular_lo, tol=tol)
-    f = array_callable(f, a, b)
-    if singular_lo and singular_hi:
-        mid = 0.5 * (a + b)
-        return (sqrt_endpoint_integral(f, a, mid, True, False, tol=0.5 * tol)
-                + sqrt_endpoint_integral(f, mid, b, False, True, tol=0.5 * tol))
-    if not (singular_lo or singular_hi):
-        return integrate(f, a, b, tol=tol)
+    _, g, ((u0, z0, _), (u1, z1, _)) = _substitution(
+        array_callable(f, a, b), a, b, singular_lo, singular_hi)
+    return z0 + integrate(g, u0, u1, tol) + z1
 
-    end, sign = (a, 1.0) if singular_lo else (b, -1.0)
-    width = b - a
-    t4, _, tail = _end_model(f, a, b, end, sign)
-    t = min(t4, width)
+
+def _clustered(u, a: float, b: float, lo: bool, hi: bool):
+    """x(u) from a to b for u in [0, 1], clustered like a cosine toward each
+    flagged end and linear where neither is, with x - a and b - x (each to
+    full precision near its own end, where it vanishes like u**2) and dx/du."""
+    h, w = 0.5 * math.pi, b - a
+    if lo and hi:
+        cl, ch, dc = np.sin(h * u) ** 2, np.cos(h * u) ** 2, h * np.sin(2.0 * h * u)
+    elif lo:
+        cl, ch, dc = 2.0 * np.sin(0.5 * h * u) ** 2, np.cos(h * u), h * np.sin(h * u)
+    elif hi:
+        cl, ch, dc = np.sin(h * u), 2.0 * np.sin(0.5 * h * (1.0 - u)) ** 2, h * np.cos(h * u)
+    else:
+        cl, ch, dc = u, 1.0 - u, np.ones_like(u)
+    return np.where(cl <= ch, a + w * cl, b - w * ch), w * cl, w * ch, w * dc
+
+
+def _unclustered(cl: float, ch: float, lo: bool, hi: bool) -> float:
+    """The u where :func:`_clustered` onto [0, 1] gives x = cl, in closed
+    form from the smaller of cl and ch = 1 - cl; 0 and 1 exactly at the ends."""
+    h = 0.5 * math.pi
+    if lo and hi:  # cl = sin(h u)**2, ch = cos(h u)**2
+        return math.asin(math.sqrt(cl)) / h if cl <= ch else 1.0 - math.asin(math.sqrt(ch)) / h
+    if lo:  # cl = 2 sin(h u / 2)**2, ch = cos(h u)
+        return 2.0 * math.asin(math.sqrt(0.5 * cl)) / h if cl <= ch else math.acos(ch) / h
+    if hi:  # cl = sin(h u), ch = 2 sin(h (1 - u) / 2)**2
+        return math.asin(cl) / h if cl <= ch else 1.0 - 2.0 * math.asin(math.sqrt(0.5 * ch)) / h
+    return cl
+
+
+def _substitution(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
+                  lo: bool, hi: bool):
+    """(x, g, ends) for f over [a, b], a < b, with u in [a, b]. x(u) is
+    (x, x - a, b - x) by :func:`_clustered` of (u - a) / (b - a), or x = u
+    where no end is flagged; g(u) = f(x) dx/du, with dx/du from the rounded
+    node's distances to the ends, whose square root cancels an inverse square
+    root of f at a flagged end, rounding of x included; no node comes nearer
+    that end than the reach of its model. ``ends`` holds (u, z, tail) per
+    end: the engine runs between the two u; tail(t), for arrays of distances
+    t from the end, is the integral of f by :func:`_end_model` (0 where the
+    end is not flagged), and z its value at u."""
+    ends = [(a, 0.0, np.zeros_like), (b, 0.0, np.zeros_like)]
+    if not (lo or hi):
+        return (lambda u: (u, u - a, b - u)), f, ends
+    w = b - a
+
+    def x(u):
+        return _clustered((u - a) / w, a, b, lo, hi)[:3]
 
     @takes_arrays
-    def g(v: np.ndarray) -> np.ndarray:
-        x = end + sign * v * v
-        return 2.0 * np.sqrt(sign * (x - end)) * f(x)
+    def g(u: np.ndarray) -> np.ndarray:
+        xs = x(u)[0]
+        dlo, dhi = xs - a, b - xs
+        # dx/du in the distances: pi sqrt(dlo dhi) / w with both ends flagged,
+        # pi sqrt(dlo (w + dhi)) / (2 w) with the low end alone
+        scale = (math.pi if lo and hi else 0.5 * math.pi) / w
+        return f(xs) * (scale * np.sqrt((dlo if lo else w + dlo) * (dhi if hi else w + dhi)))
 
-    return tail(t) + integrate(g, math.sqrt(t), math.sqrt(width), tol)
+    for i, flag in enumerate((lo, hi)):
+        if flag:  # the reach u of the end model, where the engine starts
+            t4, _, tail = _end_model(f, a, b, (a, b)[i], 1.0 - 2.0 * i)
+            t = min(t4, 0.5 * w if lo and hi else w) / w
+            u = min(b, a + w * _unclustered(*((t, 1.0 - t) if i == 0 else (1.0 - t, t)), lo, hi))
+            ends[i] = (u, float(tail(x(u)[1 + i])), tail)
+    return x, g, ends
 
 
 def _end_model(f: Callable[[float], float], a: float, b: float, end: float,
@@ -322,7 +367,7 @@ def _end_model(f: Callable[[float], float], a: float, b: float, end: float,
         if dist == d and abs(p - 0.5) <= _SQRT_BAND:
             slope = (math.sqrt(t4) * f4 - math.sqrt(t1) * f1) / (t4 - t1)
             return (t4, lambda t: (math.sqrt(t4) * f4 + slope * (t - t4)) / np.sqrt(t),
-                    lambda t: 2.0 * math.sqrt(t) * (math.sqrt(t4) * f4 + slope * (t / 3.0 - t4)))
+                    lambda t: 2.0 * np.sqrt(t) * (math.sqrt(t4) * f4 + slope * (t / 3.0 - t4)))
     return (t4, lambda t: f4 * (t / t4) ** -p,
             lambda t: f4 * t4 * (t / t4) ** (1.0 - p) / (1.0 - p))
 

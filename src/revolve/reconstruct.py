@@ -3,19 +3,17 @@
 Quadrature route: with K the momentum, ds = dx / sqrt(1 - K^2) gives the
 arclength between parallels and dz = K dx / sqrt(1 - K^2) the height of the
 curve over the x-axis; both integrands blow up like an inverse square root
-where |K| reaches 1, which the quadrature layer absorbs. arclength,
-height_displacement and graph_height share one guard, _singular_ends, which
-flags the endpoints where that happens. The guard's scan and the integrands
-evaluate the momentum on arrays, through the quadrature layer's array
-protocol, and graph_height integrates all its inner panels in one run of the
-engine instead of one run per panel.
+where |K| reaches 1, which the quadrature layer's endpoint substitution
+absorbs. arclength, height_displacement and graph_height share one guard,
+_singular_ends, which flags the endpoints where that happens; graph_height
+integrates all its panels in one run of the engine.
 
 Trace: between two turning points the curve is a graph over x, so
 integrate_profile takes each monotone branch as the two integrals above
 over the admissible band that holds its start. :class:`_Band` integrates
-the band once, on 16-node Gauss-Legendre panels in a variable that a cosine
-map clusters toward each turning end, and every crossing reuses its length
-and height; tz = K comes from K at the samples, and K' is never evaluated.
+the band once, on 16-node Gauss-Legendre panels in the variable of the same
+cosine map, and every crossing reuses its length and height; tz = K comes
+from K at the samples, and K' is never evaluated.
 """
 from __future__ import annotations
 
@@ -31,8 +29,8 @@ from .curvature import CurvatureSample
 from .errors import (AxisSingularity, DegeneratePolyline, DomainViolation,
                      EventLocatorFailure, NonIntegrableSingularity, ParamOutOfRange)
 from .momentum import Momentum, admissible_intervals
-from .quadrature import (_bisect, _end_model, _panel_integrals, array_callable,
-                         bracketed_root, sqrt_endpoint_integral, takes_arrays)
+from .quadrature import (_bisect, _clustered, _end_model, _panel_integrals, _substitution,
+                         _unclustered, array_callable, sqrt_endpoint_integral, takes_arrays)
 
 __all__ = [
     "Profile",
@@ -82,9 +80,9 @@ def _endpoint_singular(m: Momentum, x_end: float, inward: float, width: float) -
 def _singular_ends(m: Momentum, K, a: float, b: float) -> tuple[bool, bool]:
     """Guard of the quadrature routes over [a, b], a < b, with K the array
     form of m.eval: DomainViolation where |K| > 1 inside, then one flag per
-    endpoint where 1 - K^2 vanishes. sqrt_endpoint_integral refuses a flagged
-    end where the integrand grows faster than an inverse square root, as it
-    does where the zero is not simple (NonIntegrableSingularity)."""
+    endpoint where 1 - K^2 vanishes. The end model refuses a flagged end
+    where the integrand grows faster than an inverse square root, as it does
+    where the zero is not simple (NonIntegrableSingularity)."""
     xs = np.linspace(a, b, 257)[1:-1]
     k = K(xs)
     with np.errstate(all="ignore"):
@@ -109,8 +107,15 @@ def _integrand(K, height: bool):
     return f
 
 
+def _finite_range(x0: float, x1: float) -> None:
+    """ParamOutOfRange unless both ends of a quadrature route are finite."""
+    if not (math.isfinite(x0) and math.isfinite(x1)):
+        raise ParamOutOfRange(f"the ends of [{x0!r}, {x1!r}] must be finite")
+
+
 def _signed_integral(m: Momentum, height: bool, x0: float, x1: float, tol: float) -> float:
     """int_x0^x1 of _integrand(m.eval, height), negated when x1 < x0."""
+    _finite_range(x0, x1)
     if x0 == x1:
         return 0.0
     a, b = (x1, x0) if x1 < x0 else (x0, x1)
@@ -134,54 +139,35 @@ def height_displacement(m: Momentum, x0: float, x1: float, tol: float = 5e-11) -
     return _signed_integral(m, True, x0, x1, tol)
 
 
-def _clustered(u, lo: bool, hi: bool):
-    """(c, 1 - c, dc/du) for fractions c(u) from 0 to 1, clustered like a
-    cosine toward each end that is flagged (a singular end of a height
-    integral, a turning point of a trace) and linear where neither is; c
-    and 1 - c each to full precision near its own end."""
-    h = 0.5 * math.pi
-    if lo and hi:
-        return np.sin(h * u) ** 2, np.cos(h * u) ** 2, h * np.sin(2.0 * h * u)
-    if lo:
-        return 2.0 * np.sin(0.5 * h * u) ** 2, np.cos(h * u), h * np.sin(h * u)
-    if hi:
-        return np.sin(h * u), 2.0 * np.sin(0.5 * h * (1.0 - u)) ** 2, h * np.cos(h * u)
-    return u, 1.0 - u, np.ones_like(u)
-
-
 def graph_height(m: Momentum, x0: float, x1: float, n: int = 513,
                  tol: float = 1e-11) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative height z(x) over [x0, x1], anchored z(x0) = 0.
 
-    Returns (x_samples, z_samples) on n points, equispaced unless an end is
+    Returns (x_samples, z_samples) on n points, equispaced in the variable u
+    of the quadrature layer's endpoint substitution: x = u unless an end is
     singular (|K| -> 1 there), where the grid clusters like a cosine toward
-    it. End panels the guard flags take the square-root substitution. All other
-    panels go to one run of the adaptive Gauss-Legendre engine of the
-    quadrature layer, which gives each the sum a separate ``integrate`` call
-    would.
+    it. One run of the adaptive Gauss-Legendre engine integrates dz/du over
+    the panels between the reaches of the end models, giving each the sum a
+    separate ``integrate`` call would; within a reach z is the model's tail.
     """
+    _finite_range(x0, x1)
     if not x1 > x0:
         raise DomainViolation(f"need x1 > x0, got [{x0!r}, {x1!r}]")
     if n < 2:
         raise DomainViolation("need at least two samples")
     K = array_callable(m.eval, *m.domain)
-    sing_lo, sing_hi = _singular_ends(m, K, x0, x1)
-
-    xs = x0 + (x1 - x0) * _clustered(np.linspace(0.0, 1.0, n), sing_lo, sing_hi)[0]
+    x, g, ((u0, z0, tail0), (u1, z1, tail1)) = _substitution(
+        _integrand(K, height=True), x0, x1, *_singular_ends(m, K, x0, x1))
+    us = x0 + (x1 - x0) * np.linspace(0.0, 1.0, n)
+    us[-1] = x1
+    xs = x(us)[0]
     xs[0], xs[-1] = x0, x1
-
-    f = _integrand(K, height=True)
-    panel_tol = max(tol / (4.0 * math.sqrt(n)), 1e-13)
-    end_tol = max(0.25 * tol, 2e-12)
-    vals = np.zeros(n - 1)
-    first, last = int(sing_lo), n - 1 - int(sing_hi)  # the panels in between
-    if first < last:
-        vals[first:last] = _panel_integrals(f, xs[first:last + 1], panel_tol)
-    if sing_lo:
-        vals[0] = sqrt_endpoint_integral(f, x0, float(xs[1]), True, False, tol=end_tol)
-    if sing_hi:
-        vals[-1] = sqrt_endpoint_integral(f, float(xs[-2]), x1, False, True, tol=end_tol)
-    return xs, np.cumsum(np.concatenate(([0.0], vals)))
+    inner = (us > u0) & (us < u1)
+    zk = np.cumsum(np.concatenate(([z0], _panel_integrals(
+        g, np.concatenate(([u0], us[inner], [u1])), max(tol / (4.0 * math.sqrt(n)), 1e-13)))))
+    zs = np.where(us <= u0, tail0(xs - x0), (zk[-1] + z1) - tail1(x1 - xs))
+    zs[inner] = zk[1:-1]
+    return xs, zs
 
 
 # The trace's panels: 16 Gauss-Legendre nodes on [-1, 1], the matrices that
@@ -210,15 +196,22 @@ _COEF = np.pad(_COEF, ((0, 0), (0, 1)))
 _GRID = -np.cos(np.linspace(0.0, math.pi, 65))
 
 
+def _degenerate(x: float) -> EventLocatorFailure:
+    return EventLocatorFailure(f"degenerate turning point at x = {x:.6g}: 1 - K^2 has no "
+                               "simple zero there, so the branch length diverges")
+
+
 class _Band:
     """The admissible band [a, b] of a trace, integrated once.
 
-    u in [0, 1] maps onto the band by :func:`_clustered`, which makes ds/du =
-    (dx/du) / sqrt(1 - K^2) smooth at a turning end; within 4d of one,
-    1 / sqrt(1 - K^2) is the model of :func:`_end_model`. The engine's
-    bisection of ds/du and dz/du = K ds/du to ``tol``, from knots at 0, 1
-    and x0, fixes the panels, whose 16 nodes give the arclength S and
-    height Z from a at each knot and the panels' Legendre interpolants.
+    u in [0, 1] maps onto the band by :func:`_clustered`, whose analytic
+    dx/du makes ds/du = (dx/du) / sqrt(1 - K^2) smooth at a turning end;
+    within 4d of one, 1 / sqrt(1 - K^2) is the model of :func:`_end_model`.
+    The engine's bisection of ds/du and dz/du = K ds/du to ``tol``, from
+    knots at 0, 1 and the u of x0 (:func:`_unclustered`), fixes the panels,
+    whose 16 nodes give the arclength S and height Z from a at each knot and
+    the panels' Legendre interpolants. A node where |K| reaches 1 inside the
+    band is a degenerate turning point that the admissible scan missed.
     """
 
     def __init__(self, m: Momentum, a: float, b: float, x0: float, tol: float):
@@ -232,11 +225,8 @@ class _Band:
             try:
                 self.models[i] = _end_model(f, a, b, end, sign)[:2] if self.turn[i] else None
             except NonIntegrableSingularity:
-                raise EventLocatorFailure(
-                    f"degenerate turning point at x = {end:.6g}: 1 - K^2 has no simple "
-                    "zero there, so the branch length diverges") from None
-        u0 = 0.0 if x0 <= a else 1.0 if x0 >= b else bracketed_root(
-            lambda u: float(self._map(u)[0]) - x0, 0.0, 1.0, xtol=0.0)
+                raise _degenerate(end) from None
+        u0 = _unclustered((x0 - a) / (b - a), (b - x0) / (b - a), *self.turn)
         knots = np.unique([0.0, u0, 1.0])
         for height in (0, 1):
             knots = _bisect(takes_arrays(lambda u: self._rates(u)[height]), knots, tol)[0]
@@ -256,16 +246,10 @@ class _Band:
             self.Sk[:-1, None] + self.half[:, None] * s_grid,
             self.mid[:, None] + self.half[:, None] * _GRID, ds_grid))
 
-    def _map(self, u):
-        """x(u), x - a, b - x (to full precision at a turning end) and dx/du."""
-        w = self.b - self.a
-        cl, ch, dc = _clustered(u, *self.turn)
-        return np.where(cl <= ch, self.a + w * cl, self.b - w * ch), w * cl, w * ch, w * dc
-
     def _rates(self, u):
         """(ds/du, dz/du) at u, with 1 / sqrt(1 - K^2) by the end models
         within 4d of a turning end."""
-        x, dlo, dhi, dxdu = self._map(u)
+        x, dlo, dhi, dxdu = _clustered(u, self.a, self.b, *self.turn)
         k = self.K(x)
         g = 1.0 - k * k
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -273,6 +257,8 @@ class _Band:
         for model, t in zip(self.models, (dlo, dhi)):
             if model is not None and np.any(t < model[0]):
                 f[t < model[0]] = model[1](t[t < model[0]])
+        if not np.all(np.isfinite(f)):  # |K| reaches 1 inside the band
+            raise _degenerate(float(x[np.argmin(np.isfinite(f))]))
         return dxdu * f, k * dxdu * f
 
     def locate(self, q: np.ndarray) -> np.ndarray:
@@ -297,7 +283,8 @@ class _Band:
         for p, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
             s[a:b], f[a:b], z[a:b] = self.coef[p] @ P[:, a:b]
         rest = qs - np.repeat(self.Sk[:-1], counts) - h * s
-        x, _, _, dxdu = self._map(mid + h * np.clip(tau + rest / (h * f), -1.0, 1.0))
+        u = mid + h * np.clip(tau + rest / (h * f), -1.0, 1.0)
+        x, _, _, dxdu = _clustered(u, self.a, self.b, *self.turn)
         z = np.repeat(self.Zk[:-1], counts) + h * z
         for end, xe, ze in ((qs <= 0.0, self.a, 0.0), (qs >= self.S, self.b, self.Z)):
             x[end], z[end], rest[end] = xe, ze, 0.0  # the band's ends exactly
@@ -326,8 +313,7 @@ def _trace(band: _Band, e: int, cap: float, n: int):
     p, k = [np.array([p0])], [np.zeros(1)]  # the start, in [0, S]
     for i, (b0, b1) in enumerate(zip(bounds, bounds[1:])):
         if b1 != b0:  # a branch: sigma clustered toward its turning points
-            seg = b0 + (b1 - b0) * _clustered(np.linspace(0.0, 1.0, n), i > 0,
-                                              i < len(bounds) - 2)[0]
+            seg = _clustered(np.linspace(0.0, 1.0, n), b0, b1, i > 0, i < len(bounds) - 2)[0]
             seg[-1] = b1
             p.append(seg[1:])
             k.append(np.full(n - 1, math.floor(0.5 * (b0 + b1) / S)))

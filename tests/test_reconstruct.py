@@ -11,7 +11,9 @@ from revolve import catalog
 from revolve.errors import (AxisSingularity, DegeneratePolyline, DomainViolation,
                             EventLocatorFailure, NonIntegrableSingularity,
                             NumericalError, ParamOutOfRange, UnknownIdentifier)
-from revolve.momentum import Momentum, momentum_from_kp, momentum_from_mean
+from revolve.cli import main
+from revolve.momentum import (Momentum, admissible_intervals, momentum_from_kp,
+                              momentum_from_mean)
 from revolve.reconstruct import (Profile, arclength, discrete_curvatures,
                                  graph_height, height_displacement,
                                  integrate_profile, momentum_of_profile,
@@ -88,7 +90,7 @@ def test_quadrature_routes_up_to_an_upper_turning_point(x0):
     assert np.max(np.abs(zs - want)) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [257, 2049, 16385])
+@pytest.mark.parametrize("n", [257, 2049, 16385, 262145])
 def test_quadrature_routes_between_the_turning_points_of_an_unduloid(n):
     # H = 1 with K = x + 0.12/x from the antiderivative cache: 1 - K^2 is
     # rounding noise within about 1e-15 of each end; the floats nearest the
@@ -100,6 +102,19 @@ def test_quadrature_routes_between_the_turning_points_of_an_unduloid(n):
     assert abs(zs[-1] - height) <= 1e-11
     assert abs(height_displacement(m, *m.domain) - height) <= 5e-11
     assert abs(arclength(m, *m.domain) - 0.5 * math.pi) <= 5e-11
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("route", [arclength, height_displacement, graph_height])
+@pytest.mark.parametrize("end", [math.nan, math.inf])
+def test_quadrature_routes_refuse_non_finite_ends(route, end):
+    # refused as a bad range before K is evaluated, with no NumPy warning
+    calls = []
+    m = Momentum(lambda x: calls.append(x) or x, lambda x: 1.0, (0.0, 1.0))
+    for x0, x1 in ((end, 0.5), (0.2, end)):
+        with pytest.raises(ParamOutOfRange, match="must be finite"):
+            route(m, x0, x1)
+    assert calls == []
 
 
 def test_momentum_at_one_just_inside_the_endpoint():
@@ -382,6 +397,22 @@ def test_degenerate_turning_point_is_a_typed_error():
     with pytest.raises(EventLocatorFailure, match=r"x = 0\.5\b") as info:
         integrate_profile(m, 0.2, s_max=3.0)
     assert isinstance(info.value, NumericalError)
+
+
+def test_a_tangency_the_scan_misses_is_a_degenerate_turning_point(tmp_path, capsys):
+    # on [0.1, 1] no point of the admissible scan falls on x = 0.5, where
+    # K = 1 - (x - 0.5)^2 touches 1: the band runs through it, and the trace
+    # names the tangency in x when its quadrature meets it
+    m = Momentum(lambda x: 1.0 - (x - 0.5) ** 2, lambda x: -2.0 * (x - 0.5), (0.1, 1.0))
+    assert admissible_intervals(m) == [(0.1, 1.0)]
+    with pytest.raises(EventLocatorFailure, match=r"x = 0\.5\b"):
+        integrate_profile(m, 0.2, s_max=3.0)
+    d = str(tmp_path / "st")
+    assert main(["prescribe", "--kind", "km", "--expr", "-2*(x - 0.5)", "--const", "1",
+                 "--anchor", "0.5", "--domain", "0.1:1", "--out", d]) == 0
+    capsys.readouterr()
+    assert main(["profile", "--out", d, "--start", "0.2", "--smax", "3"]) == 3
+    assert "degenerate turning point at x = 0.5" in capsys.readouterr().err
 
 
 _TRACED_ENTRIES = [e for e in catalog.list_entries() if e.momentum is not None]
