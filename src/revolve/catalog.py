@@ -19,12 +19,9 @@ from typing import Callable
 
 import numpy as np
 
-from .curvature import classify_mean_inverse
 from .errors import ParamOutOfRange, RootBracketFailure, UnknownIdentifier
 from .expr import parse_expr
 from .momentum import Momentum
-from .quadrature import AnchoredAntiderivative, bracketed_root
-from .reconstruct import height_displacement
 
 __all__ = [
     "ClosedProfile",
@@ -217,8 +214,9 @@ def hopf_kuhnel(q: float, a: float = 1.0) -> CatalogEntry:
         dom = (a, 4.0 * a)
 
     @lru_cache(maxsize=1)
-    def anti() -> AnchoredAntiderivative:
+    def anti():
         # built on the first point() call, so listing the entry costs nothing
+        from .quadrature import AnchoredAntiderivative
         return AnchoredAntiderivative(lambda v: _pow(math.cos(v), inv_q),
                                       -t_cap, t_cap, anchor=0.0, tol=1e-12)
 
@@ -275,6 +273,9 @@ def elasticoid(a: float = 1.0, k: float = 0.0) -> CatalogEntry:
 
 @lru_cache(maxsize=1)
 def _unit_modulus() -> float:
+    from .quadrature import bracketed_root
+    from .reconstruct import height_displacement
+
     def closure(k: float) -> float:
         m = _momentum("x^2 - k", {"k": k}, (0.0, math.sqrt(k + 1.0)))
         return height_displacement(m, 0.0, math.sqrt(k + 1.0), tol=1e-11)
@@ -412,6 +413,7 @@ def mean_inverse_profile(mu: float, c: float) -> CatalogEntry:
     Three branches by the sign of 1 - 4*mu^2; the graph is the '+'
     representative of the defining +- pair, anchored as printed (not z=0).
     """
+    from .curvature import classify_mean_inverse
     mu = float(mu)
     c = float(c)
     branch = classify_mean_inverse(mu)

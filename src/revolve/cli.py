@@ -5,6 +5,10 @@ or `catalog build` persist a momentum description to momentum.json, then
 `profile`, `mesh` and `verify` consume it. Artifacts are fully computed in
 memory before anything is written, so a failing run leaves no partial files.
 
+Each subcommand imports the modules it runs inside its ``_cmd_*``, so a
+stage process loads only those: ``mesh`` reads profile.csv without the
+momentum and trace layers, and only a catalog state loads the catalog.
+
 Exit codes: 0 success, 1 verification tolerance exceeded (only with
 --tol-verify), 2 validation errors, 3 numerical failures.
 
@@ -17,21 +21,16 @@ import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import catalog as cat
-from ._records import records
-from .curvature import (classify_mean_inverse, constraint_residual,
-                        gauss_curvature, mean_curvature, weingarten_residual)
 from .errors import NumericalError, ParamOutOfRange, RevolveError, ValidationError
-from .expr import parse_expr
-from .mesh import discrete_mesh_curvature, revolve, write_obj, write_stl
-from .momentum import (Momentum, admissible_intervals, momentum_from_gauss,
-                       momentum_from_km, momentum_from_kp, momentum_from_mean)
-from .quadrature import takes_arrays
-from .reconstruct import integrate_profile, momentum_of_profile, profile_to_csv
-from .reconstruct import Profile
+
+if TYPE_CHECKING:
+    from .momentum import Momentum
+    from .reconstruct import Profile
 
 _STATE = "momentum.json"
 
@@ -106,12 +105,16 @@ def _momentum_from_state(state: dict, tol: float) -> Momentum:
         if key in state and not ok(state[key]):
             raise ValidationError(f"{_STATE}: {key!r} must be {what}, got {state[key]!r}")
     if state.get("source") == "catalog":
+        from . import catalog as cat
         entry = cat.build(_required(state, "name"), **state.get("params", {}))
         if entry.momentum is None:
             raise ValidationError(
                 f"catalog entry {state['name']!r} is momentum-exempt; "
                 "no pipeline can run on it")
         return entry.momentum
+    from .expr import parse_expr
+    from .momentum import (momentum_from_gauss, momentum_from_km, momentum_from_kp,
+                           momentum_from_mean)
     kind = _required(state, "kind")
     expression = parse_expr(_required(state, "expr"))
     params = state.get("params", {})
@@ -149,6 +152,7 @@ def _load_state(outdir: str) -> dict:
 
 
 def _default_start(m: Momentum) -> float:
+    from .momentum import admissible_intervals
     intervals = admissible_intervals(m)
     if not intervals:
         raise ValidationError("momentum has no admissible interval with |K| < 1")
@@ -157,6 +161,7 @@ def _default_start(m: Momentum) -> float:
 
 
 def _integrate(m: Momentum, args) -> Profile:
+    from .reconstruct import integrate_profile
     start = args.start if args.start is not None else _default_start(m)
     return integrate_profile(m, start, direction=args.direction,
                              s_max=args.smax, s_min=args.smin,
@@ -166,6 +171,8 @@ def _integrate(m: Momentum, args) -> Profile:
 # ------------------------------------------------------------- subcommands
 
 def _cmd_prescribe(args) -> int:
+    from .expr import parse_expr
+    from .momentum import admissible_intervals
     params = _parse_params(args.param)
     domain = _parse_domain(args.domain)
     expression = parse_expr(args.expr)
@@ -187,6 +194,7 @@ def _cmd_prescribe(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    from .reconstruct import profile_to_csv
     state = _load_state(args.out)
     m = _momentum_from_state(state, args.tol_quad)
     p = _integrate(m, args)
@@ -196,6 +204,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_mesh(args) -> int:
+    from .mesh import revolve, write_obj, write_stl
     path = os.path.join(args.out, "profile.csv")
     if not os.path.exists(path):
         raise ValidationError(f"no profile.csv in {args.out!r}; run profile first")
@@ -210,9 +219,8 @@ def _cmd_mesh(args) -> int:
     if data.shape[1] != 5:
         raise ValidationError(f"{path} needs the five columns s,x,z,tx,tz, "
                               f"got {data.shape[1]}")
-    p = Profile(s=data[:, 0], x=data[:, 1], z=data[:, 2],
-                tx=data[:, 3], tz=data[:, 4])
-    mesh = revolve(p, n_theta=args.ntheta)
+    _, x, z, tx, tz = data.T  # revolve reads only x, z, tx and tz
+    mesh = revolve(SimpleNamespace(x=x, z=z, tx=tx, tz=tz), n_theta=args.ntheta)
     if args.format == "obj":
         _write_all(args.out, {"surface.obj": write_obj(mesh)})
     else:
@@ -227,6 +235,13 @@ def _worst(err: np.ndarray) -> float:
 
 
 def _cmd_verify(args) -> int:
+    from .curvature import (constraint_residual, gauss_curvature, mean_curvature,
+                            weingarten_residual)
+    from .expr import parse_expr
+    from .mesh import discrete_mesh_curvature, revolve
+    from .momentum import momentum_from_gauss, momentum_from_mean
+    from .quadrature import takes_arrays
+    from .reconstruct import momentum_of_profile
     if args.grid < 2:
         raise ParamOutOfRange(f"--grid must be at least 2, got {args.grid}")
     state = _load_state(args.out)
@@ -296,6 +311,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    from . import catalog as cat
     if args.action == "list":
         for entry in cat.list_entries():
             print(json.dumps(entry.to_json_dict(), sort_keys=True))
@@ -312,6 +328,7 @@ def _cmd_catalog(args) -> int:
         "entry.json": _dump_json(entry.to_json_dict()),
     }
     if entry.closed_profile is not None:
+        from ._records import records
         t0, t1 = entry.closed_profile.param_range
         ts = np.linspace(t0, t1, 1025)
         xs, zs = entry.closed_profile.sample(ts)
@@ -323,6 +340,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .curvature import classify_mean_inverse
     branch = classify_mean_inverse(args.mu)
     if branch.angle is None:
         print(branch.kind)

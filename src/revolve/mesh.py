@@ -44,14 +44,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from ._records import records
 from .errors import (AxisSingularity, DegenerateProfile, NonManifold,
                      ParamOutOfRange)
-from .momentum import _AXIS_REL, Momentum
+
+if TYPE_CHECKING:
+    from .momentum import Momentum
 
 __all__ = [
     "SurfaceMesh",
@@ -244,6 +246,7 @@ def fundamental_forms(m: Momentum, x: float
                       ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Diagonal coefficients of the first and second fundamental forms in the
     (arclength, theta) chart: I = (1, x^2), II = (K'(x), x*K(x))."""
+    from .momentum import _AXIS_REL
     lo, hi = m.domain
     if abs(x) < _AXIS_REL * max(1.0, hi - lo):
         raise AxisSingularity("the (s, theta) chart degenerates on the axis")

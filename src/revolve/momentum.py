@@ -19,7 +19,7 @@ The constructors take their prescription through the quadrature layer's
 array protocol (``array_callable``), so their integrands and scans make one
 call per array, and the momenta they return take a float or a NumPy array:
 ``eval`` and ``deriv`` of an array are the arrays of their per-point values
-(``deriv`` of the mean and Gauss kinds by a per-point loop).
+(``deriv`` of the kp kind without ``p_deriv`` by a per-point loop).
 """
 from __future__ import annotations
 
@@ -189,7 +189,10 @@ def momentum_from_mean(H: Callable[[float], float], c: float,
     def deriv(x):
         # K' = 2H - K/x, with the symmetric limit K'(0) = 0 when K(0) exists.
         if isinstance(x, np.ndarray):
-            return _pointwise(deriv, x)
+            off = np.abs(x) >= axis_eps  # H is not evaluated on the axis
+            out = np.zeros(x.shape)
+            out[off] = 2.0 * H_array(x[off]) - eval_(x[off]) / x[off]
+            return out
         if abs(x) < axis_eps:
             return 0.0
         return 2.0 * H(x) - eval_(x) / x
@@ -244,7 +247,9 @@ def momentum_from_gauss(G: Callable[[float], float], c: float, sigma: float,
     def deriv(x):
         # K' = x*G/K = sigma * (x*G) / sqrt(radicand); +-inf at the zeros of K.
         if isinstance(x, np.ndarray):
-            return _pointwise(deriv, x)
+            r = np.maximum(2.0 * A(x) + c, 0.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return sigma * (x * G_array(x)) / np.sqrt(r)
         r = max(radicand(x), 0.0)
         num = sigma * (x * G(x))
         if r == 0.0:

@@ -281,17 +281,31 @@ def sqrt_endpoint_integral(f: Callable[[float], float], a: float, b: float,
 def _clustered(u, a: float, b: float, lo: bool, hi: bool):
     """x(u) from a to b for u in [0, 1], clustered like a cosine toward each
     flagged end and linear where neither is, with x - a and b - x (each to
-    full precision near its own end, where it vanishes like u**2) and dx/du."""
+    full precision near its own end, where it vanishes like u**2). Its
+    dx/du is :func:`_clustered_slope`, apart, since the integrand of
+    :func:`_substitution` needs only x."""
     h, w = 0.5 * math.pi, b - a
     if lo and hi:
-        cl, ch, dc = np.sin(h * u) ** 2, np.cos(h * u) ** 2, h * np.sin(2.0 * h * u)
+        cl, ch = np.sin(h * u) ** 2, np.cos(h * u) ** 2
     elif lo:
-        cl, ch, dc = 2.0 * np.sin(0.5 * h * u) ** 2, np.cos(h * u), h * np.sin(h * u)
+        cl, ch = 2.0 * np.sin(0.5 * h * u) ** 2, np.cos(h * u)
     elif hi:
-        cl, ch, dc = np.sin(h * u), 2.0 * np.sin(0.5 * h * (1.0 - u)) ** 2, h * np.cos(h * u)
+        cl, ch = np.sin(h * u), 2.0 * np.sin(0.5 * h * (1.0 - u)) ** 2
     else:
-        cl, ch, dc = u, 1.0 - u, np.ones_like(u)
-    return np.where(cl <= ch, a + w * cl, b - w * ch), w * cl, w * ch, w * dc
+        cl, ch = u, 1.0 - u
+    return np.where(cl <= ch, a + w * cl, b - w * ch), w * cl, w * ch
+
+
+def _clustered_slope(u, a: float, b: float, lo: bool, hi: bool):
+    """dx/du of :func:`_clustered`."""
+    h, w = 0.5 * math.pi, b - a
+    if lo and hi:
+        return w * (h * np.sin(2.0 * h * u))
+    if lo:
+        return w * (h * np.sin(h * u))
+    if hi:
+        return w * (h * np.cos(h * u))
+    return w * np.ones_like(u)
 
 
 def _unclustered(cl: float, ch: float, lo: bool, hi: bool) -> float:
@@ -324,7 +338,7 @@ def _substitution(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     w = b - a
 
     def x(u):
-        return _clustered((u - a) / w, a, b, lo, hi)[:3]
+        return _clustered((u - a) / w, a, b, lo, hi)
 
     @takes_arrays
     def g(u: np.ndarray) -> np.ndarray:

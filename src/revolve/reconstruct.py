@@ -29,8 +29,9 @@ from .curvature import CurvatureSample
 from .errors import (AxisSingularity, DegeneratePolyline, DomainViolation,
                      EventLocatorFailure, NonIntegrableSingularity, ParamOutOfRange)
 from .momentum import Momentum, admissible_intervals
-from .quadrature import (_bisect, _clustered, _end_model, _panel_integrals, _substitution,
-                         _unclustered, array_callable, sqrt_endpoint_integral, takes_arrays)
+from .quadrature import (_bisect, _clustered, _clustered_slope, _end_model,
+                         _panel_integrals, _substitution, _unclustered, array_callable,
+                         sqrt_endpoint_integral, takes_arrays)
 
 __all__ = [
     "Profile",
@@ -205,8 +206,9 @@ class _Band:
     """The admissible band [a, b] of a trace, integrated once.
 
     u in [0, 1] maps onto the band by :func:`_clustered`, whose analytic
-    dx/du makes ds/du = (dx/du) / sqrt(1 - K^2) smooth at a turning end;
-    within 4d of one, 1 / sqrt(1 - K^2) is the model of :func:`_end_model`.
+    dx/du (:func:`_clustered_slope`) makes ds/du = (dx/du) / sqrt(1 - K^2)
+    smooth at a turning end; within 4d of one, 1 / sqrt(1 - K^2) is the
+    model of :func:`_end_model`.
     The engine's bisection of ds/du and dz/du = K ds/du to ``tol``, from
     knots at 0, 1 and the u of x0 (:func:`_unclustered`), fixes the panels,
     whose 16 nodes give the arclength S and height Z from a at each knot and
@@ -227,7 +229,7 @@ class _Band:
             except NonIntegrableSingularity:
                 raise _degenerate(end) from None
         u0 = _unclustered((x0 - a) / (b - a), (b - x0) / (b - a), *self.turn)
-        knots = np.unique([0.0, u0, 1.0])
+        knots = np.array([0.0, u0, 1.0] if 0.0 < u0 < 1.0 else [0.0, 1.0])
         for height in (0, 1):
             knots = _bisect(takes_arrays(lambda u: self._rates(u)[height]), knots, tol)[0]
         self.mid, self.half = 0.5 * (knots[1:] + knots[:-1]), 0.5 * np.diff(knots)
@@ -249,7 +251,8 @@ class _Band:
     def _rates(self, u):
         """(ds/du, dz/du) at u, with 1 / sqrt(1 - K^2) by the end models
         within 4d of a turning end."""
-        x, dlo, dhi, dxdu = _clustered(u, self.a, self.b, *self.turn)
+        x, dlo, dhi = _clustered(u, self.a, self.b, *self.turn)
+        dxdu = _clustered_slope(u, self.a, self.b, *self.turn)
         k = self.K(x)
         g = 1.0 - k * k
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -284,7 +287,8 @@ class _Band:
             s[a:b], f[a:b], z[a:b] = self.coef[p] @ P[:, a:b]
         rest = qs - np.repeat(self.Sk[:-1], counts) - h * s
         u = mid + h * np.clip(tau + rest / (h * f), -1.0, 1.0)
-        x, _, _, dxdu = _clustered(u, self.a, self.b, *self.turn)
+        x = _clustered(u, self.a, self.b, *self.turn)[0]
+        dxdu = _clustered_slope(u, self.a, self.b, *self.turn)
         z = np.repeat(self.Zk[:-1], counts) + h * z
         for end, xe, ze in ((qs <= 0.0, self.a, 0.0), (qs >= self.S, self.b, self.Z)):
             x[end], z[end], rest[end] = xe, ze, 0.0  # the band's ends exactly

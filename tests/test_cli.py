@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -17,11 +18,11 @@ def run(argv, capsys):
     return code, out.out, out.err
 
 
-def _cli_subprocess(argv, python_opts=()):
+def _cli_subprocess(argv, launch=("-m", "revolve.cli")):
     src = os.path.dirname(os.path.dirname(os.path.abspath(revolve.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     # a timeout, so that a check that stops working cannot hang the suite
-    return subprocess.run([sys.executable, *python_opts, "-m", "revolve.cli", *argv],
+    return subprocess.run([sys.executable, *launch, *argv],
                           capture_output=True, text=True, env=env, timeout=60)
 
 
@@ -489,10 +490,36 @@ _STAGES = {
                                      *_FLOW]),
 }
 
+_MODULES = {info.name for info in pkgutil.iter_modules(revolve.__path__)}
+_PRESCRIBE = _MODULES - {"curvature", "reconstruct", "_records", "mesh", "catalog"}
+# the src/revolve modules each stage may load: what its subcommand runs
+_MAY_LOAD = {
+    "mesh": {"cli", "errors", "_records", "mesh"},
+    "classify-mean-inverse": _MODULES - {"catalog", "expr", "mesh", "reconstruct", "_records"},
+    "help": {"cli", "errors"},
+    "catalog-list": _MODULES - {"mesh", "reconstruct"},
+    "prescribe-kp": _PRESCRIBE,
+    "prescribe-mean": _PRESCRIBE,
+    "prescribe-gauss": _PRESCRIBE,
+    "catalog-build": _MODULES - {"curvature", "mesh", "reconstruct"},
+    "profile": _MODULES - {"mesh", "catalog"},
+    "verify-q": _MODULES,
+    "verify-expr": _MODULES - {"catalog"},
+}
+
+# `python -m revolve.cli ARGS` that prints, on its last stderr line, every
+# module the process holds at exit. -X importtime would miss the modules
+# that importlib.import_module loads, as the package's lazy exports do.
+_LIST_MODULES = ("import atexit, json, runpy, sys; "
+                 "atexit.register(lambda: print(json.dumps(sorted(sys.modules)), "
+                 "file=sys.stderr)); "
+                 "runpy.run_module('revolve.cli', run_name='__main__', alter_sys=True)")
+
 
 @pytest.mark.parametrize("stage", list(_STAGES))
 def test_cli_commands_without_quadrature_load_no_scipy(tmp_path, capsys, stage):
-    # every stage, quadrature and flow included, runs without SciPy
+    # every stage, quadrature and flow included, runs without SciPy and
+    # loads only the src/revolve modules its subcommand runs
     state, argv = _STAGES[stage]
     if stage == "mesh":
         # a stored quarter circle: the mesh stage reads it
@@ -503,13 +530,14 @@ def test_cli_commands_without_quadrature_load_no_scipy(tmp_path, capsys, stage):
         assert run([*_STAGES[state][1], "--out", str(tmp_path)], capsys)[0] == 0
     if stage not in ("classify-mean-inverse", "help", "catalog-list"):
         argv = [*argv, "--out", str(tmp_path)]
-    # -X importtime lists every module the process imports on stderr
-    proc = _cli_subprocess(argv, ["-X", "importtime"])
+    proc = _cli_subprocess(argv, ("-c", _LIST_MODULES))
     assert proc.returncode == 0, proc.stderr
-    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")]
-    assert "revolve.mesh" in imported
-    assert not [m for m in imported if m.split(".")[0] == "scipy"]
+    loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+    # run as __main__, the cli module is not revolve.cli
+    ours = {m.split(".", 1)[1] for m in loaded if m.startswith("revolve.")} | {"cli"}
+    assert "revolve" in loaded
+    assert ours <= _MAY_LOAD[stage], f"{stage} loads {sorted(ours - _MAY_LOAD[stage])}"
 
 
 def test_surface_run_loads_no_scipy():

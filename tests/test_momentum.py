@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from conftest import assert_close
 from revolve.errors import (DomainViolation, NegativeRadicand, ParamOutOfRange,
@@ -125,3 +126,50 @@ def test_anchored_antiderivative_matches_closed_forms():
     B = AnchoredAntiderivative(lambda t: 1.0 / t, 1.0, 5.0, anchor=2.0)
     assert_close(float(B(4.0)), math.log(2.0), 1e-12, "log antiderivative")
     assert_close(float(B(1.0)), -math.log(2.0), 1e-12, "left of anchor")
+
+
+
+def _deriv_cases():
+    from revolve.expr import parse_expr
+    H = parse_expr("1 + x^2").as_function({})  # an array-first prescription
+    G = parse_expr("1/(4*x)").as_function({})
+    # (kind, momentum, points, K' at the first point or None)
+    return [
+        # mean through the axis: K' = 2H - K/x, 0 on the axis
+        ("mean", momentum_from_mean(H, 0.0, (-0.5, 0.5), anchor=0.0),
+         [0.0, -1e-15, 1e-15, -0.25, 1e-13, 0.5], 0.0),
+        ("mean", momentum_from_mean(lambda x: 1.0, 0.12, (0.07, 0.93), anchor=0.0),
+         [0.07, 0.3, 0.93], None),
+        # Gauss: K' = sigma x G / sqrt(r), with r = 0 at the anchor 0.5
+        ("gauss", momentum_from_gauss(lambda x: 1.0, 0.0, 1, (0.5, 0.9), anchor=0.5),
+         [0.5, 0.7, 0.9], math.inf),
+        ("gauss", momentum_from_gauss(lambda x: 1.0, 0.0, -1, (0.5, 0.9), anchor=0.5),
+         [0.5, 0.7, 0.9], -math.inf),
+        ("gauss", momentum_from_gauss(lambda x: 4.0 * x - 2.0, 0.0, 1, (0.5, 0.9),
+                                      anchor=0.5), [0.5, 0.6, 0.9], math.nan),
+        ("gauss", momentum_from_gauss(G, 0.0, 1, (0.001, 2.0), anchor=0.0),
+         [0.001, 1.0, 2.0], None),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_deriv_of_an_array_matches_per_point_calls(case):
+    # the array forms of K' for the mean and Gauss kinds agree with their
+    # float path to 4 ulps of the larger term, and give its 0 on the axis and
+    # its inf or nan where the radicand is 0
+    kind, m, points, first = _deriv_cases()[case]
+    xs = np.concatenate((points, np.linspace(*m.domain, 41)))
+    got = m.deriv(xs)
+    want = np.array([m.deriv(float(x)) for x in xs])
+    assert got.shape == xs.shape
+    if first is not None:
+        assert_array_equal(got[:1], [first])
+        assert_array_equal(want[:1], [first])
+    with np.errstate(all="ignore"):
+        k_over_x = m.sample(xs) / xs
+        # mean: the terms 2H = K' + K/x and K/x; Gauss: K' itself
+        term = (np.maximum(np.abs(want + k_over_x), np.abs(k_over_x)) if kind == "mean"
+                else np.abs(want))
+        ok = (got == want) | (np.isnan(got) & np.isnan(want)) | (
+            np.abs(got - want) <= 4.0 * np.spacing(term))
+    assert np.all(ok), (xs[~ok], got[~ok], want[~ok])
