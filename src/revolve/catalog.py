@@ -216,9 +216,17 @@ def hopf_kuhnel(q: float, a: float = 1.0) -> CatalogEntry:
     @lru_cache(maxsize=1)
     def anti():
         # built on the first point() call, so listing the entry costs nothing
-        from .quadrature import AnchoredAntiderivative
-        return AnchoredAntiderivative(lambda v: _pow(math.cos(v), inv_q),
-                                      -t_cap, t_cap, anchor=0.0, tol=1e-12)
+        from .quadrature import AnchoredAntiderivative, takes_arrays
+
+        @takes_arrays
+        def integrand(v):
+            # C pow, as _pow's ** (np.power takes squaring shortcuts), and
+            # inf where _pow gives inf: a division by zero or an overflow
+            with np.errstate(divide="ignore", over="ignore"):
+                return np.float_power(np.cos(v), inv_q)
+
+        return AnchoredAntiderivative(integrand, -t_cap, t_cap, anchor=0.0,
+                                      tol=1e-12)
 
     def pt(t: float) -> tuple[float, float]:
         return (a * _pow(math.cos(t), inv_q), (a / q) * float(anti()(t)))

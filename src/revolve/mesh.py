@@ -29,7 +29,10 @@ evaluation; the other vertices differ from it only by rounding. A mesh that
 revolve did not build, or whose arrays were rebound, takes the full path.
 
 write_obj renders its v and f record blocks from the arrays (_records), with
-the bytes that %.17g and %d formatting give each value.
+the bytes that %.17g and %d formatting give each value; its peak memory is
+about twice its output, the rendered pieces and their join. write_stl fills
+one buffer of the file's size, _CHUNK triangles at a time, and returns it as
+bytes; its peak is about twice its output, plus one piece's temporaries.
 
 Normal and sign convention: per-vertex reference normals follow the surface
 convention n = (-tz*cos(theta), -tz*sin(theta), tx) built from the profile
@@ -48,7 +51,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from ._records import records
+from ._records import _CHUNK, records
 from .errors import (AxisSingularity, DegenerateProfile, NonManifold,
                      ParamOutOfRange)
 
@@ -379,27 +382,34 @@ def write_stl(mesh: SurfaceMesh) -> bytes:
     """Binary STL, little-endian float32, 80-byte header. Byte-identical for
     identical meshes.
 
-    The facet normal is taken from 1-D coordinate arrays with the
-    operations, in the order, of np.cross and np.linalg.norm; each 50-byte
-    record is one row of a (triangles, 25) uint16 array, filled through a
-    float32 view of its first 48 bytes."""
+    The file is one buffer, allocated once: each 50-byte record is one row
+    of a (triangles, 25) uint16 view of it, filled through a float32 view of
+    its first 48 bytes, _CHUNK triangles at a time. Each piece takes the
+    facet normal from 1-D coordinate arrays with the operations, in the
+    order, of np.cross and np.linalg.norm. The peak memory is about twice
+    the output, the buffer and the returned bytes, plus one piece's
+    temporaries."""
     header = b"rotational surface mesh (binary STL)"
-    header = header + b"\x00" * (80 - len(header))
     t = mesh.triangles
-    record = np.zeros((len(t), 25), dtype="<u2")
-    out = record[:, :24].view("<f4")
-    coords = [c[t[:, k]] for k in range(3) for c in mesh.vertices.T]
-    for i, coord in enumerate(coords):
-        out[:, 3 + i] = coord
-    x0, y0, z0, x1, y1, z1, x2, y2, z2 = coords
-    ax, ay, az = x1 - x0, y1 - y0, z1 - z0
-    bx, by, bz = x2 - x0, y2 - y0, z2 - z0
-    nrm = (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
-    nx, ny, nz = nrm
-    length = np.sqrt(nx * nx + ny * ny + nz * nz)
-    ok = length > 0
-    length = np.maximum(length, 1e-300)
-    for c, n in enumerate(nrm):
-        out[:, c] = np.where(ok, n / length, 0.0)
-    count = np.uint32(len(t)).astype("<u4").tobytes()
-    return header + count + record.tobytes()
+    n = len(t)
+    buf = bytearray(84 + 50 * n)
+    buf[:len(header)] = header
+    buf[80:84] = n.to_bytes(4, "little")
+    out = np.frombuffer(buf, dtype="<u2", offset=84).reshape(n, 25)[:, :24].view("<f4")
+    columns = mesh.vertices.T
+    for lo in range(0, n, _CHUNK):
+        piece, rows = t[lo:lo + _CHUNK], out[lo:lo + _CHUNK]
+        coords = [c[piece[:, k]] for k in range(3) for c in columns]
+        for i, coord in enumerate(coords):
+            rows[:, 3 + i] = coord
+        x0, y0, z0, x1, y1, z1, x2, y2, z2 = coords
+        ax, ay, az = x1 - x0, y1 - y0, z1 - z0
+        bx, by, bz = x2 - x0, y2 - y0, z2 - z0
+        nrm = (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+        nx, ny, nz = nrm
+        length = np.sqrt(nx * nx + ny * ny + nz * nz)
+        ok = length > 0
+        length = np.maximum(length, 1e-300)
+        for c, v in enumerate(nrm):
+            rows[:, c] = np.where(ok, v / length, 0.0)
+    return bytes(buf)

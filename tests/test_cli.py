@@ -2,8 +2,10 @@ import json
 import math
 import os
 import pkgutil
+import struct
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -64,7 +66,11 @@ def test_profile_then_mesh_then_verify(tmp_path, capsys):
                         "--format", "stl"], capsys)
     assert code == 0, err
     blob = (d / "surface.stl").read_bytes()
-    assert len(blob) > 84
+    (count,) = struct.unpack_from("<I", blob, 80)
+    assert len(blob) == 84 + 50 * count
+    _, x, z, tx, tz = rows.T
+    mesh = revolve.revolve(SimpleNamespace(x=x, z=z, tx=tx, tz=tz), n_theta=16)
+    assert blob == revolve.write_stl(mesh)
 
     code, out, err = run(["verify", "--out", str(d), "--grid", "60",
                           "--ntheta", "32"], capsys)

@@ -3,12 +3,14 @@ import hashlib
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import (assert_close, catenoid_momentum, sphere_momentum,
                       unduloid_momentum)
+from revolve._records import _CHUNK
 from revolve.errors import (AxisSingularity, DegenerateProfile, NonManifold,
                             ParamOutOfRange)
 from revolve.mesh import (SurfaceMesh, discrete_mesh_curvature,
@@ -468,6 +470,39 @@ def test_write_stl_matches_structured_writer():
     assert write_stl(m) == _stl_structured(m)
     m.triangles = tris[:0]
     assert write_stl(m) == _stl_structured(m)
+    # meshes that end at and next to a piece boundary, with a zero-area and a
+    # NaN facet on each side of every boundary
+    for n in (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1):
+        tris = rng.integers(3, len(verts), (n, 3))
+        for b in range(0, n + 1, _CHUNK):
+            for i, tri in ((b - 2, [0, 0, 3]), (b - 1, [1, 3, 4]),
+                           (b, [4, 1, 3]), (b + 1, [3, 4, 3])):
+                if 0 <= i < n:
+                    tris[i] = tri
+        m.triangles = tris
+        assert write_stl(m) == _stl_structured(m)
+
+
+def test_writers_peak_memory():
+    # 800 strips of 256 triangles: 204,800 facets on a band whose rings
+    # differ in z. The STL writer holds its buffer and the returned bytes,
+    # the OBJ writer its pieces and their join, each plus one piece's
+    # temporaries
+    ts = np.linspace(1.0, 2.0, 801)
+    m = revolve(Profile(s=ts, x=ts, z=0.3 * ts ** 2, tx=np.ones(801),
+                        tz=np.zeros(801), branch_events=()), n_theta=128)
+    assert len(m.triangles) == 204_800
+    tracemalloc.start()
+    try:
+        for writer, bound in ((write_stl, 2.25), (write_obj, 2.1)):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = writer(m)
+            peak = tracemalloc.get_traced_memory()[1] - base
+            assert peak <= bound * len(out), (writer.__name__, peak / len(out))
+            del out
+    finally:
+        tracemalloc.stop()
 
 
 def test_pole_fan_winding_consistent():
