@@ -6,9 +6,15 @@ quadrature/trace pipeline can be cross-checked against independent closed
 forms. The momentum is defined by its formula text alone, the
 ``momentum_text`` that ``catalog list`` prints: the expression compiler turns
 it into K and its symbolic derivative K', array-first (``takes_arrays``),
-with the entry's parameters bound as constants. Curves are kept exactly as
-their defining formulas state them (including sign representatives);
-comparisons modulo the z-translation freedom are the caller's business.
+with the entry's parameters bound as constants. The closed forms are NumPy
+expressions of their parameter, so a curve is evaluated elementwise on a
+float or on a whole array of parameter values in one call. Curves are kept
+exactly as their defining formulas state them (including sign
+representatives); comparisons modulo the z-translation freedom are the
+caller's business.
+
+Each family is one function of its parameters; ``build`` looks it up by name
+and maps a parameter the function does not take to ``ParamOutOfRange``.
 """
 from __future__ import annotations
 
@@ -26,7 +32,12 @@ from .momentum import Momentum
 __all__ = [
     "ClosedProfile",
     "CatalogEntry",
-    "basic",
+    "plane",
+    "cone",
+    "sphere",
+    "torus",
+    "catenoid",
+    "cylinder",
     "hopf_kuhnel",
     "elasticoid",
     "pseudolemniscate_modulus",
@@ -44,21 +55,15 @@ __all__ = [
 class ClosedProfile:
     """Explicit generating curve: t -> (x, z) with its exact velocity.
 
-    unit_speed marks parametrizations whose parameter is arclength s, for
-    which velocity must be a unit vector.
+    point and velocity act elementwise on a float or an array of t in
+    param_range and return a pair of t's shape, a constant coordinate
+    included. A velocity component is inf, with no warning, where the curve
+    turns vertical at an end of a graph parametrization.
     """
 
     param_range: tuple[float, float]
-    point: Callable[[float], tuple[float, float]]
-    velocity: Callable[[float], tuple[float, float]]
-    unit_speed: bool = False
-    note: str = ""
-
-    def sample(self, ts) -> tuple[np.ndarray, np.ndarray]:
-        pts = [self.point(float(t)) for t in np.asarray(ts, dtype=float)]
-        xs = np.array([p[0] for p in pts])
-        zs = np.array([p[1] for p in pts])
-        return xs, zs
+    point: Callable[..., tuple[np.ndarray, np.ndarray]]
+    velocity: Callable[..., tuple[np.ndarray, np.ndarray]]
 
 
 def _momentum(text: str, params: dict[str, float],
@@ -104,87 +109,78 @@ def _require(cond: bool, msg: str) -> None:
         raise ParamOutOfRange(msg)
 
 
-def _pow(base: float, expo: float) -> float:
-    try:
-        return base ** expo
-    except (ZeroDivisionError, OverflowError):
-        return math.inf
-
-
 # ---------------------------------------------------------------- basic zoo
 
-_BASIC_KEYS = {"plane": set(), "cone": {"theta0"}, "sphere": {"R"},
-               "torus": {"a", "R"}, "catenoid": {"a"}, "cylinder": {"a"}}
+def plane() -> CatalogEntry:
+    """The horizontal line z = 0, by arclength."""
+    prof = ClosedProfile((0.0, 5.0), lambda t: (t, np.full(np.shape(t), 0.0)),
+                         lambda t: (np.full(np.shape(t), 1.0), np.full(np.shape(t), 0.0)))
+    return CatalogEntry("plane", {}, "0", (0.0, 5.0), prof,
+                        "flat disk: zero momentum, horizontal generatrix")
 
 
-def basic(name: str, **params: float) -> CatalogEntry:
-    """The constant-coefficient families: plane, cone(theta0), sphere(R),
-    torus(a, R), catenoid(a), cylinder(a)."""
-    extra = set(params) - _BASIC_KEYS.get(name, set())
-    if extra:
-        raise ParamOutOfRange(
-            f"{name} does not take parameter(s) {', '.join(sorted(extra))}")
-    if name == "plane":
-        prof = ClosedProfile((0.0, 5.0), lambda t: (t, 0.0), lambda t: (1.0, 0.0),
-                             unit_speed=True, note="horizontal line")
-        return CatalogEntry("plane", {}, "0", (0.0, 5.0), prof,
-                            "flat disk: zero momentum, horizontal generatrix")
-    if name == "cone":
-        th = float(params.get("theta0", math.pi / 6))
-        _require(0.0 < th < math.pi / 2, f"cone needs 0 < theta0 < pi/2, got {th!r}")
-        s0, c0 = math.sin(th), math.cos(th)
-        prof = ClosedProfile((0.0, 5.0), lambda t: (c0 * t, s0 * t),
-                             lambda t: (c0, s0), unit_speed=True,
-                             note="straight line of slope tan(theta0)")
-        return CatalogEntry("cone", {"theta0": th}, repr(s0), (0.0, 5.0), prof,
-                            "straight generatrix of constant inclination theta0")
-    if name == "sphere":
-        R = float(params.get("R", 1.0))
-        _require(R > 0, f"sphere needs R > 0, got {R!r}")
-        prof = ClosedProfile((0.0, math.pi),
-                             lambda t: (R * math.sin(t), -R * math.cos(t)),
-                             lambda t: (R * math.cos(t), R * math.sin(t)),
-                             note="half circle of radius R, south to north pole")
-        return CatalogEntry("sphere", {"R": R}, "x/R", (0.0, R), prof,
-                            "round sphere of radius R; momentum linear in x",
-                            weingarten_q=1.0)
-    if name == "torus":
-        a = float(params.get("a", 2.0))
-        R = float(params.get("R", 1.0))
-        _require(R > 0, f"torus needs R > 0, got {R!r}")
-        _require(a != 0, "torus needs a nonzero center offset a")
-        prof = ClosedProfile((-math.pi, math.pi),
-                             lambda t: (a + R * math.sin(t), -R * math.cos(t)),
-                             lambda t: (R * math.cos(t), R * math.sin(t)),
-                             note="full circle of radius R centered at x = a")
-        return CatalogEntry("torus", {"a": a, "R": R}, "(x - a)/R", (a - R, a + R),
-                            prof, "circle of radius R revolved about an axis at distance a")
-    if name == "catenoid":
-        a = float(params.get("a", 1.0))
-        _require(a > 0, f"catenoid needs a > 0, got {a!r}")
+def cone(theta0: float = math.pi / 6) -> CatalogEntry:
+    """The straight line of inclination theta0 through the origin, by arclength."""
+    th = float(theta0)
+    _require(0.0 < th < math.pi / 2, f"cone needs 0 < theta0 < pi/2, got {th!r}")
+    s0, c0 = math.sin(th), math.cos(th)
+    prof = ClosedProfile((0.0, 5.0), lambda t: (c0 * t, s0 * t),
+                         lambda t: (np.full(np.shape(t), c0), np.full(np.shape(t), s0)))
+    return CatalogEntry("cone", {"theta0": th}, repr(s0), (0.0, 5.0), prof,
+                        "straight generatrix of constant inclination theta0")
 
-        def pt(x: float) -> tuple[float, float]:
-            return (x, a * math.acosh(max(x / a, 1.0)))
 
-        def vel(x: float) -> tuple[float, float]:
-            d = x * x - a * a
-            return (1.0, a / math.sqrt(d) if d > 0 else math.inf)
+def sphere(R: float = 1.0) -> CatalogEntry:
+    """The half circle of radius R from the south to the north pole."""
+    R = float(R)
+    _require(R > 0, f"sphere needs R > 0, got {R!r}")
+    prof = ClosedProfile((0.0, math.pi), lambda t: (R * np.sin(t), -R * np.cos(t)),
+                         lambda t: (R * np.cos(t), R * np.sin(t)))
+    return CatalogEntry("sphere", {"R": R}, "x/R", (0.0, R), prof,
+                        "round sphere of radius R; momentum linear in x",
+                        weingarten_q=1.0)
 
-        prof = ClosedProfile((a, 5.0 * a), pt, vel,
-                             note="graph x = a*cosh(z/a), upper half")
-        return CatalogEntry("catenoid", {"a": a}, "a/x", (a, 5.0 * a), prof,
-                            "minimal rotational surface; waist radius a",
-                            weingarten_q=-1.0)
-    if name == "cylinder":
-        a = float(params.get("a", 1.0))
-        _require(a > 0, f"cylinder needs a > 0, got {a!r}")
-        prof = ClosedProfile((-3.0, 3.0), lambda t: (a, t), lambda t: (0.0, 1.0),
-                             unit_speed=True, note="vertical line x = a")
-        return CatalogEntry("cylinder", {"a": a}, None, None, prof,
-                            "vertical generatrix at constant distance a; "
-                            "x is constant so no momentum-as-function-of-x exists",
-                            label="momentum-exempt")
-    raise UnknownIdentifier(name)
+
+def torus(a: float = 2.0, R: float = 1.0) -> CatalogEntry:
+    """The full circle of radius R centred at x = a."""
+    a = float(a)
+    R = float(R)
+    _require(R > 0, f"torus needs R > 0, got {R!r}")
+    _require(a != 0, "torus needs a nonzero center offset a")
+    prof = ClosedProfile((-math.pi, math.pi),
+                         lambda t: (a + R * np.sin(t), -R * np.cos(t)),
+                         lambda t: (R * np.cos(t), R * np.sin(t)))
+    return CatalogEntry("torus", {"a": a, "R": R}, "(x - a)/R", (a - R, a + R),
+                        prof, "circle of radius R revolved about an axis at distance a")
+
+
+def catenoid(a: float = 1.0) -> CatalogEntry:
+    """The upper half of the graph x = a*cosh(z/a), parametrized by x; the
+    velocity's z is inf at the waist x = a."""
+    a = float(a)
+    _require(a > 0, f"catenoid needs a > 0, got {a!r}")
+
+    def vel(x):
+        with np.errstate(divide="ignore"):
+            return np.full(np.shape(x), 1.0), a / np.sqrt(np.maximum(x * x - a * a, 0.0))
+
+    prof = ClosedProfile((a, 5.0 * a),
+                         lambda x: (x, a * np.arccosh(np.maximum(x / a, 1.0))), vel)
+    return CatalogEntry("catenoid", {"a": a}, "a/x", (a, 5.0 * a), prof,
+                        "minimal rotational surface; waist radius a",
+                        weingarten_q=-1.0)
+
+
+def cylinder(a: float = 1.0) -> CatalogEntry:
+    """The vertical line x = a, by arclength; no momentum exists."""
+    a = float(a)
+    _require(a > 0, f"cylinder needs a > 0, got {a!r}")
+    prof = ClosedProfile((-3.0, 3.0), lambda t: (np.full(np.shape(t), a), t),
+                         lambda t: (np.full(np.shape(t), 0.0), np.full(np.shape(t), 1.0)))
+    return CatalogEntry("cylinder", {"a": a}, None, None, prof,
+                        "vertical generatrix at constant distance a; "
+                        "x is constant so no momentum-as-function-of-x exists",
+                        label="momentum-exempt")
 
 
 # ----------------------------------------------------------- power momenta
@@ -213,30 +209,23 @@ def hopf_kuhnel(q: float, a: float = 1.0) -> CatalogEntry:
         t_cap = math.acos(4.0 ** q)  # caps the momentum window at x = 4a
         dom = (a, 4.0 * a)
 
+    def cos_pow(t, p):
+        # C pow (np.power takes squaring shortcuts); inf, not a warning, on a
+        # division by zero or an overflow
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.float_power(np.cos(t), p)
+
     @lru_cache(maxsize=1)
     def anti():
         # built on the first point() call, so listing the entry costs nothing
         from .quadrature import AnchoredAntiderivative, takes_arrays
+        return AnchoredAntiderivative(takes_arrays(lambda v: cos_pow(v, inv_q)),
+                                      -t_cap, t_cap, anchor=0.0, tol=1e-12)
 
-        @takes_arrays
-        def integrand(v):
-            # C pow, as _pow's ** (np.power takes squaring shortcuts), and
-            # inf where _pow gives inf: a division by zero or an overflow
-            with np.errstate(divide="ignore", over="ignore"):
-                return np.float_power(np.cos(v), inv_q)
-
-        return AnchoredAntiderivative(integrand, -t_cap, t_cap, anchor=0.0,
-                                      tol=1e-12)
-
-    def pt(t: float) -> tuple[float, float]:
-        return (a * _pow(math.cos(t), inv_q), (a / q) * float(anti()(t)))
-
-    def vel(t: float) -> tuple[float, float]:
-        ct, st = math.cos(t), math.sin(t)
-        return (-(a / q) * _pow(ct, inv_q - 1.0) * st, (a / q) * _pow(ct, inv_q))
-
-    prof = ClosedProfile((-t_cap, t_cap), pt, vel,
-                         note="x = a*cos(t)^(1/q); z by quadrature of cos(t)^(1/q)")
+    prof = ClosedProfile(
+        (-t_cap, t_cap), lambda t: (a * cos_pow(t, inv_q), (a / q) * anti()(t)),
+        lambda t: (-(a / q) * cos_pow(t, inv_q - 1.0) * np.sin(t),
+                   (a / q) * cos_pow(t, inv_q)))
     label = _HK_NAMES.get(q)
     return CatalogEntry("hopf_kuhnel", {"q": q, "a": a}, "(x/a)^q", dom, prof,
                         "power momentum (x/a)^q; meridian curvature is q times "
@@ -324,22 +313,21 @@ def equal_strength(a: float = 1.0, beta: float = 0.0) -> CatalogEntry:
              f"equal_strength needs |beta| < pi/2, got {beta!r}")
     cb, sb = math.cos(beta), math.sin(beta)
 
-    def pt(s: float) -> tuple[float, float]:
+    def pt(s):
         u = cb * s
-        D = math.cosh(u) + sb
-        return (math.log(cb * cb / (a * D)),
-                sb * s + 2.0 * math.atan((math.exp(u) + sb) / cb))
+        D = np.cosh(u) + sb
+        return (np.log(cb * cb / (a * D)),
+                sb * s + 2.0 * np.arctan((np.exp(u) + sb) / cb))
 
-    def vel(s: float) -> tuple[float, float]:
+    def vel(s):
         u = cb * s
-        D = math.cosh(u) + sb
-        return (-cb * math.sinh(u) / D, sb + cb * cb / D)
+        D = np.cosh(u) + sb
+        return (-cb * np.sinh(u) / D, sb + cb * cb / D)
 
     s_span = 6.0
-    x_min = pt(s_span)[0]
+    x_min = float(pt(s_span)[0])
     x_max = math.log((1.0 - sb) / a)
-    prof = ClosedProfile((-s_span, s_span), pt, vel, unit_speed=True,
-                         note="catenary of equal strength at beta = 0")
+    prof = ClosedProfile((-s_span, s_span), pt, vel)
     return CatalogEntry("equal_strength", {"a": a, "beta": beta, "c": sb},
                         "a*exp(x) + sin(beta)", (x_min, x_max), prof,
                         "exponential meridian curvature a*e^x with momentum "
@@ -354,18 +342,17 @@ def ondualysoid(a: float = 1.0) -> CatalogEntry:
     a = float(a)
     _require(a > 0, f"ondualysoid needs a > 0, got {a!r}")
 
-    def pt(s: float) -> tuple[float, float]:
-        return (math.log(2.0 / (a * (1.0 + s * s))), 2.0 * math.atan(s) - s)
+    def pt(s):
+        return (np.log(2.0 / (a * (1.0 + s * s))), 2.0 * np.arctan(s) - s)
 
-    def vel(s: float) -> tuple[float, float]:
+    def vel(s):
         d = 1.0 + s * s
         return (-2.0 * s / d, (1.0 - s * s) / d)
 
     s_span = 6.0
-    prof = ClosedProfile((-s_span, s_span), pt, vel, unit_speed=True,
-                         note="alysoid generatrix")
+    prof = ClosedProfile((-s_span, s_span), pt, vel)
     return CatalogEntry("ondualysoid", {"a": a, "c": -1.0}, "a*exp(x) - 1",
-                        (pt(s_span)[0], math.log(2.0 / a)), prof,
+                        (float(pt(s_span)[0]), math.log(2.0 / a)), prof,
                         "exponential meridian curvature a*e^x at the parabolic "
                         "momentum constant c = -1")
 
@@ -386,21 +373,20 @@ def loopoid(a: float = 1.0, eta: float = 1.0) -> CatalogEntry:
     _require(eta > 0, f"loopoid needs eta > 0, got {eta!r}")
     ch, sh = math.cosh(eta), math.sinh(eta)
 
-    def pt(s: float) -> tuple[float, float]:
+    def pt(s):
         u = sh * s
-        D = ch - math.sin(u)
-        x = math.log(sh * sh / (a * D))
-        z = (-ch * s - 2.0 * math.atan((1.0 - ch * math.tan(0.5 * u)) / sh)
-             + 2.0 * math.pi * math.floor((u + math.pi) / (2.0 * math.pi)))
+        D = ch - np.sin(u)
+        x = np.log(sh * sh / (a * D))
+        z = (-ch * s - 2.0 * np.arctan((1.0 - ch * np.tan(0.5 * u)) / sh)
+             + 2.0 * math.pi * np.floor((u + math.pi) / (2.0 * math.pi)))
         return (x, z)
 
-    def vel(s: float) -> tuple[float, float]:
+    def vel(s):
         u = sh * s
-        D = ch - math.sin(u)
-        return (sh * math.cos(u) / D, sh * sh / D - ch)
+        D = ch - np.sin(u)
+        return (sh * np.cos(u) / D, sh * sh / D - ch)
 
-    prof = ClosedProfile((-6.0, 6.0), pt, vel, unit_speed=True,
-                         note="stacked loops along the axis direction")
+    prof = ClosedProfile((-6.0, 6.0), pt, vel)
     if math.isclose(ch, a + 1.0, rel_tol=1e-12):
         label = "cosh(eta) = a + 1"
     elif ch < a + 1.0:
@@ -433,10 +419,10 @@ def mean_inverse_profile(mu: float, c: float) -> CatalogEntry:
         x_hi = x_lo + 6.0 * max(1.0, -c)
         rt = math.sqrt(-c)
 
-        def z_of(x: float) -> float:
-            return (x + 2.0 * c) * math.sqrt(max(2.0 * x + c, 0.0)) / (3.0 * rt)
+        def z_of(x):
+            return (x + 2.0 * c) * np.sqrt(np.maximum(2.0 * x + c, 0.0)) / (3.0 * rt)
 
-        def P(x: float) -> float:
+        def P(x):
             return -c * (2.0 * x + c)
 
     elif branch.kind == "Trigonometric":
@@ -446,14 +432,14 @@ def mean_inverse_profile(mu: float, c: float) -> CatalogEntry:
         x_lo = c / (1.0 - st) if c > 0 else -c / (1.0 + st)
         x_hi = x_lo + 6.0 * max(1.0, abs(c), x_lo)
 
-        def P(x: float) -> float:
+        def P(x):
             return ct * ct * x * x - 2.0 * st * c * x - c * c
 
-        def z_of(x: float) -> float:
+        def z_of(x):
             if c == 0.0:
                 return math.tan(th) * x
-            rp = math.sqrt(max(P(x), 0.0))
-            return (st / (ct * ct)) * rp + (c / ct ** 3) * math.log(
+            rp = np.sqrt(np.maximum(P(x), 0.0))
+            return (st / (ct * ct)) * rp + (c / ct ** 3) * np.log(
                 2.0 * ct * rp + 2.0 * ct * ct * x - 2.0 * st * c)
 
     else:  # Hyperbolic
@@ -464,20 +450,22 @@ def mean_inverse_profile(mu: float, c: float) -> CatalogEntry:
         x_lo = -c / (1.0 + ch)
         x_hi = c / (1.0 - ch)
 
-        def P(x: float) -> float:
+        def P(x):
             return -sh * sh * x * x - 2.0 * ch * c * x - c * c
 
-        def z_of(x: float) -> float:
-            rp = math.sqrt(max(P(x), 0.0))
-            arg = min(1.0, max(-1.0, (sh * sh * x + ch * c) / c))
-            return -(ch / (sh * sh)) * rp + (c / sh ** 3) * math.asin(arg)
+        def z_of(x):
+            rp = np.sqrt(np.maximum(P(x), 0.0))
+            arg = np.clip((sh * sh * x + ch * c) / c, -1.0, 1.0)
+            return -(ch / (sh * sh)) * rp + (c / sh ** 3) * np.arcsin(arg)
 
-    def vel(x: float) -> tuple[float, float]:
+    def vel(x):
         p = P(x)
-        return (1.0, (2.0 * mu * x + c) / math.sqrt(p) if p > 0 else math.inf)
+        # inf where the graph turns vertical, |K| = 1 at x_lo or x_hi
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.full(np.shape(x), 1.0), np.where(
+                p > 0, (2.0 * mu * x + c) / np.sqrt(p), np.inf)
 
-    prof = ClosedProfile((x_lo, x_hi), lambda x: (x, z_of(x)), vel,
-                         note=f"graph branch: {branch.kind}")
+    prof = ClosedProfile((x_lo, x_hi), lambda x: (x, z_of(x)), vel)
     return CatalogEntry("mean_inverse_profile", params, "2*mu + c/x", (x_lo, x_hi), prof,
                         "mean curvature inversely proportional to the distance "
                         "to the axis; branch set by comparing 2*mu with 1",
@@ -495,14 +483,9 @@ def transonducycloid(R: float = 1.0, a: float = 0.0) -> CatalogEntry:
     a = float(a)
     _require(R > 0, f"transonducycloid needs R > 0, got {R!r}")
 
-    def pt(t: float) -> tuple[float, float]:
-        return (a + R * (1.0 - math.cos(t)), R * (t - math.sin(t) - math.pi))
-
-    def vel(t: float) -> tuple[float, float]:
-        return (R * math.sin(t), R * (1.0 - math.cos(t)))
-
-    prof = ClosedProfile((0.0, 2.0 * math.pi), pt, vel,
-                         note="one cycloid arch, cusps at t = 0 and t = 2*pi")
+    prof = ClosedProfile((0.0, 2.0 * math.pi),
+                         lambda t: (a + R * (1.0 - np.cos(t)), R * (t - np.sin(t) - math.pi)),
+                         lambda t: (R * np.sin(t), R * (1.0 - np.cos(t))))
     return CatalogEntry("transonducycloid", {"R": R, "a": a}, "sqrt((x - a)/(2*R))",
                         (a, a + 2.0 * R), prof,
                         "cycloid arch revolved about its base line; "
@@ -512,21 +495,9 @@ def transonducycloid(R: float = 1.0, a: float = 0.0) -> CatalogEntry:
 
 # ------------------------------------------------------------- dispatching
 
-_BUILDERS: dict[str, Callable[..., CatalogEntry]] = {
-    "plane": lambda **p: basic("plane", **p),
-    "cone": lambda **p: basic("cone", **p),
-    "sphere": lambda **p: basic("sphere", **p),
-    "torus": lambda **p: basic("torus", **p),
-    "catenoid": lambda **p: basic("catenoid", **p),
-    "cylinder": lambda **p: basic("cylinder", **p),
-    "hopf_kuhnel": hopf_kuhnel,
-    "elasticoid": elasticoid,
-    "equal_strength": equal_strength,
-    "ondualysoid": ondualysoid,
-    "loopoid": loopoid,
-    "mean_inverse_profile": mean_inverse_profile,
-    "transonducycloid": transonducycloid,
-}
+_BUILDERS: dict[str, Callable[..., CatalogEntry]] = {f.__name__: f for f in (
+    plane, cone, sphere, torus, catenoid, cylinder, hopf_kuhnel, elasticoid,
+    equal_strength, ondualysoid, loopoid, mean_inverse_profile, transonducycloid)}
 
 
 def build(name: str, **params: float) -> CatalogEntry:
@@ -544,12 +515,12 @@ def build(name: str, **params: float) -> CatalogEntry:
 def list_entries() -> list[CatalogEntry]:
     """Representative instances of every family, for `catalog list`."""
     return [
-        basic("plane"),
-        basic("cone", theta0=math.pi / 6),
-        basic("sphere", R=1.0),
-        basic("torus", a=2.0, R=1.0),
-        basic("catenoid", a=1.0),
-        basic("cylinder", a=1.0),
+        plane(),
+        cone(math.pi / 6),
+        sphere(1.0),
+        torus(2.0, 1.0),
+        catenoid(1.0),
+        cylinder(1.0),
         hopf_kuhnel(2.0, 1.0),
         elasticoid(1.0, 0.0),
         equal_strength(1.0, 0.0),

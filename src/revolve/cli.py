@@ -247,12 +247,13 @@ def _cmd_verify(args) -> int:
     state = _load_state(args.out)
     m = _momentum_from_state(state, args.tol_quad)
     lo, hi = m.domain
-    w = hi - lo
-    pad = 1e-3 * w
-    side = 1.0 if hi > 0.0 else -1.0  # the checks keep to x > 0 where the domain has it
-    grid = np.linspace((max(lo, 0.0) if side > 0.0 else lo) + pad, hi - pad, args.grid)
-
     p = _integrate(m, args)
+    # the grid spans the x the trace visited, inside the band where |K| < 1;
+    # the rest of the domain may hold |K| > 1, where no rebuild need converge
+    x_lo, x_hi = float(np.min(p.x)), float(np.max(p.x))
+    pad = 1e-3 * (x_hi - x_lo)
+    side = 1.0 if x_hi > 0.0 else -1.0  # the checks keep to x > 0 where the band has it
+    grid = np.linspace((max(x_lo, 0.0) if side > 0.0 else x_lo) + pad, x_hi - pad, args.grid)
     checks: dict[str, float] = {}
 
     xs, ks = momentum_of_profile(p)
@@ -331,7 +332,7 @@ def _cmd_catalog(args) -> int:
         from ._records import records
         t0, t1 = entry.closed_profile.param_range
         ts = np.linspace(t0, t1, 1025)
-        xs, zs = entry.closed_profile.sample(ts)
+        xs, zs = entry.closed_profile.point(ts)
         files["closed_profile.csv"] = "t,x,z\n" + records("%.17g,%.17g,%.17g\n",
                                                          (ts, xs, zs))
     _write_all(args.out, files)

@@ -233,6 +233,40 @@ def test_list_entries_cover_all_builders():
     for e in entries:
         d = e.to_json_dict()
         assert d["provenance"]
+    # one family table: each name builds through the public function of that name
+    for name, builder in catalog._BUILDERS.items():
+        assert builder is getattr(catalog, name), name
+        assert name in catalog.__all__, name
+    assert "basic" not in catalog._BUILDERS and "basic" not in catalog.__all__
+
+
+_CLOSED = [e for e in catalog.list_entries() + [
+    catalog.hopf_kuhnel(0.5), catalog.hopf_kuhnel(-0.5), catalog.hopf_kuhnel(-1.0),
+    catalog.hopf_kuhnel(3.0), catalog.equal_strength(1.0, math.pi / 3.0),
+    catalog.mean_inverse_profile(0.25, 0.3), catalog.mean_inverse_profile(0.25, -0.3),
+    catalog.mean_inverse_profile(0.25, 0.0),
+    catalog.mean_inverse_profile(math.cosh(1.0) / 2.0, -1.0),
+    catalog.transonducycloid(1.0, 0.7)] if e.closed_profile is not None]
+
+
+@pytest.mark.parametrize("entry", _CLOSED, ids=lambda e: "-".join(
+    [e.name] + [f"{k}={v:.3g}" for k, v in e.params.items()]))
+def test_closed_forms_take_arrays_to_their_ends(entry):
+    # the ends hold the infinite velocity at the catenoid's waist and at
+    # x_lo of mean_inverse_profile, and hopf_kuhnel at t = +-pi/2 for q > 0;
+    # a NumPy warning there fails the test (warnings are errors)
+    closed = entry.closed_profile
+    ts = np.linspace(*closed.param_range, 1025)
+    for f in (closed.point, closed.velocity):
+        got = f(ts)
+        assert len(got) == 2 and all(np.shape(g) == ts.shape for g in got), f
+        each = [f(t) for t in ts.tolist()]
+        assert all(np.shape(g) == () for pair in each for g in pair), f
+        want = np.array(each, dtype=float).T
+        ulp = np.spacing(np.maximum(1.0, np.abs(want)))
+        with np.errstate(invalid="ignore"):  # inf - inf where both are inf
+            close = (got == want) | (np.abs(got - want) <= _PROBE_ULPS * ulp)
+        assert np.all(close), (f, ts[~np.all(close, axis=0)])
 
 
 @pytest.mark.parametrize("entry", [e for e in catalog.list_entries() if e.momentum],

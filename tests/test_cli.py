@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -193,7 +194,7 @@ def test_catalog_list_and_build(tmp_path, capsys):
     # the bytes of the one-f-string-per-row writer
     closed = revolve.catalog.build("hopf_kuhnel", q=2.0, a=1.0).closed_profile
     ts = np.linspace(*closed.param_range, 1025)
-    xs, zs = closed.sample(ts)
+    xs, zs = closed.point(ts)
     want = "t,x,z\n" + "".join(f"{t:.17g},{x:.17g},{z:.17g}\n"
                                for t, x, z in zip(ts, xs, zs))
     assert (d / "closed_profile.csv").read_bytes() == want.encode()
@@ -445,6 +446,52 @@ def test_verify_on_a_domain_across_the_axis(tmp_path, capsys, name, params):
     assert checks["mean_roundtrip"] < 1e-8 and checks["gauss_roundtrip"] < 1e-8
     assert checks["discrete_mean"] < 0.2 and checks["discrete_gauss"] < 0.4
     assert checks["momentum_roundtrip"] < 1e-4 and checks["unit_speed"] < 1e-9
+
+
+@pytest.mark.parametrize("domain", ["0.001:3", "0.01:3", "0.05:3"])
+def test_verify_rebuilds_over_the_band_it_traced(tmp_path, capsys, domain):
+    # H = 1 anchored on the axis: K = x + 0.12/x, with |K| < 1 only on
+    # (0.139, 0.861). Below it x K_G ~ -0.0144/x^3, so a Gauss rebuild over
+    # the whole domain needs more than 4096 panels when it reaches x = 0.004
+    d = str(tmp_path / "und")
+    code, _, err = run(["prescribe", "--kind", "mean", "--expr", "1", "--const", "0.12",
+                        "--anchor", "0", "--domain", domain, "--out", d], capsys)
+    assert code == 0, err
+    code, out, err = run(["verify", "--out", d], capsys)
+    assert code == 0, err
+    checks = json.loads(out)["checks"]
+    assert checks["mean_roundtrip"] < 1e-12 and checks["gauss_roundtrip"] < 1e-12
+
+
+_MATRIX = [e for e in revolve.catalog.list_entries() if e.momentum is not None]
+
+
+@pytest.mark.parametrize("entry", _MATRIX, ids=[e.name for e in _MATRIX])
+def test_catalog_pipeline_matrix(tmp_path, capsys, entry):
+    from revolve._records import records
+    builder = revolve.catalog._BUILDERS[entry.name]
+    argv = ["catalog", "build", entry.name]
+    for k, v in entry.params.items():  # derived params (c, theta, delta) are not inputs
+        if k in inspect.signature(builder).parameters:
+            argv += ["--param", f"{k}={v!r}"]
+    outs = []
+    for sub in ("a", "b"):
+        d = str(tmp_path / sub)
+        for stage in ([*argv, "--out", d], ["profile", "--out", d],
+                      ["mesh", "--out", d], ["verify", "--out", d, "--tol-verify", "1e-2"]):
+            code, _, err = run(stage, capsys)
+            assert code == 0, (stage, err)
+        outs.append({f: (tmp_path / sub / f).read_bytes()
+                     for f in sorted(os.listdir(d))})
+    assert outs[0] == outs[1]
+    # --tol-verify passes a NaN core residual, so check that it is a number
+    checks = json.loads(outs[0]["verify.json"])["checks"]
+    assert math.isfinite(checks["momentum_roundtrip"] + checks["unit_speed"]), checks
+    closed = entry.closed_profile
+    if closed is not None:
+        ts = np.linspace(*closed.param_range, 1025)
+        want = "t,x,z\n" + records("%.17g,%.17g,%.17g\n", (ts, *closed.point(ts)))
+        assert outs[0]["closed_profile.csv"] == want.encode()
 
 
 def test_import_loads_no_scipy():
