@@ -20,16 +20,18 @@ Each character position is one row of a NUL-padded (width, n) uint8 matrix;
 a block is one transpose of that matrix with the NULs dropped. A run of
 bit-identical values in a float column (each ring's z in a mesh) is
 formatted once. The records are rendered in pieces of a fixed number of rows,
-which bounds the temporaries.
+which bounds the temporaries: ``record_pieces`` yields them as ASCII bytes,
+for a writer that streams them, and ``records`` joins them into one str.
 """
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from functools import cache
 
 import numpy as np
 
-__all__ = ["records"]
+__all__ = ["records", "record_pieces"]
 
 _CONVERSION = re.compile(r"%\.17g|%d")
 _CHUNK = 8192            # records rendered per piece
@@ -60,6 +62,13 @@ def records(template: str, columns) -> str:
     """``template * n % tuple(values)`` for the n rows of ``columns``, one
     1-D array per conversion of the template, in order; the conversions are
     ``%.17g`` and ``%d``, and other ``%`` directives are not allowed."""
+    return "".join(piece.decode("ascii") for piece in record_pieces(template, columns))
+
+
+def record_pieces(template: str, columns) -> Iterator[bytes]:
+    """The ASCII bytes of ``records(template, columns)``, one piece of at
+    most _CHUNK records at a time; the arguments are checked at the call,
+    and each piece is rendered when it is asked for."""
     literals = _CONVERSION.split(template)
     if any("%" in lit for lit in literals):
         raise ValueError(f"unsupported directive in {template!r}")
@@ -72,7 +81,10 @@ def records(template: str, columns) -> str:
                          f"length, got shapes {[c.shape for c in cols]}")
     text = [np.frombuffer(lit.encode("ascii"), dtype=np.uint8)[:, None]
             for lit in literals]
-    pieces = []
+    return _render(text, fields, cols, n)
+
+
+def _render(text, fields, cols, n: int) -> Iterator[bytes]:
     for lo in range(0, n, _CHUNK):
         m = min(_CHUNK, n - lo)
         blocks = [np.broadcast_to(text[0], (len(text[0]), m))]
@@ -82,8 +94,7 @@ def records(template: str, columns) -> str:
             blocks.extend(field(np.ascontiguousarray(col[lo:lo + m], dtype=dtype)))
             blocks.append(np.broadcast_to(lit, (len(lit), m)))
         matrix = np.concatenate(blocks)
-        pieces.append(matrix.T.tobytes().translate(None, b"\0").decode("ascii"))
-    return "".join(pieces)
+        yield matrix.T.tobytes().translate(None, b"\0")
 
 
 @cache

@@ -2,8 +2,10 @@
 
 Subcommands drive the pipeline out of a state directory (--out): `prescribe`
 or `catalog build` persist a momentum description to momentum.json, then
-`profile`, `mesh` and `verify` consume it. Artifacts are fully computed in
-memory before anything is written, so a failing run leaves no partial files.
+`profile`, `mesh` and `verify` consume it. Each file is written under a
+temporary name and renamed onto its own once complete, so a failing run
+leaves no partial file: the small artifacts are computed in memory first,
+and `mesh` streams its OBJ or STL to disk as it renders it.
 
 Each subcommand imports the modules it runs inside its ``_cmd_*``, so a
 stage process loads only those: ``mesh`` reads profile.csv without the
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from types import SimpleNamespace
@@ -29,8 +32,13 @@ import numpy as np
 from .errors import NumericalError, ParamOutOfRange, RevolveError, ValidationError
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     from .momentum import Momentum
     from .reconstruct import Profile
+
+    # what _write_all takes for one file
+    Content = str | bytes | bytearray | memoryview | Iterable[bytes]
 
 _STATE = "momentum.json"
 
@@ -58,20 +66,33 @@ def _parse_domain(text: str) -> tuple[float, float]:
         raise ValidationError(f"--domain bounds must be numbers, got {text!r}") from None
 
 
-def _write_all(outdir: str, files: dict[str, str | bytes]) -> None:
+def _write_all(outdir: str, files: dict[str, Content]) -> None:
+    """Write each file into outdir: a str as UTF-8, a bytes-like object as
+    it is, and any other iterable of bytes piece by piece, as it yields
+    them, so a streamed file is never whole in memory. Each file goes to a
+    temporary name in outdir and is moved onto its own name by os.replace
+    once complete; if the write or a piece fails, the temporary file is
+    removed and the file of that name is left as it was."""
     os.makedirs(outdir, exist_ok=True)
     for name, content in files.items():
-        path = os.path.join(outdir, name)
-        if isinstance(content, bytes):
-            with open(path, "wb") as fh:
-                fh.write(content)
-        else:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(content)
+        tmp = os.path.join(outdir, f".{name}.{os.getpid()}.tmp")
+        if isinstance(content, str):
+            content = content.encode("utf-8")
+        try:
+            with open(tmp, "wb") as fh:
+                if isinstance(content, (bytes, bytearray, memoryview)):
+                    fh.write(content)
+                else:
+                    fh.writelines(content)
+            os.replace(tmp, os.path.join(outdir, name))
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _required(state: dict, key: str):
@@ -204,7 +225,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_mesh(args) -> int:
-    from .mesh import revolve, write_obj, write_stl
+    from .mesh import _obj_pieces, _stl_buffer, revolve
     path = os.path.join(args.out, "profile.csv")
     if not os.path.exists(path):
         raise ValidationError(f"no profile.csv in {args.out!r}; run profile first")
@@ -222,9 +243,9 @@ def _cmd_mesh(args) -> int:
     _, x, z, tx, tz = data.T  # revolve reads only x, z, tx and tz
     mesh = revolve(SimpleNamespace(x=x, z=z, tx=tx, tz=tz), n_theta=args.ntheta)
     if args.format == "obj":
-        _write_all(args.out, {"surface.obj": write_obj(mesh)})
+        _write_all(args.out, {"surface.obj": _obj_pieces(mesh)})
     else:
-        _write_all(args.out, {"surface.stl": write_stl(mesh)})
+        _write_all(args.out, {"surface.stl": _stl_buffer(mesh)})
     print(f"mesh: {len(mesh.vertices)} vertices, {len(mesh.triangles)} triangles")
     return 0
 
@@ -297,15 +318,18 @@ def _cmd_verify(args) -> int:
         checks["constraint"] = _worst(constraint_residual(
             fh, fg, args.gamma_h, args.c_g, grid, (lo, hi), anchor=lo))
 
-    report = {"checks": checks, "domain": [lo, hi], "grid": args.grid,
+    # a check that is not a number (the Gauss rebuild of the plane is 0/0)
+    # is written as null: strict JSON has no NaN
+    report = {"checks": {k: v if math.isfinite(v) else None for k, v in checks.items()},
+              "domain": [lo, hi], "grid": args.grid,
               "samples": len(p), "turning_points": p.branch_events}
     text = _dump_json(report)
     _write_all(args.out, {"verify.json": text})
     sys.stdout.write(text)
     if args.tol_verify is not None:
-        core = max(checks["momentum_roundtrip"], checks["unit_speed"])
-        if core > args.tol_verify:
-            print(f"verification exceeded --tol-verify: {core:.3e} > "
+        core = np.array([checks["momentum_roundtrip"], checks["unit_speed"]])
+        if not np.all(core <= args.tol_verify):  # a NaN fails
+            print(f"verification exceeded --tol-verify: {np.max(core):.3e} > "
                   f"{args.tol_verify:.3e}", file=sys.stderr)
             return 1
     return 0
@@ -324,7 +348,7 @@ def _cmd_catalog(args) -> int:
     params = _parse_params(args.param)
     entry = cat.build(args.name, **params)
     state = {"source": "catalog", "name": args.name, "params": params}
-    files: dict[str, str | bytes] = {
+    files: dict[str, Content] = {
         _STATE: _dump_json(state),
         "entry.json": _dump_json(entry.to_json_dict()),
     }

@@ -33,6 +33,16 @@ the bytes that %.17g and %d formatting give each value; its peak memory is
 about twice its output, the rendered pieces and their join. write_stl fills
 one buffer of the file's size, _CHUNK triangles at a time, and returns it as
 bytes; its peak is about twice its output, plus one piece's temporaries.
+The CLI writes the same bytes without the second copy: _obj_pieces yields
+the OBJ as ASCII pieces of at most _CHUNK records, which go to the file one
+by one, and _stl_buffer is the filled buffer itself. Its peak is then the
+mesh arrays (about one OBJ's size) and one piece, or the mesh and the one
+STL buffer. The writers load _records when they run, so revolving a mesh
+does not.
+
+revolve copies no array it does not change: the vertex and normal grids are
+only compacted where a ring is a pole, and the triangles only filtered where
+one collapses next to a pole.
 
 Normal and sign convention: per-vertex reference normals follow the surface
 convention n = (-tz*cos(theta), -tz*sin(theta), tx) built from the profile
@@ -51,11 +61,12 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from ._records import _CHUNK, records
 from .errors import (AxisSingularity, DegenerateProfile, NonManifold,
                      ParamOutOfRange)
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     from .momentum import Momentum
 
 __all__ = [
@@ -68,6 +79,9 @@ __all__ = [
 ]
 
 _POLE_EPS = 1e-12
+_OBJ_HEADER = ("# rotational surface mesh\n"
+               "# normal convention: n = (-tz*cos(theta), -tz*sin(theta), tx); "
+               "discrete H is signed against this normal\n")
 
 
 class _EdgeSummary(NamedTuple):
@@ -207,7 +221,8 @@ def revolve(p, n_theta: int = 64) -> SurfaceMesh:
                     axis=-1).reshape(-1, 3)
     a, b, c = tris.T
     kept = (a != b) & (b != c) & (c != a)
-    tris = tris[kept]
+    if not kept.all():
+        tris = tris[kept]
 
     # the triangles on a first vertex: columns 0 and n_theta - 1 of every
     # strip, and the whole of a pole fan
@@ -233,12 +248,12 @@ def revolve(p, n_theta: int = 64) -> SurfaceMesh:
         lo=(ends[:, None] + lo_ring).ravel(),
         hi=(ends[:, None] + hi_ring).ravel())
 
-    flat = keep.ravel()
-    mesh = SurfaceMesh(vertices=verts.reshape(-1, 3)[flat],
-                       triangles=tris,
-                       rings=rings,
-                       normals=norms.reshape(-1, 3)[flat],
-                       n_theta=n_theta)
+    verts, norms = verts.reshape(-1, 3), norms.reshape(-1, 3)
+    if pole.any():
+        flat = keep.ravel()
+        verts, norms = verts[flat], norms[flat]
+    mesh = SurfaceMesh(vertices=verts, triangles=tris, rings=rings,
+                       normals=norms, n_theta=n_theta)
     for arr in (mesh.vertices, mesh.triangles, mesh.normals):
         arr.flags.writeable = False
     mesh._edges, mesh._grid = edges, grid
@@ -371,11 +386,21 @@ def write_obj(mesh: SurfaceMesh) -> str:
     with an error below 2**-46 of the last digit; one that is non-finite,
     outside that range or within 1e-6 of a rounding tie is formatted by
     Python. Byte-identical for identical meshes."""
-    header = ("# rotational surface mesh\n"
-              "# normal convention: n = (-tz*cos(theta), -tz*sin(theta), tx); "
-              "discrete H is signed against this normal\n")
-    return "".join((header, records("v %.17g %.17g %.17g\n", mesh.vertices.T),
+    from ._records import records
+    return "".join((_OBJ_HEADER, records("v %.17g %.17g %.17g\n", mesh.vertices.T),
                     records("f %d %d %d\n", (mesh.triangles + 1).T)))
+
+
+def _obj_pieces(mesh: SurfaceMesh) -> Iterator[bytes]:
+    """The ASCII bytes of write_obj(mesh), in pieces: the header, then the
+    v and the f records, at most _CHUNK records a piece. The 1-based
+    indices are made a piece at a time, not as a copy of the triangles."""
+    from ._records import _CHUNK, record_pieces
+    yield _OBJ_HEADER.encode("ascii")
+    yield from record_pieces("v %.17g %.17g %.17g\n", mesh.vertices.T)
+    t = mesh.triangles
+    for lo in range(0, len(t), _CHUNK):
+        yield from record_pieces("f %d %d %d\n", (t[lo:lo + _CHUNK] + 1).T)
 
 
 def write_stl(mesh: SurfaceMesh) -> bytes:
@@ -389,6 +414,12 @@ def write_stl(mesh: SurfaceMesh) -> bytes:
     order, of np.cross and np.linalg.norm. The peak memory is about twice
     the output, the buffer and the returned bytes, plus one piece's
     temporaries."""
+    return bytes(_stl_buffer(mesh))
+
+
+def _stl_buffer(mesh: SurfaceMesh) -> bytearray:
+    """The bytes of write_stl(mesh) in the one buffer they are filled in."""
+    from ._records import _CHUNK
     header = b"rotational surface mesh (binary STL)"
     t = mesh.triangles
     n = len(t)
@@ -412,4 +443,4 @@ def write_stl(mesh: SurfaceMesh) -> bytes:
         length = np.maximum(length, 1e-300)
         for c, v in enumerate(nrm):
             rows[:, c] = np.where(ok, v / length, 0.0)
-    return bytes(buf)
+    return buf

@@ -24,7 +24,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ._records import records
 from .curvature import CurvatureSample
 from .errors import (AxisSingularity, DegeneratePolyline, DomainViolation,
                      EventLocatorFailure, NonIntegrableSingularity, ParamOutOfRange)
@@ -458,5 +457,6 @@ def profile_to_csv(p: Profile) -> str:
     error below 2**-46 of the last digit, and Python's own formatting for a
     value that is non-finite, outside that range or within 1e-6 of a
     rounding tie."""
+    from ._records import records
     return "s,x,z,tx,tz\n" + records("%.17g,%.17g,%.17g,%.17g,%.17g\n",
                                      (p.s, p.x, p.z, p.tx, p.tz))

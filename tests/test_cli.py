@@ -6,12 +6,14 @@ import pkgutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import revolve
+from revolve._records import _CHUNK
 from revolve.cli import main
 
 
@@ -94,6 +96,45 @@ def test_verify_tolerance_gate(tmp_path, capsys):
     code, _, _ = run(["verify", "--out", str(d), "--grid", "40",
                       "--ntheta", "32", "--tol-verify", "1e-12"], capsys)
     assert code == 1
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_verify_writes_strict_json_for_the_plane(tmp_path, capsys):
+    # K = 0: the Gauss rebuild's K' = x K_G / K is 0/0, a check that is no
+    # number, written as null
+    d = str(tmp_path / "plane")
+    assert run(["catalog", "build", "plane", "--out", d], capsys)[0] == 0
+    assert run(["profile", "--out", d], capsys)[0] == 0
+    code, out, err = run(["verify", "--out", d, "--tol-verify", "1e-6"], capsys)
+    assert code == 0, err
+    report = _strict_json((tmp_path / "plane" / "verify.json").read_text())
+    assert report["checks"]["gauss_roundtrip"] is None
+    assert _strict_json(out) == report
+
+
+def test_verify_gate_fails_a_nan_core_residual(tmp_path, capsys, monkeypatch):
+    from revolve import reconstruct
+    traced = reconstruct.momentum_of_profile
+
+    def with_a_nan(p):
+        xs, ks = traced(p)
+        ks = ks.copy()
+        ks[len(ks) // 2] = math.nan
+        return xs, ks
+
+    monkeypatch.setattr(reconstruct, "momentum_of_profile", with_a_nan)
+    d = prescribe_catenoid(tmp_path / "st", capsys)
+    code, _, err = run(["verify", "--out", str(d), "--grid", "40",
+                        "--ntheta", "32", "--tol-verify", "1e-1"], capsys)
+    assert code == 1 and "exceeded --tol-verify: nan" in err, err
+    report = _strict_json((d / "verify.json").read_text())
+    assert report["checks"]["momentum_roundtrip"] is None
+    assert report["checks"]["unit_speed"] < 1e-9
 
 
 def test_verify_weingarten_flag(tmp_path, capsys):
@@ -241,6 +282,77 @@ def test_artifacts_are_deterministic(tmp_path, capsys):
                      (d / "profile.csv").read_bytes(),
                      (d / "surface.obj").read_bytes()))
     assert outs[0] == outs[1]
+
+
+def _write_profile(d, p):
+    (d / "profile.csv").write_text(revolve.profile_to_csv(p))
+    _, x, z, tx, tz = np.loadtxt(d / "profile.csv", delimiter=",", skiprows=1).T
+    return SimpleNamespace(x=x, z=z, tx=tx, tz=tz)
+
+
+def _sphere(n):
+    t = np.linspace(0.0, math.pi, n)
+    return revolve.Profile(s=t, x=np.sin(t), z=-np.cos(t), tx=np.cos(t), tz=np.sin(t))
+
+
+@pytest.mark.parametrize("name", ["sphere", "band"])
+def test_mesh_stage_writes_the_library_bytes(tmp_path, capsys, name):
+    # the streamed OBJ and the STL buffer are the writers' bytes: a sphere,
+    # whose poles fan, and a band of more vertices and triangles than one
+    # piece of records
+    if name == "sphere":
+        p, n_theta = _sphere(33), 16
+    else:
+        t = np.linspace(1.0, 2.0, 161)
+        p, n_theta = revolve.Profile(s=t, x=t, z=0.3 * t ** 2, tx=np.ones(161),
+                                     tz=np.zeros(161)), 64
+    mesh = revolve.revolve(_write_profile(tmp_path, p), n_theta=n_theta)
+    if name == "band":
+        assert len(mesh.vertices) > _CHUNK and len(mesh.triangles) > 2 * _CHUNK
+    for fmt, want in (("obj", revolve.write_obj(mesh).encode()),
+                      ("stl", revolve.write_stl(mesh))):
+        code, _, err = run(["mesh", "--out", str(tmp_path), "--ntheta", str(n_theta),
+                            "--format", fmt], capsys)
+        assert code == 0, err
+        assert (tmp_path / f"surface.{fmt}").read_bytes() == want
+    assert sorted(os.listdir(tmp_path)) == ["profile.csv", "surface.obj", "surface.stl"]
+
+
+def test_a_failed_mesh_stream_leaves_the_old_file(tmp_path, capsys, monkeypatch):
+    _write_profile(tmp_path, _sphere(33))
+    assert run(["mesh", "--out", str(tmp_path), "--ntheta", "16"], capsys)[0] == 0
+    before = (tmp_path / "surface.obj").read_bytes()
+    import revolve.mesh
+    pieces = revolve.mesh._obj_pieces
+
+    def failing(mesh):
+        yield next(pieces(mesh))
+        raise RuntimeError("the disk went away")
+
+    monkeypatch.setattr(revolve.mesh, "_obj_pieces", failing)
+    with pytest.raises(RuntimeError, match="the disk went away"):
+        main(["mesh", "--out", str(tmp_path), "--ntheta", "32"])
+    assert (tmp_path / "surface.obj").read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["profile.csv", "surface.obj"]
+
+
+@pytest.mark.parametrize("fmt, bound", [("obj", 2.0), ("stl", 2.6)])
+def test_mesh_stage_peak_memory(tmp_path, capsys, fmt, bound):
+    # a catenoid band of 513 rings at --ntheta 256, 131,328 vertices: the
+    # stage holds the mesh and one piece of the OBJ or the STL buffer, not a
+    # second copy of the file
+    t = np.linspace(-1.0, 1.0, 513)
+    _write_profile(tmp_path, revolve.Profile(s=np.sinh(t), x=np.cosh(t), z=t,
+                                             tx=np.tanh(t), tz=1.0 / np.cosh(t)))
+    tracemalloc.start()
+    try:
+        code = main(["mesh", "--out", str(tmp_path), "--ntheta", "256", "--format", fmt])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, capsys.readouterr().err
+    ratio = peak / (tmp_path / f"surface.{fmt}").stat().st_size
+    assert ratio <= bound, ratio
 
 
 def test_threads_env_var(tmp_path, capsys, monkeypatch):
@@ -556,8 +668,8 @@ _MAY_LOAD = {
     "prescribe-gauss": _PRESCRIBE,
     "catalog-build": _MODULES - {"curvature", "mesh", "reconstruct"},
     "profile": _MODULES - {"mesh", "catalog"},
-    "verify-q": _MODULES,
-    "verify-expr": _MODULES - {"catalog"},
+    "verify-q": _MODULES - {"_records"},
+    "verify-expr": _MODULES - {"catalog", "_records"},
 }
 
 # `python -m revolve.cli ARGS` that prints, on its last stderr line, every

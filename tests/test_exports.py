@@ -37,10 +37,11 @@ def test_every_module_imports_first_in_a_fresh_process(modname):
     assert proc.returncode == 0, proc.stderr
     imported, listed, resolved = json.loads(proc.stdout)
     assert modname in imported
-    if modname == "revolve":  # no submodule until an export is used; then all but the CLI
+    if modname == "revolve":  # no submodule until an export is used; then all but the
+        # CLI and _records, which the writers load when they run
         assert imported == ["revolve"]
         assert set(revolve.__all__) <= set(listed)
-        assert set(resolved) == set(MODULES) - {"revolve.cli"}
+        assert set(resolved) == set(MODULES) - {"revolve.cli", "revolve._records"}
 
 
 def test_unknown_attribute_is_an_attribute_error():

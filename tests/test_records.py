@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import catenoid_momentum
-from revolve._records import _CHUNK, _float_digits, records
+from revolve._records import _CHUNK, _float_digits, record_pieces, records
 from revolve.mesh import revolve
 from revolve.reconstruct import integrate_profile
 
@@ -96,6 +96,10 @@ def test_runs_and_piece_boundaries():
     x = np.arange(len(z)) * 0.1
     want = "%.17g,%.17g\n" * len(z) % tuple(np.column_stack((x, z)).ravel().tolist())
     assert records("%.17g,%.17g\n", (x, z)) == want
+    # the same records as bytes, one piece per _CHUNK of them
+    pieces = list(record_pieces("%.17g,%.17g\n", (x, z)))
+    assert [p.count(b"\n") for p in pieces] == [_CHUNK, len(z) - _CHUNK]
+    assert b"".join(pieces) == want.encode("ascii")
 
 
 def test_bad_templates_are_refused():
@@ -105,6 +109,8 @@ def test_bad_templates_are_refused():
         records("%.17g %.17g\n", [[1.0]])
     with pytest.raises(ValueError):
         records("%.17g %d\n", [[1.0], [1, 2]])
+    with pytest.raises(ValueError):  # at the call, before any piece is asked for
+        record_pieces("%.17g %d\n", [[1.0], [1, 2]])
 
 
 def test_revolved_mesh_takes_the_fast_path():
