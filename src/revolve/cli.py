@@ -12,7 +12,9 @@ stage process loads only those: ``mesh`` reads profile.csv without the
 momentum and trace layers, and only a catalog state loads the catalog.
 
 Exit codes: 0 success, 1 verification tolerance exceeded (only with
---tol-verify), 2 validation errors, 3 numerical failures.
+--tol-verify), 2 validation errors, 3 numerical failures. Every tolerance
+flag a stage takes must be finite and positive, whether or not that stage
+uses it, or the stage exits 2 before any work.
 
 REVOLVE_THREADS caps internal parallelism; the current implementation is
 sequential, which satisfies any cap, and output never depends on it.
@@ -64,6 +66,21 @@ def _parse_domain(text: str) -> tuple[float, float]:
         return float(lo), float(hi)
     except ValueError:
         raise ValidationError(f"--domain bounds must be numbers, got {text!r}") from None
+
+
+# each tolerance flag a stage may take, by its argparse name
+_TOLERANCES = {"tol_quad": "quadrature", "tol_ode": "trace", "tol_verify": "verification"}
+
+
+def _check_tolerances(args) -> None:
+    """ParamOutOfRange unless every tolerance flag the stage took is finite
+    and positive, whatever the stage and the kind of its state go on to use."""
+    for key, what in _TOLERANCES.items():
+        v = getattr(args, key, None)
+        if v is not None and not (math.isfinite(v) and v > 0.0):
+            raise ParamOutOfRange(f"tolerances must be finite and positive: "
+                                  f"--{key.replace('_', '-')}, the {what} tolerance, "
+                                  f"got {v!r}")
 
 
 def _write_all(outdir: str, files: dict[str, Content]) -> None:
@@ -484,6 +501,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"got {threads!r}", file=sys.stderr)
             return 2
     try:
+        _check_tolerances(args)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -236,7 +236,10 @@ class _Parser:
     def atom(self) -> Node:
         kind, val, off = self.next()
         if kind == "num":
-            return Num(float(val))
+            value = float(val)
+            if not math.isfinite(value):  # pretty() would write it as 'inf'
+                raise ExpressionSyntaxError(f"numeric literal {val!r} overflows a float", off)
+            return Num(value)
         if kind == "name":
             pk, pv, _ = self.peek()
             if pk == "op" and pv == "(":

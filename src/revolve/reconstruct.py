@@ -51,6 +51,10 @@ _NEAR_TURN = 1e-6  # below this 1 - K^2, rounding in K spoils sqrt(1 - K^2) as |
 class Profile:
     """Unit-speed samples (s, x, z, tx, tz) of a generating curve.
 
+    From :func:`integrate_profile`, the five are independent contiguous
+    arrays that own their memory and share none, so keeping one column
+    keeps only its own samples.
+
     branch_events lists the arclength values of turning points, where the
     sign of xdot flipped and a new monotone branch began.
     """
@@ -263,10 +267,11 @@ class _Band:
             raise _degenerate(float(x[np.argmin(np.isfinite(f))]))
         return dxdu * f, k * dxdu * f
 
-    def locate(self, q: np.ndarray) -> np.ndarray:
-        """Rows x, Z, |dx/ds| and the rest of q that Z leaves to dz = K ds
-        where the arclength from a is q: u cubic Hermite on _GRID, then one
-        Newton step on the panel's antiderivative, a block per panel."""
+    def locate(self, q: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Arrays x, Z, |dx/ds| and the rest of q that Z leaves to dz = K ds
+        where the arclength from a is q, four of their own in q's order: u
+        cubic Hermite on _GRID, then one Newton step on the panel's
+        antiderivative, a block per panel."""
         order = np.argsort(q, kind="stable")
         qs = q[order]
         S, u, F = self.table
@@ -291,14 +296,15 @@ class _Band:
         z = np.repeat(self.Zk[:-1], counts) + h * z
         for end, xe, ze in ((qs <= 0.0, self.a, 0.0), (qs >= self.S, self.b, self.Z)):
             x[end], z[end], rest[end] = xe, ze, 0.0  # the band's ends exactly
-        out = np.empty((4, len(qs)))
-        out[:, order] = x, z, dxdu / f, rest
+        out = tuple(np.empty(len(qs)) for _ in range(4))
+        for o, v in zip(out, (x, z, dxdu / f, rest)):
+            o[order] = v
         return out
 
 
 def _trace(band: _Band, e: int, cap: float, n: int):
     """One direction of the trace from x0, e the initial direction of x and
-    cap > 0 the arclength allowed: rows sigma, x, z, tx, tz (sigma and z
+    cap > 0 the arclength allowed: arrays sigma, x, z, tx, tz (sigma and z
     from x0, tx = dx/dsigma) and the turning points passed, in sigma. In the
     unfolded arclength p = q0 + e sigma the band's ends are the multiples of
     S, a at the even ones; q is p folded into [0, S], and each crossing adds
@@ -325,12 +331,12 @@ def _trace(band: _Band, e: int, cap: float, n: int):
     r = p - k * S
     x, zq, slope, rest = band.locate(np.clip(np.where(odd, S - r, r), 0.0, S))
     x[0], zq[0], rest[0] = band.x0, band.z0, 0.0
-    tz = band.K(x)
+    tz = np.array(band.K(x), dtype=float)  # a column of its own, whatever eval returns
     zq += tz * rest
     g = 1.0 - tz * tz
     tx = np.where(odd, -e, e) * np.where(g < _NEAR_TURN, slope, np.sqrt(np.maximum(g, 0.0)))
     z = e * (k * band.Z + np.where(odd, band.Z - zq, zq) - band.z0)
-    return np.array([np.abs(p - p0), x, z, tx, tz]), [e * (b - p0) for b in bounds[1:-1]]
+    return (np.abs(p - p0), x, z, tx, tz), [e * (b - p0) for b in bounds[1:-1]]
 
 
 def integrate_profile(m: Momentum, start_x: float, direction: int = +1,
@@ -351,7 +357,9 @@ def integrate_profile(m: Momentum, start_x: float, direction: int = +1,
     height. Samples sit samples_per_branch per branch, clustered like a
     cosine toward turning points, with tz = K and tx = +-sqrt(1 - K^2) from
     K at the sample (near a turning point, the branch's dx/ds). K' is never
-    needed. ParamOutOfRange where s_max < 0 or s_min > 0;
+    needed. The profile's five columns are independent contiguous arrays
+    that share no memory, with one another or with what m.eval returned.
+    ParamOutOfRange where s_max < 0 or s_min > 0;
     EventLocatorFailure at a degenerate turning point (K' = 0 at |K| = 1),
     where the branch length diverges.
     """
@@ -375,16 +383,17 @@ def integrate_profile(m: Momentum, start_x: float, direction: int = +1,
                 holding[0])
     band = _Band(m, a, b, min(b, max(a, float(start_x))), rtol * (b - a))
 
-    rows, turns = [], []
+    cols, turns = None, []
     if s_min < 0.0:  # backwards in s, z and tx; + 0.0 makes s = -0.0 at the start 0.0
         r, t = _trace(band, -e, -s_min, samples_per_branch)
-        rows.append(r[:, ::-1] * np.array([-1.0, 1.0, -1.0, -1.0, 1.0])[:, None] + 0.0)
+        cols = [c[::-1] * sign + 0.0 for c, sign in zip(r, (-1.0, 1.0, -1.0, -1.0, 1.0))]
         turns = [-v for v in t[::-1]]
     if s_max > 0.0:
         r, t = _trace(band, e, s_max, samples_per_branch)
-        rows.append(r[:, 1:] if rows else r)  # the start once
+        # the start once, where both directions hold it
+        cols = r if cols is None else [np.concatenate((b, c[1:])) for b, c in zip(cols, r)]
         turns += t
-    return Profile(*np.concatenate(rows, axis=1), branch_events=turns)
+    return Profile(*cols, branch_events=turns)
 
 
 def _slope(y: np.ndarray, h: np.ndarray) -> np.ndarray:

@@ -57,6 +57,29 @@ def arch_param_of_arclength(s, R=1.0):
     return 2.0 * np.arccos(1.0 - np.clip(s, 0.0, 8.0 * R) / (4.0 * R))
 
 
+def pinned_traces():
+    """name -> (momentum, integrate_profile keywords) of the traces whose
+    columns are pinned bit for bit: the unduloid H = 1, c = 0.12 both ways
+    through seven turning points, forwards only with direction -1, and
+    backwards only; and the README catenoid both ways."""
+    from revolve.expr import parse_expr
+    from revolve.momentum import momentum_from_kp, momentum_from_mean
+    und = momentum_from_mean(lambda x: 1.0, 0.12, (0.13944487245360107, 0.860555127546399),
+                             anchor=0.0)
+    kp = parse_expr("1/x^2")
+    cat = momentum_from_kp(kp.as_function({}), (1.001, 3.0),
+                           p_deriv=kp.derivative().as_function({}))
+    return {
+        "unduloid both ways": (und, dict(start_x=0.5, s_max=6.0, s_min=-5.0,
+                                         samples_per_branch=300)),
+        "unduloid direction -1": (und, dict(start_x=0.5, direction=-1, s_max=6.0,
+                                            samples_per_branch=300)),
+        "unduloid backwards": (und, dict(start_x=0.5, s_max=0.0, s_min=-5.0,
+                                         samples_per_branch=300)),
+        "README catenoid": (cat, dict(start_x=1.5, s_max=2.0, s_min=-2.0)),
+    }
+
+
 # ---------------------------------------------------------------------------
 # Randomized momentum sweep: every library invariant that takes a momentum as
 # input, measured over a batch of random cubic momenta. Runs once per session;

@@ -521,6 +521,41 @@ def test_non_finite_inputs_exit_2(tmp_path, capsys, argv, words):
     assert not (tmp_path / "st").exists()
 
 
+@pytest.mark.parametrize("text, literal", [("1e400", "'1e400'"), ("2*1e999*x", "'1e999'")])
+def test_an_overflowing_literal_exits_2_naming_it(tmp_path, capsys, text, literal):
+    code, _, err = run(["prescribe", "--kind", "kp", "--expr", text, "--domain", "1:3",
+                        "--out", str(tmp_path / "st")], capsys)
+    assert code == 2 and f"numeric literal {literal} overflows" in err, err
+    assert not (tmp_path / "st").exists()
+
+
+_CHAINS = {  # the stage that writes momentum.json, without --out
+    "kp": ["prescribe", "--kind", "kp", "--expr", "1/x^2", "--domain", "1.001:3"],
+    "catalog": ["catalog", "build", "torus"],
+}
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize("stage, flag", [
+    ("first", "--tol-quad"), ("profile", "--tol-quad"), ("profile", "--tol-ode"),
+    ("verify", "--tol-quad"), ("verify", "--tol-ode"), ("verify", "--tol-verify")])
+@pytest.mark.parametrize("chain", sorted(_CHAINS))
+def test_every_tolerance_flag_is_checked_by_every_stage(tmp_path, capsys, chain, stage,
+                                                        flag, value):
+    # a tolerance that is not finite and positive exits 2 before any work,
+    # whether or not the stage and the kind go on to use it
+    d = tmp_path / "st"
+    argv = _CHAINS[chain]
+    if stage != "first":
+        code, _, err = run([*argv, "--out", str(d)], capsys)
+        assert code == 0, err
+        argv = [stage]
+    before = sorted(tmp_path.rglob("*"))
+    code, _, err = run([*argv, "--out", str(d), flag, value], capsys)
+    assert code == 2 and f"{flag}, the" in err and "finite and positive" in err, err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("stage", ["profile", "verify"])
 def test_catalog_momentum_undefined_on_the_scan_exits_2(tmp_path, capsys, stage):
     # K = 2*mu + c/x at c = 0 is 0/0 at x = 0, where the admissible scan starts

@@ -65,6 +65,22 @@ def test_syntax_errors_carry_offset():
         parse_expr("frob(x)")(1.0)
 
 
+@pytest.mark.parametrize("text, literal, offset", [("1e400", "1e400", 0),
+                                                   ("2*1e999*x", "1e999", 2)])
+def test_an_overflowing_literal_is_a_syntax_error(text, literal, offset):
+    with pytest.raises(ExpressionSyntaxError, match=f"'{literal}' overflows") as ei:
+        parse_expr(text)
+    assert ei.value.offset == offset
+
+
+@pytest.mark.parametrize("literal", ["1.7976931348623157e308", "5e-324", "0.1", "1e16",
+                                     "1e-400"])
+def test_a_finite_literal_reparses_from_its_pretty_form(literal):
+    e = parse_expr(literal)
+    assert e(0.0) == float(literal)  # 1e-400 underflows to 0.0, as float() does
+    assert parse_expr(e.pretty()).pretty() == e.pretty()
+
+
 def test_derivative_matches_numeric():
     cases = [
         ("x^3 - 2*x", 1.3),

@@ -1,11 +1,13 @@
+import hashlib
 import io
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import (assert_close, catenoid_momentum, sphere_momentum,
+from conftest import (assert_close, catenoid_momentum, pinned_traces, sphere_momentum,
                       unduloid_momentum, unit_speed_error)
 from revolve import catalog
 from revolve.errors import (AxisSingularity, DegeneratePolyline, DomainViolation,
@@ -432,3 +434,48 @@ def test_catalog_traces_every_way(entry, s_max, s_min):
     at = np.searchsorted(p.s, p.branch_events)
     assert np.array_equal(p.s[at], p.branch_events)
     assert np.all(np.abs(np.abs(entry.momentum.sample(p.x[at])) - 1.0) <= 1e-12)
+
+
+# SHA-256 of the columns s, x, z, tx, tz and of branch_events as a JSON list,
+# for the traces of conftest.pinned_traces; any change to a sample's bits,
+# to the sample order or to the turning points shows here.
+_PINNED_TRACES = {
+    "unduloid both ways": (
+        "3a53e2ea459341a72dbbd739c8384566be11ba2e84c514967a5550930cc2ee5a",
+        "e6e9c5e1eb222f80ac89d0b3eb4c7a5baca3a5dbd2b467b0e8fc94bc93d3fff4",
+        "88598d71edca193ca57568a227eba60f78921c7f29e3f2e5368f607cb0fecb5d",
+        "f204c401b476e790e7bfa16f05954cb019bed931645ac0a2374080e7d7d894dc",
+        "60ff388ec1ff9796666fd7c6e44453f670fd83757e6a898d2765100ee7487007",
+        "a1d2f4a29c34b387403fe93a395fa2caa4c8b42bf473d3bf8359dc5d99a36f44"),
+    "unduloid direction -1": (
+        "500ad8fb21484e0a831ec0aded319f0c82f57dbd019cee77e6d9e516b1f9a47e",
+        "0ee34e34e147eb6b3742187eb8c43b14d02490113354d612f2362805f4e39d34",
+        "92b19e7cfa7de670983b9e3cf658c166f58d90d5a77afe40581948ee888bd6a2",
+        "e6972a75d67f17d3c34e080e372cfa1e74b8e51a39092d92556e1c4eef5ee096",
+        "77f3b13fdb372ee06fc303ce8153aea97fd8329c2697b5eb2ebb25b83edac69f",
+        "5eceb599d8f1478571a40516b2de7846de704da5c27bfeb671a75e63f55bdfc5"),
+    "unduloid backwards": (
+        "40f4f86f0ad5c9479dc14c80626adfdec232dce739668ec98b2f948e3798ed7f",
+        "9ea81c50fada34fab6ad014e294081814a52811195b687041a56746ef9d8c576",
+        "f18ce01df21896b3327ae0105a5adcd336d3f017f115be69598b8450281d1330",
+        "61bea801cea7a7980862f36b6509ae952fde29571abfffba0bb7f6b1d7f2baa7",
+        "c1edfb28653a7a4c3add96db137757fca5902a7417ba2e73ee6d747af0e45036",
+        "9fc1c77aed4c0bb230cd23b31da04143cff3bbca78fdeb3fb4816adecdd6ba08"),
+    "README catenoid": (
+        "0e367d2ecac1994d164d9521bcccda8b2ed374c06ef7192fb0eef6feeff3ac2c",
+        "c389d3ca39613bb157c33ff72fa175d25b7c7b7ed81c323f38fa0b30f9775fbb",
+        "b29c7ba41f4ecef1dc717c90308dd4d4af320b70e47b7110d64f8a2bc8d0aa24",
+        "c4bdb54890e76c9169034a4425809606eb2263c9b6d9e6098a61991b86c104f0",
+        "7888f21721eb57e512e560bfa4ab9fd213bedd71e78a24c48641530639bae796",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_TRACES))
+def test_trace_output_pinned(name):
+    m, kwargs = pinned_traces()[name]
+    p = integrate_profile(m, **kwargs)
+    got = tuple(hashlib.sha256(blob).hexdigest() for blob in (
+        *(np.ascontiguousarray(c).tobytes() for c in (p.s, p.x, p.z, p.tx, p.tz)),
+        json.dumps(p.branch_events).encode()))
+    assert got == _PINNED_TRACES[name]
