@@ -242,7 +242,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_mesh(args) -> int:
-    from .mesh import _obj_pieces, _stl_buffer, revolve
+    from .mesh import _obj_pieces, revolve, write_stl
     path = os.path.join(args.out, "profile.csv")
     if not os.path.exists(path):
         raise ValidationError(f"no profile.csv in {args.out!r}; run profile first")
@@ -262,7 +262,7 @@ def _cmd_mesh(args) -> int:
     if args.format == "obj":
         _write_all(args.out, {"surface.obj": _obj_pieces(mesh)})
     else:
-        _write_all(args.out, {"surface.stl": _stl_buffer(mesh)})
+        _write_all(args.out, {"surface.stl": write_stl(mesh)})
     print(f"mesh: {len(mesh.vertices)} vertices, {len(mesh.triangles)} triangles")
     return 0
 

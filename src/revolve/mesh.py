@@ -31,14 +31,12 @@ revolve did not build, or whose arrays were rebound, takes the full path.
 write_obj renders its v and f record blocks from the arrays (_records), with
 the bytes that %.17g and %d formatting give each value; its peak memory is
 about twice its output, the rendered pieces and their join. write_stl fills
-one buffer of the file's size, _CHUNK triangles at a time, and returns it as
-bytes; its peak is about twice its output, plus one piece's temporaries.
-The CLI writes the same bytes without the second copy: _obj_pieces yields
-the OBJ as ASCII pieces of at most _CHUNK records, which go to the file one
-by one, and _stl_buffer is the filled buffer itself. Its peak is then the
-mesh arrays (about one OBJ's size) and one piece, or the mesh and the one
-STL buffer. The writers load _records when they run, so revolving a mesh
-does not.
+one buffer of the file's size, _CHUNK triangles at a time, and hands that
+buffer over as its bytes; its peak is about its output, plus one piece's
+temporaries. The CLI streams the OBJ: _obj_pieces yields it as ASCII pieces
+of at most _CHUNK records, which go to the file one by one, so the stage's
+peak is the mesh arrays and one piece. The writers load _records when they
+run, so revolving a mesh does not.
 
 revolve copies no array it does not change: the vertex and normal grids are
 only compacted where a ring is a pole, and the triangles only filtered where
@@ -55,6 +53,7 @@ REVOLVE_THREADS cap; outputs never depend on it.
 """
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
@@ -111,12 +110,14 @@ class SurfaceMesh:
     """Triangle mesh of a revolved profile.
 
     rings[i] holds the vertex indices of sample i's parallel (a single index
-    for a pole); per_vertex is filled by discrete_mesh_curvature. revolve
-    returns vertices, triangles and normals read-only, so an in-place edit
-    raises ValueError, and fills the edge summary and the ring grid; any
-    other mesh builds the summary on first use and has no ring grid. The
-    summary is dropped when vertices or triangles is rebound; the ring grid
-    and per_vertex are dropped when vertices, triangles or normals is.
+    for a pole); per_vertex is filled by discrete_mesh_curvature. The
+    triangles may be of any integer dtype; revolve's, like its rings, are
+    int32. revolve returns vertices, triangles and normals read-only, so an
+    in-place edit raises ValueError, and fills the edge summary and the ring
+    grid; any other mesh builds the summary on first use and has no ring
+    grid. The summary is dropped when vertices or triangles is rebound; the
+    ring grid and per_vertex are dropped when vertices, triangles or normals
+    is.
     Meshes compare by identity: == on two meshes is ``is``.
     """
 
@@ -176,17 +177,27 @@ class SurfaceMesh:
 def _edge_table(triangles: np.ndarray, n_vertices: int
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each undirected edge once as (lo, hi) vertex indices, lo < hi, with
-    the number of triangles that share it."""
+    the number of triangles that share it. The keys lo * n_vertices + hi
+    are formed in int64 whatever the triangles' integer dtype, so they
+    cannot wrap."""
     edges = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    keys, counts = np.unique(edges[:, 0] * n_vertices + edges[:, 1],
+    keys, counts = np.unique(edges[:, 0].astype(np.int64) * n_vertices + edges[:, 1],
                              return_counts=True)
     return keys // n_vertices, keys % n_vertices, counts
 
 
 def revolve(p, n_theta: int = 64) -> SurfaceMesh:
-    """Revolve profile samples about the z-axis into a welded triangle mesh."""
+    """Revolve profile samples about the z-axis into a welded triangle mesh.
+
+    Vertices are numbered in int32: the triangles, the rings and each
+    ring's first vertex are int32 arrays. A profile of n samples is refused
+    with ParamOutOfRange, before anything is allocated, when
+    n * n_theta >= 2**31."""
     if n_theta < 8:
         raise ParamOutOfRange(f"n_theta must be at least 8, got {n_theta!r}")
+    if len(p.x) * int(n_theta) >= 2 ** 31:
+        raise ParamOutOfRange(f"{len(p.x)} samples at n_theta {n_theta} need "
+                              f"2**31 or more vertex indices; int32 holds fewer")
     x = np.asarray(p.x, dtype=float)
     z = np.asarray(p.z, dtype=float)
     tx = np.asarray(p.tx, dtype=float)
@@ -212,7 +223,7 @@ def revolve(p, n_theta: int = 64) -> SurfaceMesh:
 
     keep = np.ones((n_s, n_theta), dtype=bool)
     keep[pole, 1:] = False
-    idx = np.cumsum(keep.ravel()).reshape(n_s, n_theta) - 1
+    idx = np.cumsum(keep.ravel(), dtype=np.int32).reshape(n_s, n_theta) - 1
     idx[pole] = idx[pole, :1]
     rings = [idx[i, :1] if pole[i] else idx[i] for i in range(n_s)]
 
@@ -407,40 +418,54 @@ def write_stl(mesh: SurfaceMesh) -> bytes:
     """Binary STL, little-endian float32, 80-byte header. Byte-identical for
     identical meshes.
 
-    The file is one buffer, allocated once: each 50-byte record is one row
-    of a (triangles, 25) uint16 view of it, filled through a float32 view of
-    its first 48 bytes, _CHUNK triangles at a time. Each piece takes the
-    facet normal from 1-D coordinate arrays with the operations, in the
-    order, of np.cross and np.linalg.norm. The peak memory is about twice
-    the output, the buffer and the returned bytes, plus one piece's
-    temporaries."""
-    return bytes(_stl_buffer(mesh))
-
-
-def _stl_buffer(mesh: SurfaceMesh) -> bytearray:
-    """The bytes of write_stl(mesh) in the one buffer they are filled in."""
+    The file is one buffer, allocated once: an io.BytesIO of the file's
+    size, filled through getbuffer(). Each 50-byte record is one row of a
+    (triangles, 25) uint16 view of it, filled through a float32 view of its
+    first 48 bytes, _CHUNK triangles at a time (_stl_rows). Once no view is
+    left open, CPython's getvalue() hands the buffer over as the returned
+    bytes without a copy, so the peak memory is about the output plus one
+    piece's temporaries. Another Python's getvalue may copy it, which costs
+    memory only: the bytes are the same."""
     from ._records import _CHUNK
     header = b"rotational surface mesh (binary STL)"
     t = mesh.triangles
     n = len(t)
-    buf = bytearray(84 + 50 * n)
-    buf[:len(header)] = header
-    buf[80:84] = n.to_bytes(4, "little")
-    out = np.frombuffer(buf, dtype="<u2", offset=84).reshape(n, 25)[:, :24].view("<f4")
-    columns = mesh.vertices.T
-    for lo in range(0, n, _CHUNK):
-        piece, rows = t[lo:lo + _CHUNK], out[lo:lo + _CHUNK]
-        coords = [c[piece[:, k]] for k in range(3) for c in columns]
-        for i, coord in enumerate(coords):
-            rows[:, 3 + i] = coord
-        x0, y0, z0, x1, y1, z1, x2, y2, z2 = coords
-        ax, ay, az = x1 - x0, y1 - y0, z1 - z0
-        bx, by, bz = x2 - x0, y2 - y0, z2 - z0
-        nrm = (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
-        nx, ny, nz = nrm
-        length = np.sqrt(nx * nx + ny * ny + nz * nz)
-        ok = length > 0
-        length = np.maximum(length, 1e-300)
-        for c, v in enumerate(nrm):
-            rows[:, c] = np.where(ok, v / length, 0.0)
-    return buf
+    out = io.BytesIO()
+    out.seek(84 + 50 * n - 1)
+    out.write(b"\0")  # sizes the buffer, zero-filled
+    with out.getbuffer() as buf:
+        buf[:len(header)] = header
+        buf[80:84] = n.to_bytes(4, "little")
+        records = np.frombuffer(buf, dtype="<u2", offset=84).reshape(n, 25)[:, :24].view("<f4")
+        columns = mesh.vertices.T
+        for lo in range(0, n, _CHUNK):
+            _stl_rows(records[lo:lo + _CHUNK], t[lo:lo + _CHUNK], columns)
+        del records  # buf is released on leaving the block: no view may outlive it
+    return out.getvalue()
+
+
+def _stl_rows(rows: np.ndarray, piece: np.ndarray, columns: np.ndarray) -> None:
+    """Fill the float32 rows (normal, then the three corners) of the
+    triangles of piece. The facet normal comes from 1-D coordinate arrays
+    with the operations, in the order, of np.cross and np.linalg.norm. The
+    coordinates of corners 1 and 2 become their edges from corner 0 in place
+    once written, and each stage's arrays are dropped once used, so the
+    temporaries alive at once are a few of the piece's columns."""
+    corners = []
+    for k in range(3):
+        p = [c[piece[:, k]] for c in columns]
+        for i, v in enumerate(p):
+            rows[:, 3 + 3 * k + i] = v
+            if k:
+                v -= corners[0][i]
+        corners.append(p)
+    (ax, ay, az), (bx, by, bz) = corners[1:]
+    del corners, p
+    nrm = (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+    del ax, ay, az, bx, by, bz
+    nx, ny, nz = nrm
+    length = np.sqrt(nx * nx + ny * ny + nz * nz)
+    ok = length > 0
+    length = np.maximum(length, 1e-300)
+    for c, v in enumerate(nrm):
+        rows[:, c] = np.where(ok, v / length, 0.0)

@@ -336,7 +336,18 @@ def test_a_failed_mesh_stream_leaves_the_old_file(tmp_path, capsys, monkeypatch)
     assert sorted(os.listdir(tmp_path)) == ["profile.csv", "surface.obj"]
 
 
-@pytest.mark.parametrize("fmt, bound", [("obj", 2.0), ("stl", 2.6)])
+def test_mesh_past_int32_indices_exits_2(tmp_path, capsys):
+    # 2 samples at --ntheta 2**30 number 2**31 vertices: refused before the
+    # mesh is allocated. The two rows repeat, so a stage that checked the
+    # samples first would refuse them instead, before any allocation too
+    (tmp_path / "profile.csv").write_text("s,x,z,tx,tz\n0,1,0,0,1\n0,1,0,0,1\n")
+    code, _, err = run(["mesh", "--out", str(tmp_path), "--ntheta", str(2 ** 30)],
+                       capsys)
+    assert code == 2 and "2**31" in err, err
+    assert os.listdir(tmp_path) == ["profile.csv"]
+
+
+@pytest.mark.parametrize("fmt, bound", [("obj", 2.0), ("stl", 2.0)])
 def test_mesh_stage_peak_memory(tmp_path, capsys, fmt, bound):
     # a catenoid band of 513 rings at --ntheta 256, 131,328 vertices: the
     # stage holds the mesh and one piece of the OBJ or the STL buffer, not a

@@ -4,6 +4,7 @@ import json
 import math
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -93,6 +94,38 @@ def test_revolve_input_validation():
                   branch_events=())
     with pytest.raises(DegenerateProfile):
         revolve(rep)
+
+
+class _Reached(Exception):
+    pass
+
+
+class _Column:
+    """A profile column of n samples that raises _Reached when it is made an
+    array, so no test of the size check can allocate n samples."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __array__(self, *args, **kwargs):
+        raise _Reached
+
+
+def test_revolve_refuses_more_vertices_than_int32_numbers():
+    def columns(n):
+        return SimpleNamespace(x=_Column(n), z=_Column(n), tx=_Column(n),
+                               tz=_Column(n))
+
+    # refused before a column is read, let alone a vertex allocated
+    for n_s, n_theta in ((2 ** 28, 8), (2, 2 ** 30), (3, 2 ** 31)):
+        with pytest.raises(ParamOutOfRange, match=r"2\*\*31"):
+            revolve(columns(n_s), n_theta=n_theta)
+    # 2**31 - 8 vertices pass the check and go on to read the columns
+    with pytest.raises(_Reached):
+        revolve(columns(2 ** 28 - 1), n_theta=8)
 
 
 @pytest.mark.parametrize("column", ["x", "z", "tx", "tz"])
@@ -263,6 +296,24 @@ def test_per_ring_curvature_matches_full_path(name):
             nan = np.isnan(want)
             assert np.array_equal(np.isnan(got), nan)
             assert np.all(np.abs(got - want)[~nan] <= tol[~nan])
+
+
+def test_int32_and_int64_triangles_agree_past_46341_vertices():
+    # 401 rings of 128: 51,328 vertices, so lo * n_vertices + hi of an edge
+    # passes 2**31 and would wrap in int32
+    ts = np.linspace(1.0, 2.0, 401)
+    m = revolve(Profile(s=ts, x=ts, z=0.3 * ts ** 2, tx=np.ones(401),
+                        tz=np.zeros(401), branch_events=()), n_theta=128)
+    assert len(m.vertices) ** 2 > 2 ** 31
+    got = []
+    for dtype in (np.int32, np.int64):
+        hand = SurfaceMesh(m.vertices, m.triangles.astype(dtype), m.rings,
+                           m.normals, m.n_theta)
+        H, K = discrete_mesh_curvature(hand)
+        got.append((hand.euler_characteristic(), hand.boundary_loops(),
+                    H.tobytes(), K.tobytes()))
+    assert got[0] == got[1]
+    assert got[0][:2] == (m.euler_characteristic(), m.boundary_loops()) == (0, 2)
 
 
 def test_meshes_without_ring_grid_take_full_path():
@@ -485,16 +536,15 @@ def test_write_stl_matches_structured_writer():
 
 def test_writers_peak_memory():
     # 800 strips of 256 triangles: 204,800 facets on a band whose rings
-    # differ in z. The STL writer holds its buffer and the returned bytes,
-    # the OBJ writer its pieces and their join, each plus one piece's
-    # temporaries
+    # differ in z. The STL writer holds its one buffer, which it returns,
+    # and one piece's temporaries; the OBJ writer its pieces and their join
     ts = np.linspace(1.0, 2.0, 801)
     m = revolve(Profile(s=ts, x=ts, z=0.3 * ts ** 2, tx=np.ones(801),
                         tz=np.zeros(801), branch_events=()), n_theta=128)
     assert len(m.triangles) == 204_800
     tracemalloc.start()
     try:
-        for writer, bound in ((write_stl, 2.25), (write_obj, 2.1)):
+        for writer, bound in ((write_stl, 1.1), (write_obj, 2.1)):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             out = writer(m)
@@ -537,9 +587,9 @@ def _pinned_profile(name):
                    branch_events=())
 
 
-# SHA-256 of (OBJ text, STL bytes, int64 triangles, rings as JSON lists,
-# float64 normals) at n_theta = 8; any change to vertex, triangle or ring
-# order shows here.
+# SHA-256 of (OBJ text, STL bytes, the int32 triangles widened to int64,
+# rings as JSON lists, float64 normals) at n_theta = 8; any change to vertex,
+# triangle or ring order shows here.
 _PINNED = {
     "sphere": (
         "a88cfcbea75c475cb657185136474d3ebcf690b89e1143031c4533b25d533c69",
@@ -571,9 +621,10 @@ _PINNED = {
 @pytest.mark.parametrize("name", sorted(_PINNED))
 def test_mesh_output_pinned(name):
     m = revolve(_pinned_profile(name), n_theta=8)
-    assert m.triangles.dtype == np.int64 and m.normals.dtype == np.float64
+    assert m.triangles.dtype == np.int32 and m.normals.dtype == np.float64
+    assert all(r.dtype == np.int32 for r in m.rings)
     got = tuple(hashlib.sha256(blob).hexdigest() for blob in (
-        write_obj(m).encode(), write_stl(m), m.triangles.tobytes(),
+        write_obj(m).encode(), write_stl(m), m.triangles.astype(np.int64).tobytes(),
         json.dumps([r.tolist() for r in m.rings]).encode(),
         m.normals.tobytes()))
     assert got == _PINNED[name]
