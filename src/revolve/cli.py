@@ -14,7 +14,8 @@ momentum and trace layers, and only a catalog state loads the catalog.
 Exit codes: 0 success, 1 verification tolerance exceeded (only with
 --tol-verify), 2 validation errors, 3 numerical failures. Every tolerance
 flag a stage takes must be finite and positive, whether or not that stage
-uses it, or the stage exits 2 before any work.
+uses it, or the stage exits 2 before any work; so does `verify` given only
+one of --expr-h and --expr-kg, which its constraint check takes together.
 
 REVOLVE_THREADS caps internal parallelism; the current implementation is
 sequential, which satisfies any cap, and output never depends on it.
@@ -273,6 +274,11 @@ def _worst(err: np.ndarray) -> float:
 
 
 def _cmd_verify(args) -> int:
+    if (args.expr_h is None) != (args.expr_kg is None):
+        given, missing = (("--expr-h", "--expr-kg") if args.expr_kg is None
+                          else ("--expr-kg", "--expr-h"))
+        raise ValidationError(f"the constraint check needs both --expr-h and "
+                              f"--expr-kg: {given} was given without {missing}")
     from .curvature import (constraint_residual, gauss_curvature, mean_curvature,
                             weingarten_residual)
     from .expr import parse_expr
@@ -327,7 +333,7 @@ def _cmd_verify(args) -> int:
 
     if args.q is not None:
         checks["weingarten"] = _worst(weingarten_residual(m, args.q, grid))
-    if args.expr_h and args.expr_kg:
+    if args.expr_h is not None:
         params = _parse_params(args.param)
         fh = parse_expr(args.expr_h).as_function(params)
         fg = parse_expr(args.expr_kg).as_function(params)

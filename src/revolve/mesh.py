@@ -38,15 +38,17 @@ of at most _CHUNK records, which go to the file one by one, so the stage's
 peak is the mesh arrays and one piece. The writers load _records when they
 run, so revolving a mesh does not.
 
-revolve copies no array it does not change: the vertex and normal grids are
-only compacted where a ring is a pole, and the triangles only filtered where
-one collapses next to a pole.
+revolve copies no array it does not change: the vertex grid is only
+compacted where a ring is a pole, and the triangles only filtered where one
+collapses next to a pole. It keeps one normal per ring, not 24 bytes a
+vertex: mesh.normals is built from them on its first read, which neither
+writer, the per-ring curvature path nor the CLI makes.
 
-Normal and sign convention: per-vertex reference normals follow the surface
-convention n = (-tz*cos(theta), -tz*sin(theta), tx) built from the profile
-tangent (tx, tz); triangle winding agrees with it, and the sign of the
-discrete mean curvature is taken against this normal, so a unit sphere built
-from its momentum reports H = +1.
+Normal and sign convention: reference normals follow the surface convention
+n = (-tz*cos(theta), -tz*sin(theta), tx) built from the profile tangent
+(tx, tz), and (0, 0, sign tx) at a pole; triangle winding agrees with it,
+and the sign of the discrete mean curvature is taken against this normal,
+so a unit sphere built from its momentum reports H = +1.
 
 Parallelism: the implementation is sequential, which trivially honors any
 REVOLVE_THREADS cap; outputs never depend on it.
@@ -94,6 +96,29 @@ class _EdgeSummary(NamedTuple):
     hi: np.ndarray
 
 
+class _RingNormals(NamedTuple):
+    """The normals of a revolved mesh, one per ring: first is each ring's
+    normal at its first vertex (theta = 0), pole marks the poles, and cos
+    and sin are the n_theta columns' cos(theta) and sin(theta). The first
+    normal's x is -tz*cos(0), -tz to the bit, so expand gives the bits of
+    n = (-tz*cos(theta), -tz*sin(theta), tx) evaluated over the whole grid."""
+
+    first: np.ndarray
+    pole: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+
+    def expand(self) -> np.ndarray:
+        """The (n_vertices, 3) normals, read-only, in vertex order."""
+        nx, nz = self.first[:, :1], self.first[:, 2:]
+        normals = np.stack(np.broadcast_arrays(nx * self.cos, nx * self.sin, nz),
+                           -1).reshape(-1, 3)
+        if self.pole.any():
+            normals = normals[_keep(self.pole, len(self.cos)).ravel()]
+        normals.flags.writeable = False
+        return normals
+
+
 class _RingGrid(NamedTuple):
     """The ring grid of a revolved mesh: each ring's first vertex, the ring
     sizes (1 for a pole, n_theta otherwise; vertices are numbered ring by
@@ -112,12 +137,14 @@ class SurfaceMesh:
     rings[i] holds the vertex indices of sample i's parallel (a single index
     for a pole); per_vertex is filled by discrete_mesh_curvature. The
     triangles may be of any integer dtype; revolve's, like its rings, are
-    int32. revolve returns vertices, triangles and normals read-only, so an
-    in-place edit raises ValueError, and fills the edge summary and the ring
-    grid; any other mesh builds the summary on first use and has no ring
-    grid. The summary is dropped when vertices or triangles is rebound; the
-    ring grid and per_vertex are dropped when vertices, triangles or normals
-    is.
+    int32. revolve returns vertices and triangles read-only, so an in-place
+    edit raises ValueError, and fills the edge summary, the ring grid and
+    the ring normals; any other mesh builds the summary on first use and
+    has no ring grid or ring normals. On revolve's mesh, normals is built
+    from the ring normals on its first read, read-only, and every later
+    read returns that array. The summary is dropped when vertices or
+    triangles is rebound; the ring grid and per_vertex when vertices,
+    triangles or normals is; the ring normals only when normals is.
     Meshes compare by identity: == on two meshes is ``is``.
     """
 
@@ -131,6 +158,8 @@ class SurfaceMesh:
                                         compare=False, repr=False)
     _grid: _RingGrid | None = field(default=None, init=False,
                                     compare=False, repr=False)
+    _ring_normals: _RingNormals | None = field(default=None, init=False,
+                                               compare=False, repr=False)
 
     def __setattr__(self, name: str, value) -> None:
         if name in ("vertices", "triangles"):
@@ -138,7 +167,18 @@ class SurfaceMesh:
         if name in ("vertices", "triangles", "normals"):
             object.__setattr__(self, "per_vertex", None)
             object.__setattr__(self, "_grid", None)
+        if name == "normals":
+            object.__setattr__(self, "_ring_normals", None)
         object.__setattr__(self, name, value)
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute the mesh does not hold: the normals
+        # of a mesh that revolve built, until their first read
+        if name == "normals" and self._ring_normals is not None:
+            normals = self._ring_normals.expand()
+            object.__setattr__(self, "normals", normals)
+            return normals
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def _edge_summary(self) -> _EdgeSummary:
         if self._edges is None:
@@ -190,9 +230,10 @@ def revolve(p, n_theta: int = 64) -> SurfaceMesh:
     """Revolve profile samples about the z-axis into a welded triangle mesh.
 
     Vertices are numbered in int32: the triangles, the rings and each
-    ring's first vertex are int32 arrays. A profile of n samples is refused
-    with ParamOutOfRange, before anything is allocated, when
-    n * n_theta >= 2**31."""
+    ring's first vertex are int32 arrays. The mesh keeps each ring's normal
+    at its first vertex; mesh.normals is built from them on its first read.
+    A profile of n samples is refused with ParamOutOfRange, before anything
+    is allocated, when n * n_theta >= 2**31."""
     if n_theta < 8:
         raise ParamOutOfRange(f"n_theta must be at least 8, got {n_theta!r}")
     if len(p.x) * int(n_theta) >= 2 ** 31:
@@ -216,13 +257,13 @@ def revolve(p, n_theta: int = 64) -> SurfaceMesh:
     theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
     ct, st = np.cos(theta), np.sin(theta)
     verts = np.stack(np.broadcast_arrays(x[:, None] * ct, x[:, None] * st, z[:, None]), -1)
-    norms = np.stack(np.broadcast_arrays(-tz[:, None] * ct, -tz[:, None] * st, tx[:, None]), -1)
     verts[pole, :, :2] = 0.0
-    norms[pole, :, :2] = 0.0
-    norms[pole, :, 2] = np.copysign(1.0, np.where(tx != 0.0, tx, 1.0))[pole, None]
+    # the normal at each ring's first vertex, where theta is 0
+    first = np.stack((-tz * ct[0], -tz * st[0], tx), -1)
+    first[pole, :2] = 0.0
+    first[pole, 2] = np.copysign(1.0, np.where(tx != 0.0, tx, 1.0))[pole]
 
-    keep = np.ones((n_s, n_theta), dtype=bool)
-    keep[pole, 1:] = False
+    keep = _keep(pole, n_theta)
     idx = np.cumsum(keep.ravel(), dtype=np.int32).reshape(n_s, n_theta) - 1
     idx[pole] = idx[pole, :1]
     rings = [idx[i, :1] if pole[i] else idx[i] for i in range(n_s)]
@@ -259,16 +300,24 @@ def revolve(p, n_theta: int = 64) -> SurfaceMesh:
         lo=(ends[:, None] + lo_ring).ravel(),
         hi=(ends[:, None] + hi_ring).ravel())
 
-    verts, norms = verts.reshape(-1, 3), norms.reshape(-1, 3)
+    verts = verts.reshape(-1, 3)
     if pole.any():
-        flat = keep.ravel()
-        verts, norms = verts[flat], norms[flat]
+        verts = verts[keep.ravel()]
+    verts.flags.writeable = tris.flags.writeable = False
     mesh = SurfaceMesh(vertices=verts, triangles=tris, rings=rings,
-                       normals=norms, n_theta=n_theta)
-    for arr in (mesh.vertices, mesh.triangles, mesh.normals):
-        arr.flags.writeable = False
+                       normals=None, n_theta=n_theta)
+    del mesh.normals  # built from the ring normals on first read
     mesh._edges, mesh._grid = edges, grid
+    mesh._ring_normals = _RingNormals(first=first, pole=pole, cos=ct, sin=st)
     return mesh
+
+
+def _keep(pole: np.ndarray, n_theta: int) -> np.ndarray:
+    """The (rings, n_theta) mask of the ring grid's points that are
+    vertices: every column of a ring, only column 0 of a pole."""
+    keep = np.ones((len(pole), n_theta), dtype=bool)
+    keep[pole, 1:] = False
+    return keep
 
 
 def fundamental_forms(m: Momentum, x: float
@@ -350,14 +399,15 @@ def _mixed_areas_and_angles(v: np.ndarray, t: np.ndarray
 def discrete_mesh_curvature(mesh: SurfaceMesh
                             ) -> tuple[np.ndarray, np.ndarray]:
     """Per-vertex (H, K_G): cotangent mean curvature signed against the
-    stored reference normals (NaN on boundary vertices, whose stencils are
+    reference normals (NaN on boundary vertices, whose stencils are
     incomplete), and angle-defect Gauss curvature over the Meyer mixed area
     (boundary defect measured against pi). Results are also cached on
     mesh.per_vertex.
 
     On a mesh that revolve built, the stencils run once per ring, at its
-    first vertex, and the ring repeats that vertex's values; elsewhere they
-    run at every vertex."""
+    first vertex, against the ring's normal there, and the ring repeats
+    that vertex's values; the per-vertex normals are never built. Elsewhere
+    the stencils run at every vertex, against mesh.normals."""
     edges = mesh._edge_summary()
     if edges.max_share > 2:
         raise NonManifold("an edge is shared by more than two triangles")
@@ -367,13 +417,15 @@ def discrete_mesh_curvature(mesh: SurfaceMesh
 
     grid = mesh._grid
     if grid is None:
-        at, triangles = slice(None), mesh.triangles
+        at, triangles, normals = slice(None), mesh.triangles, mesh.normals
     else:
+        # a mesh that keeps its ring grid keeps its ring normals too
         at, triangles = grid.first, mesh.triangles[grid.triangles]
+        normals = mesh._ring_normals.first
     a_mixed, angle_sum, lap = _mixed_areas_and_angles(mesh.vertices, triangles)
     a_safe = np.maximum(a_mixed[at], 1e-300)
     h_vec = lap[at] / (4.0 * a_safe[:, None])
-    H = np.einsum("ij,ij->i", h_vec, mesh.normals[at])
+    H = np.einsum("ij,ij->i", h_vec, normals)
     # half-stencil cotangent sums carry no curvature information
     boundary_v = boundary_v[at]
     H[boundary_v] = np.nan

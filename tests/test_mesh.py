@@ -347,6 +347,58 @@ def test_revolve_arrays_are_read_only():
         assert (m._edges is None) == (name != "normals")
 
 
+@pytest.mark.parametrize("name", ["sphere", "near_pole_start", "pole_end",
+                                  "catenoid annulus"])
+def test_normals_read_late_are_the_formula_normals(name):
+    # n = (-tz*cos(theta), -tz*sin(theta), tx) at every vertex, a pole
+    # (0, 0, sign tx), whether read at once or after vertices or triangles
+    # were rebound; every read is the one read-only array
+    p = _ring_profile(name)
+    theta = 2.0 * math.pi * np.arange(16) / 16
+    want = np.stack(np.broadcast_arrays(-p.tz[:, None] * np.cos(theta),
+                                        -p.tz[:, None] * np.sin(theta), p.tx[:, None]), -1)
+    pole = np.abs(p.x) < 1e-12
+    want[pole, :, :2] = 0.0
+    want[pole, :, 2] = np.copysign(1.0, np.where(p.tx != 0.0, p.tx, 1.0))[pole, None]
+    keep = np.ones((len(p), 16), dtype=bool)
+    keep[pole, 1:] = False
+    want = want[keep]
+    for rebind in (None, "vertices", "triangles"):
+        m = revolve(p, n_theta=16)
+        if rebind:
+            setattr(m, rebind, getattr(m, rebind).copy())
+        got = m.normals
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape, rebind
+        assert m.normals is got and not got.flags.writeable
+
+
+def test_revolved_mesh_holds_no_normals_unless_read():
+    # a catenoid band of 513 rings at n_theta 256, 131,328 vertices, whose
+    # normals would be 3.0 MB: curvature, topology and both writers leave
+    # the mesh holding its vertices, triangles, rings and (H, K_G) only
+    t = np.linspace(-1.0, 1.0, 513)
+    p = Profile(s=np.sinh(t), x=np.cosh(t), z=t, tx=np.tanh(t), tz=1.0 / np.cosh(t),
+                branch_events=())
+    tracemalloc.start()
+    try:
+        m = revolve(p, n_theta=256)
+        discrete_mesh_curvature(m)
+        assert (m.euler_characteristic(), m.boundary_loops()) == (0, 2)
+        obj_size = len(write_obj(m))
+        write_stl(m)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    normals = 24 * len(m.vertices)
+    arrays = (m.vertices.nbytes + m.triangles.nbytes + sum(r.nbytes for r in m.rings)
+              + sum(a.nbytes for a in m.per_vertex))
+    # a per-vertex normals array would overrun each bound by three quarters
+    # of its size; the peak is write_obj's pieces and their join
+    assert held <= arrays + normals / 4, (held, arrays)
+    assert peak <= arrays + 2.1 * obj_size + normals / 4, (peak, arrays, obj_size)
+    assert m.normals.nbytes == normals
+
+
 @pytest.mark.parametrize("name", ["catenoid", "unduloid"])
 def test_mesh_curvature_converges_at_second_order(name):
     # interior rings, 3 in from each end, against the closed H and K_G as
