@@ -15,7 +15,8 @@ Exit codes: 0 success, 1 verification tolerance exceeded (only with
 --tol-verify), 2 validation errors, 3 numerical failures. Every tolerance
 flag a stage takes must be finite and positive, whether or not that stage
 uses it, or the stage exits 2 before any work; so does `verify` given only
-one of --expr-h and --expr-kg, which its constraint check takes together.
+one of --expr-h and --expr-kg, which its constraint check takes together,
+or --gamma-h, --c-g or --param, which only that check reads, without both.
 
 REVOLVE_THREADS caps internal parallelism; the current implementation is
 sequential, which satisfies any cap, and output never depends on it.
@@ -279,6 +280,11 @@ def _cmd_verify(args) -> int:
                           else ("--expr-kg", "--expr-h"))
         raise ValidationError(f"the constraint check needs both --expr-h and "
                               f"--expr-kg: {given} was given without {missing}")
+    unused = [flag for flag, value in (("--gamma-h", args.gamma_h), ("--c-g", args.c_g),
+                                       ("--param", args.param)) if value is not None]
+    if args.expr_h is None and unused:
+        raise ValidationError(f"{', '.join(unused)} only serve the constraint check, "
+                              f"which needs --expr-h and --expr-kg; neither was given")
     from .curvature import (constraint_residual, gauss_curvature, mean_curvature,
                             weingarten_residual)
     from .expr import parse_expr
@@ -337,9 +343,10 @@ def _cmd_verify(args) -> int:
         params = _parse_params(args.param)
         fh = parse_expr(args.expr_h).as_function(params)
         fg = parse_expr(args.expr_kg).as_function(params)
-        # constants are read against the momentum domain's left end
+        # constants are read against the momentum domain's left end, 0 if not given
+        gamma_h, c_g = (0.0 if c is None else c for c in (args.gamma_h, args.c_g))
         checks["constraint"] = _worst(constraint_residual(
-            fh, fg, args.gamma_h, args.c_g, grid, (lo, hi), anchor=lo))
+            fh, fg, gamma_h, c_g, grid, (lo, hi), anchor=lo))
 
     # a check that is not a number (the Gauss rebuild of the plane is 0/0)
     # is written as null: strict JSON has no NaN
@@ -469,10 +476,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="check the relation k_m = q*k_p")
     sp.add_argument("--expr-h", default=None, help="mean curvature expression")
     sp.add_argument("--expr-kg", default=None, help="Gauss curvature expression")
-    sp.add_argument("--gamma-h", type=float, default=0.0,
-                    help="antiderivative constant paired with --expr-h")
-    sp.add_argument("--c-g", type=float, default=0.0,
-                    help="antiderivative constant paired with --expr-kg")
+    sp.add_argument("--gamma-h", type=float, default=None,
+                    help="antiderivative constant paired with --expr-h (default 0)")
+    sp.add_argument("--c-g", type=float, default=None,
+                    help="antiderivative constant paired with --expr-kg (default 0)")
     sp.add_argument("--param", action="append", metavar="NAME=VALUE",
                     help="parameters for --expr-h/--expr-kg")
     sp.add_argument("--tol-verify", type=float, default=None,

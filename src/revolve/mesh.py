@@ -8,16 +8,16 @@ Topology is index arithmetic on the n_s x n_theta ring grid: one cumulative
 sum over a keep-mask numbers the vertices (a pole row keeps only column 0),
 column j of strip i gives (r0[j], r1[j], r1[j+1]) and (r0[j], r1[j+1],
 r0[j+1]) with j+1 wrapped by np.roll, and the one that collapses next to a
-pole is dropped. SurfaceMesh keeps a summary of the edge table (the edge
-count, the most triangles on one edge, the boundary edges) that serves
-euler_characteristic, boundary_loops and the boundary and manifold checks of
+pole is dropped. A summary of the edge table (the edge count, the most
+triangles on one edge, the boundary edges) serves euler_characteristic,
+boundary_loops and the boundary and manifold checks of
 discrete_mesh_curvature. revolve fills it by the same index arithmetic: a
 ring that is not a pole has n_theta ring edges, every strip n_theta meridian
 edges and a strip that is not a pole fan n_theta diagonals; every edge is on
 two triangles except the ring edges of an end ring that is not a pole. Any
-other mesh builds it once from its edge table (each undirected edge with the
-number of triangles on it, by sort and unique); edge_counts builds the full
-table.
+other mesh builds it from its edge table (each undirected edge with the
+number of triangles on it, by sort and unique) on each call; edge_counts
+builds the full table.
 
 Per-ring curvature: every vertex of one parallel has the same one-ring up
 to a rotation, so on a mesh that revolve built discrete_mesh_curvature runs
@@ -25,8 +25,11 @@ the stencils only on the triangles that touch a ring's first vertex (columns
 0 and n_theta - 1 of each strip, and every triangle of a pole fan, in mesh
 order) and repeats each ring's (H, K_G) over the ring. Those triangles keep
 mesh order, so the first vertices get the very bits of the full-mesh
-evaluation; the other vertices differ from it only by rounding. A mesh that
-revolve did not build, or whose arrays were rebound, takes the full path.
+evaluation; the other vertices differ from it only by rounding. What
+revolve knows of its mesh (the ring grid, one normal per ring, the edge
+summary) is one immutable record, _Revolved, with the very vertex and
+triangle arrays it describes. A mesh uses it only while it holds those
+arrays and has no normals bound; otherwise it is treated as built by hand.
 
 write_obj renders its v and f record blocks from the arrays (_records), with
 the bytes that %.17g and %d formatting give each value; its peak memory is
@@ -40,9 +43,9 @@ run, so revolving a mesh does not.
 
 revolve copies no array it does not change: the vertex grid is only
 compacted where a ring is a pole, and the triangles only filtered where one
-collapses next to a pole. It keeps one normal per ring, not 24 bytes a
-vertex: mesh.normals is built from them on its first read, which neither
-writer, the per-ring curvature path nor the CLI makes.
+collapses next to a pole. mesh.normals, 24 bytes a vertex, is built from
+the record's ring normals on its first read, which neither writer, the
+per-ring curvature path nor the CLI makes.
 
 Normal and sign convention: reference normals follow the surface convention
 n = (-tz*cos(theta), -tz*sin(theta), tx) built from the profile tangent
@@ -58,6 +61,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -96,21 +100,33 @@ class _EdgeSummary(NamedTuple):
     hi: np.ndarray
 
 
-class _RingNormals(NamedTuple):
-    """The normals of a revolved mesh, one per ring: first is each ring's
-    normal at its first vertex (theta = 0), pole marks the poles, and cos
-    and sin are the n_theta columns' cos(theta) and sin(theta). The first
-    normal's x is -tz*cos(0), -tz to the bit, so expand gives the bits of
-    n = (-tz*cos(theta), -tz*sin(theta), tx) evaluated over the whole grid."""
+@dataclass(frozen=True, eq=False)
+class _Revolved:
+    """What revolve knows of the mesh it built: the very vertices and
+    triangles arrays; each ring's first vertex and its size (1 for a pole,
+    n_theta otherwise; vertices are numbered ring by ring); on_first, the
+    indices of the triangles that touch a first vertex, in mesh order;
+    ring_normals, each ring's normal at its first vertex (theta = 0), with
+    pole marking the poles and cos and sin the n_theta columns' cos(theta)
+    and sin(theta); and the edge summary."""
 
+    vertices: np.ndarray
+    triangles: np.ndarray
     first: np.ndarray
+    sizes: np.ndarray
+    on_first: np.ndarray
+    ring_normals: np.ndarray
     pole: np.ndarray
     cos: np.ndarray
     sin: np.ndarray
+    edges: _EdgeSummary
 
-    def expand(self) -> np.ndarray:
-        """The (n_vertices, 3) normals, read-only, in vertex order."""
-        nx, nz = self.first[:, :1], self.first[:, 2:]
+    @cached_property
+    def normals(self) -> np.ndarray:
+        """The (n_vertices, 3) normals, read-only, in vertex order. A ring
+        normal's x is -tz*cos(0), -tz to the bit, so these are the bits of
+        n = (-tz*cos(theta), -tz*sin(theta), tx) evaluated over the grid."""
+        nx, nz = self.ring_normals[:, :1], self.ring_normals[:, 2:]
         normals = np.stack(np.broadcast_arrays(nx * self.cos, nx * self.sin, nz),
                            -1).reshape(-1, 3)
         if self.pole.any():
@@ -119,33 +135,19 @@ class _RingNormals(NamedTuple):
         return normals
 
 
-class _RingGrid(NamedTuple):
-    """The ring grid of a revolved mesh: each ring's first vertex, the ring
-    sizes (1 for a pole, n_theta otherwise; vertices are numbered ring by
-    ring), and the indices of the triangles that touch a first vertex, in
-    mesh order."""
-
-    first: np.ndarray
-    sizes: np.ndarray
-    triangles: np.ndarray
-
-
 @dataclass(eq=False)
 class SurfaceMesh:
     """Triangle mesh of a revolved profile.
 
     rings[i] holds the vertex indices of sample i's parallel (a single index
-    for a pole); per_vertex is filled by discrete_mesh_curvature. The
-    triangles may be of any integer dtype; revolve's, like its rings, are
-    int32. revolve returns vertices and triangles read-only, so an in-place
-    edit raises ValueError, and fills the edge summary, the ring grid and
-    the ring normals; any other mesh builds the summary on first use and
-    has no ring grid or ring normals. On revolve's mesh, normals is built
-    from the ring normals on its first read, read-only, and every later
-    read returns that array. The summary is dropped when vertices or
-    triangles is rebound; the ring grid and per_vertex when vertices,
-    triangles or normals is; the ring normals only when normals is.
-    Meshes compare by identity: == on two meshes is ``is``.
+    for a pole). The triangles may be of any integer dtype; revolve's, like
+    its rings, are int32, and it returns vertices and triangles read-only,
+    so an in-place edit raises ValueError. revolve binds no normals:
+    mesh.normals reads its record's, built on their first read, read-only.
+    The record serves only while vertices and triangles are the arrays
+    revolve built and normals is unbound; otherwise the mesh behaves as one
+    built by hand, its edge table built on each call and its curvature on
+    the full path. Meshes compare by identity: == on two meshes is ``is``.
     """
 
     vertices: np.ndarray
@@ -153,40 +155,30 @@ class SurfaceMesh:
     rings: list[np.ndarray]
     normals: np.ndarray
     n_theta: int
-    per_vertex: tuple[np.ndarray, np.ndarray] | None = field(default=None)
-    _edges: _EdgeSummary | None = field(default=None, init=False,
-                                        compare=False, repr=False)
-    _grid: _RingGrid | None = field(default=None, init=False,
-                                    compare=False, repr=False)
-    _ring_normals: _RingNormals | None = field(default=None, init=False,
-                                               compare=False, repr=False)
-
-    def __setattr__(self, name: str, value) -> None:
-        if name in ("vertices", "triangles"):
-            object.__setattr__(self, "_edges", None)
-        if name in ("vertices", "triangles", "normals"):
-            object.__setattr__(self, "per_vertex", None)
-            object.__setattr__(self, "_grid", None)
-        if name == "normals":
-            object.__setattr__(self, "_ring_normals", None)
-        object.__setattr__(self, name, value)
+    _record: _Revolved | None = field(default=None, init=False, repr=False)
 
     def __getattr__(self, name: str):
         # reached only for an attribute the mesh does not hold: the normals
-        # of a mesh that revolve built, until their first read
-        if name == "normals" and self._ring_normals is not None:
-            normals = self._ring_normals.expand()
-            object.__setattr__(self, "normals", normals)
-            return normals
+        # of a mesh that revolve built, which it does not bind
+        if name == "normals" and self._record is not None:
+            return self._record.normals
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
+    def _revolved(self) -> _Revolved | None:
+        """revolve's record, while the mesh still holds what it describes."""
+        record = self._record
+        if (record is not None and self.vertices is record.vertices
+                and self.triangles is record.triangles and "normals" not in vars(self)):
+            return record
+        return None
+
     def _edge_summary(self) -> _EdgeSummary:
-        if self._edges is None:
-            lo, hi, counts = _edge_table(self.triangles, len(self.vertices))
-            one = counts == 1
-            self._edges = _EdgeSummary(len(counts), int(counts.max(initial=0)),
-                                       lo[one], hi[one])
-        return self._edges
+        record = self._revolved()
+        if record is not None:
+            return record.edges
+        lo, hi, counts = _edge_table(self.triangles, len(self.vertices))
+        one = counts == 1
+        return _EdgeSummary(len(counts), int(counts.max(initial=0)), lo[one], hi[one])
 
     def edge_counts(self) -> dict[tuple[int, int], int]:
         lo, hi, counts = _edge_table(self.triangles, len(self.vertices))
@@ -259,9 +251,9 @@ def revolve(p, n_theta: int = 64) -> SurfaceMesh:
     verts = np.stack(np.broadcast_arrays(x[:, None] * ct, x[:, None] * st, z[:, None]), -1)
     verts[pole, :, :2] = 0.0
     # the normal at each ring's first vertex, where theta is 0
-    first = np.stack((-tz * ct[0], -tz * st[0], tx), -1)
-    first[pole, :2] = 0.0
-    first[pole, 2] = np.copysign(1.0, np.where(tx != 0.0, tx, 1.0))[pole]
+    ring_normals = np.stack((-tz * ct[0], -tz * st[0], tx), -1)
+    ring_normals[pole, :2] = 0.0
+    ring_normals[pole, 2] = np.copysign(1.0, np.where(tx != 0.0, tx, 1.0))[pole]
 
     keep = _keep(pole, n_theta)
     idx = np.cumsum(keep.ravel(), dtype=np.int32).reshape(n_s, n_theta) - 1
@@ -282,9 +274,8 @@ def revolve(p, n_theta: int = 64) -> SurfaceMesh:
     on_first = np.zeros((n_s - 1, n_theta, 2), dtype=bool)
     on_first[:, [0, -1]] = True
     on_first[fan] = True
-    grid = _RingGrid(first=idx[:, 0].copy(),
-                     sizes=np.where(pole, 1, n_theta),
-                     triangles=np.flatnonzero(on_first.ravel()[kept]))
+    first, sizes = idx[:, 0].copy(), np.where(pole, 1, n_theta)
+    on_first = np.flatnonzero(on_first.ravel()[kept])
 
     # boundary edges: the ring edges of an end ring that is not a pole, in
     # (lo, hi) order, offset by the ring's first vertex: (0, 1),
@@ -306,9 +297,10 @@ def revolve(p, n_theta: int = 64) -> SurfaceMesh:
     verts.flags.writeable = tris.flags.writeable = False
     mesh = SurfaceMesh(vertices=verts, triangles=tris, rings=rings,
                        normals=None, n_theta=n_theta)
-    del mesh.normals  # built from the ring normals on first read
-    mesh._edges, mesh._grid = edges, grid
-    mesh._ring_normals = _RingNormals(first=first, pole=pole, cos=ct, sin=st)
+    del mesh.normals  # read from the record
+    mesh._record = _Revolved(verts, tris, first=first, sizes=sizes, on_first=on_first,
+                             ring_normals=ring_normals, pole=pole, cos=ct, sin=st,
+                             edges=edges)
     return mesh
 
 
@@ -401,13 +393,13 @@ def discrete_mesh_curvature(mesh: SurfaceMesh
     """Per-vertex (H, K_G): cotangent mean curvature signed against the
     reference normals (NaN on boundary vertices, whose stencils are
     incomplete), and angle-defect Gauss curvature over the Meyer mixed area
-    (boundary defect measured against pi). Results are also cached on
-    mesh.per_vertex.
+    (boundary defect measured against pi). The mesh is left as it was.
 
-    On a mesh that revolve built, the stencils run once per ring, at its
-    first vertex, against the ring's normal there, and the ring repeats
-    that vertex's values; the per-vertex normals are never built. Elsewhere
-    the stencils run at every vertex, against mesh.normals."""
+    On a mesh that still holds revolve's record, the stencils run once per
+    ring, at its first vertex, against the ring's normal there, and the ring
+    repeats that vertex's values; the per-vertex normals are never built.
+    Elsewhere the stencils run at every vertex, against mesh.normals."""
+    record = mesh._revolved()
     edges = mesh._edge_summary()
     if edges.max_share > 2:
         raise NonManifold("an edge is shared by more than two triangles")
@@ -415,13 +407,11 @@ def discrete_mesh_curvature(mesh: SurfaceMesh
     boundary_v[edges.lo] = True
     boundary_v[edges.hi] = True
 
-    grid = mesh._grid
-    if grid is None:
+    if record is None:
         at, triangles, normals = slice(None), mesh.triangles, mesh.normals
     else:
-        # a mesh that keeps its ring grid keeps its ring normals too
-        at, triangles = grid.first, mesh.triangles[grid.triangles]
-        normals = mesh._ring_normals.first
+        at, triangles = record.first, mesh.triangles[record.on_first]
+        normals = record.ring_normals
     a_mixed, angle_sum, lap = _mixed_areas_and_angles(mesh.vertices, triangles)
     a_safe = np.maximum(a_mixed[at], 1e-300)
     h_vec = lap[at] / (4.0 * a_safe[:, None])
@@ -433,9 +423,8 @@ def discrete_mesh_curvature(mesh: SurfaceMesh
     defect = np.where(boundary_v, math.pi - angle_sum,
                       2.0 * math.pi - angle_sum)
     K = defect / a_safe
-    if grid is not None:
-        H, K = np.repeat(H, grid.sizes), np.repeat(K, grid.sizes)
-    mesh.per_vertex = (H, K)
+    if record is not None:
+        H, K = np.repeat(H, record.sizes), np.repeat(K, record.sizes)
     return H, K
 
 

@@ -181,6 +181,19 @@ def test_verify_refuses_one_constraint_expression(tmp_path, capsys, given, missi
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("flag, value", [("--gamma-h", "0"), ("--c-g", "0"),
+                                         ("--param", "a=1")])
+def test_verify_refuses_constraint_flags_without_expressions(tmp_path, capsys, flag, value):
+    # the flags only the constraint check reads, an explicit 0 among them,
+    # exit 2 without --expr-h and --expr-kg, before any work; no file is written
+    d = prescribe_catenoid(tmp_path / "st", capsys)
+    before = sorted(tmp_path.rglob("*"))
+    code, _, err = run(["verify", "--out", str(d), "--grid", "40", "--ntheta", "32",
+                        flag, value], capsys)
+    assert code == 2 and f"{flag} only serve" in err and "neither was given" in err, err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_prescribe_rejects_bad_expression(tmp_path, capsys):
     code, _, _ = run(["prescribe", "--kind", "kp", "--expr", "1/(x",
                       "--domain", "1:2", "--out", str(tmp_path / "b")], capsys)

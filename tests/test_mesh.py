@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import json
@@ -168,11 +169,12 @@ def test_catenoid_mesh_minimal():
     p = integrate_profile(catenoid_momentum(), start_x=2.0, s_max=1.5,
                           s_min=-1.5, samples_per_branch=256)
     m = revolve(p, n_theta=128)
+    held = {k: id(v) for k, v in vars(m).items()}
     H, _ = discrete_mesh_curvature(m)
     ok = ~np.isnan(H)
     assert float(np.max(np.abs(H[ok]))) < 1e-2
-    # results are cached on the mesh
-    assert m.per_vertex is not None
+    # the results are returned, not stored on the mesh
+    assert {k: id(v) for k, v in vars(m).items()} == held
 
 
 def test_meshes_compare_by_identity():
@@ -184,17 +186,18 @@ def test_meshes_compare_by_identity():
     assert (m1 != m2) is True
 
 
-def test_rebinding_drops_cached_curvature():
+def test_rebound_mesh_gets_its_own_curvature():
+    # discrete_mesh_curvature stores nothing on the mesh, before or after a
+    # rebinding, whichever path it takes
     m = revolve(open_band_profile(), n_theta=16)
     for name in ("vertices", "triangles", "normals"):
+        held = {k: id(v) for k, v in vars(m).items()}
         H, K = discrete_mesh_curvature(m)
-        assert m.per_vertex[1] is K
+        assert {k: id(v) for k, v in vars(m).items()} == held
         setattr(m, name, getattr(m, name).copy())
-        assert m.per_vertex is None
     # the mesh scaled by 2 gets its own curvature, K / 4
     H, K = discrete_mesh_curvature(m)
     m.vertices = 2.0 * m.vertices
-    assert m.per_vertex is None
     _, K2 = discrete_mesh_curvature(m)
     ok = ~np.isnan(H)
     assert np.allclose(K2[ok], K[ok] / 4.0, atol=1e-12)
@@ -245,15 +248,17 @@ def test_edge_table_built_once_per_mesh(monkeypatch):
     discrete_mesh_curvature(m)
     assert (m.euler_characteristic(), m.boundary_loops()) == (0, 2)
     assert len(calls) == 0  # revolve fills the summary by index arithmetic
-    # rebinding the triangles or the vertices drops the summary
+    # a mesh whose triangles or vertices were rebound builds its table on
+    # every call that needs it
     m.triangles = np.vstack([m.triangles, m.triangles[:1]])  # duplicate a face
     assert m.euler_characteristic() == 1
     with pytest.raises(NonManifold):
         discrete_mesh_curvature(m)
     assert max(m.edge_counts().values()) == 3
+    assert len(calls) == 3
     m.vertices = np.vstack([m.vertices, [[0.0, 0.0, 9.0]]])
-    assert m.euler_characteristic() == 2
-    assert len(calls) == 3  # one summary per rebinding, one full table
+    assert (m.euler_characteristic(), m.boundary_loops()) == (2, 2)
+    assert len(calls) == 5
 
 
 def _ring_profile(name):
@@ -279,10 +284,10 @@ def test_per_ring_curvature_matches_full_path(name):
         m = revolve(p, n_theta=nt)
         # the same arrays without the ring grid: the full-mesh path
         full = SurfaceMesh(m.vertices, m.triangles, m.rings, m.normals, nt)
-        assert m._grid is not None and full._grid is None
+        assert m._revolved() is not None and full._revolved() is None
 
         # revolve's edge summary is the one the edge table gives
-        got, want = m._edges, full._edge_summary()
+        got, want = m._edge_summary(), full._edge_summary()
         assert (got.n_edges, got.max_share) == (want.n_edges, want.max_share)
         for a, b in ((got.lo, want.lo), (got.hi, want.hi)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -318,20 +323,40 @@ def test_int32_and_int64_triangles_agree_past_46341_vertices():
 
 def test_meshes_without_ring_grid_take_full_path():
     both, shuffled = _two_bands()
-    assert both._grid is None and shuffled._grid is None
-    # a rebound mesh drops its ring grid: moving one vertex off its ring's
-    # rotation changes that vertex's curvature, as on a mesh built by hand
+    assert both._revolved() is None and shuffled._revolved() is None
+    # a mesh whose vertices, triangles or normals were rebound, on itself or
+    # on a copy.copy of it, takes the full path on the rebound arrays: its
+    # topology and curvature are those of the same arrays built by hand
     m = revolve(open_band_profile(), n_theta=16)
+    H, K = discrete_mesh_curvature(m)
+    kept = (write_obj(m), write_stl(m), H.tobytes(), K.tobytes())
     v = m.vertices.copy()
     moved = m.rings[20][5]
     v[moved, 2] += 1e-3
-    m.vertices = v
-    assert m._grid is None
+    edits = {"vertices": v, "triangles": m.triangles[1:], "normals": -m.normals}
+    for name, value in edits.items():
+        for edited in (copy.copy(m), revolve(open_band_profile(), n_theta=16)):
+            setattr(edited, name, value)
+            assert edited._revolved() is None
+            hand = SurfaceMesh(edited.vertices, edited.triangles, edited.rings,
+                               edited.normals, edited.n_theta)
+            got, want = ((mesh.euler_characteristic(), mesh.boundary_loops(),
+                          *(a.tobytes() for a in discrete_mesh_curvature(mesh)))
+                         for mesh in (edited, hand))
+            assert got == want, name
+        H1, K1 = discrete_mesh_curvature(edited)
+        if name == "vertices":
+            # moving one vertex off its ring's rotation changes its curvature
+            assert abs(K1[moved] - K1[m.rings[20][0]]) > 1e-3
+        elif name == "triangles":
+            # one face fewer; its hole joins the first ring's boundary loop
+            assert got[:2] == (-1, 2)
+        else:
+            assert np.array_equal(H1, -H, equal_nan=True)
+    # the original keeps its record and its bytes
+    assert m._revolved() is m._record
     H, K = discrete_mesh_curvature(m)
-    H0, K0 = discrete_mesh_curvature(SurfaceMesh(v, m.triangles, m.rings,
-                                                 m.normals, m.n_theta))
-    assert H.tobytes() == H0.tobytes() and K.tobytes() == K0.tobytes()
-    assert abs(K[moved] - K[m.rings[20][0]]) > 1e-3
+    assert (write_obj(m), write_stl(m), H.tobytes(), K.tobytes()) == kept
 
 
 def test_revolve_arrays_are_read_only():
@@ -339,12 +364,14 @@ def test_revolve_arrays_are_read_only():
         m = revolve(open_band_profile(), n_theta=16)
         with pytest.raises(ValueError):
             getattr(m, name)[0] = 0
-        discrete_mesh_curvature(m)
-        assert None not in (m._edges, m._grid, m.per_vertex)
+        assert m._record is not None and m._revolved() is m._record
+        # a rebinding, on a copy.copy or on the mesh, leaves the record
+        # unused by that mesh only
+        edited = copy.copy(m)
+        setattr(edited, name, getattr(m, name).copy())
+        assert edited._revolved() is None and m._revolved() is m._record
         setattr(m, name, getattr(m, name).copy())
-        assert m._grid is None and m.per_vertex is None
-        # the edges depend on vertices and triangles, not on normals
-        assert (m._edges is None) == (name != "normals")
+        assert m._revolved() is None
 
 
 @pytest.mark.parametrize("name", ["sphere", "near_pole_start", "pole_end",
@@ -382,7 +409,7 @@ def test_revolved_mesh_holds_no_normals_unless_read():
     tracemalloc.start()
     try:
         m = revolve(p, n_theta=256)
-        discrete_mesh_curvature(m)
+        H, K = discrete_mesh_curvature(m)
         assert (m.euler_characteristic(), m.boundary_loops()) == (0, 2)
         obj_size = len(write_obj(m))
         write_stl(m)
@@ -391,7 +418,7 @@ def test_revolved_mesh_holds_no_normals_unless_read():
         tracemalloc.stop()
     normals = 24 * len(m.vertices)
     arrays = (m.vertices.nbytes + m.triangles.nbytes + sum(r.nbytes for r in m.rings)
-              + sum(a.nbytes for a in m.per_vertex))
+              + H.nbytes + K.nbytes)
     # a per-vertex normals array would overrun each bound by three quarters
     # of its size; the peak is write_obj's pieces and their join
     assert held <= arrays + normals / 4, (held, arrays)

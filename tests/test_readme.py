@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import shlex
@@ -50,3 +51,31 @@ def test_readme_cli_lines_run(tmp_path):
                               capture_output=True, text=True, env=env, cwd=tmp_path,
                               timeout=120)
         assert proc.returncode == 0, (argv, proc.stderr)
+
+
+def _claim_rows(text):
+    """The rows of the README's "Paper claims" table as (claim, status,
+    test ids) triples, the ids as written: tests/<file>.py::<function>."""
+    section = text.split("\n## Paper claims\n", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and cells[0] not in ("Claim", "---"):
+            rows.append((cells[0], cells[1], re.findall(r"`([^`]+::[^`]+)`", cells[2])))
+    return rows
+
+
+def test_readme_paper_claims_name_existing_tests():
+    rows = _claim_rows(_README)
+    assert len(rows) >= 5
+    for claim, status, ids in rows:
+        assert status.split(":")[0] in ("covered", "partial", "open"), (claim, status)
+        if status == "covered":
+            assert ids, claim
+        for test_id in ids:
+            path, name = test_id.split("::")
+            assert path.startswith("tests/") and name.startswith("test_"), test_id
+            with open(os.path.join(_ROOT, path), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            assert any(isinstance(node, ast.FunctionDef) and node.name == name
+                       for node in tree.body), test_id
