@@ -409,6 +409,9 @@ def discrete_mesh_curvature(mesh: SurfaceMesh
 
     if record is None:
         at, triangles, normals = slice(None), mesh.triangles, mesh.normals
+        if len(normals) != len(mesh.vertices):
+            raise DegenerateProfile(f"the mesh has {len(normals)} normals for "
+                                    f"{len(mesh.vertices)} vertices")
     else:
         at, triangles = record.first, mesh.triangles[record.on_first]
         normals = record.ring_normals

@@ -16,12 +16,12 @@ whenever the array and per-point values agree.
 :func:`sqrt_endpoint_integral` removes an inverse square root blow-up at a
 flagged end by the one endpoint substitution, the cosine map of
 :func:`_clustered`, and the tail of a two-probe model of f next to the end
-(:func:`_end_model`). It takes reconstruct's integrands at turning points
-and the strips of :class:`AnchoredAntiderivative` (A(x) = int_anchor^x f(t)
-dt cached as a cubic Hermite interpolant with slopes f(x_i)) from the
-anchor and to points outside the cache, an infinite anchor mapped by
-x = b + 1 - 1/t first; graph_height and the profile trace share the map
-and the model.
+(:func:`_end_model`). It takes reconstruct's arclength and height and the
+strips of :class:`AnchoredAntiderivative` (A(x) = int_anchor^x f(t) dt
+cached as a cubic Hermite interpolant with slopes f(x_i)) from the anchor
+and to points outside the cache, an infinite anchor mapped by
+x = b + 1 - 1/t first. reconstruct's band, which the trace and
+graph_height read, takes the same map and model onto 16-node panels.
 
 Root finding and pointwise curvatures evaluate an antiderivative one float
 at a time, so a float inside the cached interval takes a scalar path: a
@@ -162,26 +162,26 @@ def _close(value: np.ndarray, ref: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _bisect(f: Callable[[np.ndarray], np.ndarray], xs, tol: float,
-            knot: Callable[[np.ndarray], np.ndarray] | None = None,
-            max_panels: int = _MAX_PANELS):
+            knot: Callable[[np.ndarray], np.ndarray] | None = None):
     """Adaptive bisection of the panels between the knots xs.
 
     A panel is accepted when the Gauss-Legendre sum of its halves matches
     its own estimate to max(tol, 1e-15 * |sum|), and contributes that sum.
     With ``knot`` (f at an array of knots, raising where it cannot be
     evaluated) the cubic Hermite interpolant of the panel's end values and
-    slopes must also reproduce the integral over its left half; each knot is
-    evaluated once. f is called on arrays: once for the initial panels, then
-    once per round for the halves of every open panel; ``knot`` once for the
-    initial knots, then once per round for the midpoints of the panels the
-    round splits. Every panel estimate comes before the first knot
-    evaluation, so an error the integrand raises inside a panel propagates
-    as it is.
+    slopes must also reproduce the integral over its left half (an error
+    even about the midpoint) and, times h/8 for the width h, f at the
+    midpoint as its slope there (an error odd about it). f is called on
+    arrays: once for the initial panels, then once per round for the halves
+    of every open panel; ``knot`` once for the initial knots, then once per
+    round for the open panels' midpoints, kept as knots where a panel
+    splits. A round's panel estimates come before its knot evaluation, so
+    an error the integrand raises inside a panel propagates as it is.
 
     Returns the final knots, f at each of them (nan without ``knot``) and the
     panel integrals, as arrays from left to right. Raises QuadratureFailure
     on a non-finite sum, on a panel at the width floor that does not
-    converge, and beyond ``max_panels`` panels.
+    converge, and beyond _MAX_PANELS panels.
     """
     xs = np.asarray(xs, dtype=float)
     x0, x1 = xs[:-1], xs[1:]
@@ -201,15 +201,17 @@ def _bisect(f: Callable[[np.ndarray], np.ndarray], xs, tol: float,
             raise QuadratureFailure(
                 f"integral over [{float(x0[i])!r}, {float(x1[i])!r}] is not finite")
         ok = _close(both, whole, tol)
-        if knot is not None:
-            # cubic Hermite at the midpoint of the panel
-            ok &= _close(0.5 * whole + (x1 - x0) * (f0 - f1) / 8.0, left, tol)
+        fm = np.full(m.shape, math.nan) if knot is None else knot(m)
+        if knot is not None:  # the cubic Hermite interpolant's value and slope at the midpoint
+            h = x1 - x0
+            ok &= _close(0.5 * whole + h * (f0 - f1) / 8.0, left, tol)
+            ok &= _close(0.1875 * whole - h * (f0 + f1) / 32.0, h * fm / 8.0, tol)
         accepted.append((x0[ok], x1[ok], f1[ok], both[ok]))
         n_accepted += int(np.count_nonzero(ok))
         split = ~ok
         if not np.any(split):
             break
-        x0, x1, f0, f1 = x0[split], x1[split], f0[split], f1[split]
+        x0, x1, f0, f1, fm = x0[split], x1[split], f0[split], f1[split], fm[split]
         m, whole, left, right, both = m[split], whole[split], left[split], right[split], both[split]
         floor = x1 - x0 <= _MIN_WIDTH * np.maximum(1.0, np.abs(x0))
         if np.any(floor):
@@ -217,9 +219,8 @@ def _bisect(f: Callable[[np.ndarray], np.ndarray], xs, tol: float,
             raise QuadratureFailure(
                 f"quadrature did not converge on [{float(x0[i])!r}, {float(x1[i])!r}] "
                 f"(halves differ by {abs(both[i] - whole[i]):.3e})")
-        if n_accepted + 2 * x0.size > max_panels:
-            raise QuadratureFailure(f"quadrature needs more than {max_panels} panels")
-        fm = np.full(m.shape, math.nan) if knot is None else knot(m)
+        if n_accepted + 2 * x0.size > _MAX_PANELS:
+            raise QuadratureFailure(f"quadrature needs more than {_MAX_PANELS} panels")
         x0, x1 = np.concatenate((x0, m)), np.concatenate((m, x1))
         f0, f1 = np.concatenate((f0, fm)), np.concatenate((fm, f1))
         whole = np.concatenate((left, right))
@@ -243,19 +244,8 @@ def integrate(f: Callable[[float], float], a: float, b: float,
         return 0.0
     if b < a:
         return -integrate(f, b, a, tol)
-    return float(_panel_integrals(array_callable(f, a, b), [a, b], tol)[0])
-
-
-def _panel_integrals(f: Callable[[np.ndarray], np.ndarray], xs, tol: float) -> np.ndarray:
-    """int_xs[i]^xs[i+1] f for every i, from one run of the engine over all the
-    panels; each is the sum that ``integrate(f, xs[i], xs[i+1], tol)`` gives,
-    its pieces added from left to right. Each panel may split into up to
-    _MAX_PANELS pieces, counted over all of them."""
-    xs = np.asarray(xs, dtype=float)
-    knots, _, pieces = _bisect(f, xs, tol, max_panels=_MAX_PANELS * (len(xs) - 1))
-    out = np.zeros(len(xs) - 1)
-    np.add.at(out, np.searchsorted(xs[:-1], knots[:-1], side="right") - 1, pieces)
-    return out
+    # the pieces added from left to right
+    return float(np.cumsum(_bisect(array_callable(f, a, b), [a, b], tol)[2])[-1])
 
 
 def sqrt_endpoint_integral(f: Callable[[float], float], a: float, b: float,
@@ -273,7 +263,7 @@ def sqrt_endpoint_integral(f: Callable[[float], float], a: float, b: float,
         return 0.0
     if b < a:
         return -sqrt_endpoint_integral(f, b, a, singular_hi, singular_lo, tol=tol)
-    _, g, ((u0, z0, _), (u1, z1, _)) = _substitution(
+    g, ((u0, z0), (u1, z1)) = _substitution(
         array_callable(f, a, b), a, b, singular_lo, singular_hi)
     return z0 + integrate(g, u0, u1, tol) + z1
 
@@ -323,18 +313,18 @@ def _unclustered(cl: float, ch: float, lo: bool, hi: bool) -> float:
 
 def _substitution(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                   lo: bool, hi: bool):
-    """(x, g, ends) for f over [a, b], a < b, with u in [a, b]. x(u) is
-    (x, x - a, b - x) by :func:`_clustered` of (u - a) / (b - a), or x = u
-    where no end is flagged; g(u) = f(x) dx/du, with dx/du from the rounded
-    node's distances to the ends, whose square root cancels an inverse square
-    root of f at a flagged end, rounding of x included; no node comes nearer
-    that end than the reach of its model. ``ends`` holds (u, z, tail) per
-    end: the engine runs between the two u; tail(t), for arrays of distances
-    t from the end, is the integral of f by :func:`_end_model` (0 where the
-    end is not flagged), and z its value at u."""
-    ends = [(a, 0.0, np.zeros_like), (b, 0.0, np.zeros_like)]
+    """(g, ends) for f over [a, b], a < b, with u in [a, b]: x(u) is
+    :func:`_clustered` of (u - a) / (b - a), or x = u where no end is
+    flagged, and g(u) = f(x) dx/du, with dx/du from the rounded node's
+    distances to the ends, whose square root cancels an inverse square root
+    of f at a flagged end, rounding of x included; no node comes nearer that
+    end than the reach of its model. ``ends`` holds (u, z) per end: the
+    engine runs between the two u, and z is the integral of f between the
+    end and its u by the tail of :func:`_end_model` (0 where the end is not
+    flagged)."""
+    ends = [(a, 0.0), (b, 0.0)]
     if not (lo or hi):
-        return (lambda u: (u, u - a, b - u)), f, ends
+        return f, ends
     w = b - a
 
     def x(u):
@@ -354,8 +344,8 @@ def _substitution(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
             t4, _, tail = _end_model(f, a, b, (a, b)[i], 1.0 - 2.0 * i)
             t = min(t4, 0.5 * w if lo and hi else w) / w
             u = min(b, a + w * _unclustered(*((t, 1.0 - t) if i == 0 else (1.0 - t, t)), lo, hi))
-            ends[i] = (u, float(tail(x(u)[1 + i])), tail)
-    return x, g, ends
+            ends[i] = (u, float(tail(x(u)[1 + i])))
+    return g, ends
 
 
 def _end_model(f: Callable[[float], float], a: float, b: float, end: float,
@@ -420,21 +410,22 @@ def _strip(f: Callable[[float], float], a: float, b: float, tol: float) -> float
 
 
 class AnchoredAntiderivative:
-    """A(x) = int_anchor^x f(t) dt over [lo, hi], cached for fast evaluation.
+    """A(x) = int_anchor^x f(t) dt over [lo, hi], lo < hi, cached.
 
     The anchor defaults to ``lo`` but may lie outside the interval (0 below a
     positive domain, or -inf) as long as f is integrable on [anchor, lo].
     Panels are bisected until, to ``tol``, the Gauss-Legendre integrals of
     each panel's halves match both the panel and the cubic Hermite
-    interpolant through the accumulated values with the exact slopes f(x_i).
-    f goes through :func:`array_callable`; each bisection round calls it once
-    on the nodes of all open panels and once on the new knots, and it is
-    evaluated once at each knot.
+    interpolant through the accumulated values with the exact slopes f(x_i),
+    and its midpoint slope matches f there (:func:`_bisect`). f goes through
+    :func:`array_callable`; each bisection round calls it once on the nodes
+    of all open panels and once on their midpoints, and it is evaluated once
+    at each knot.
     """
 
     def __init__(self, f: Callable[[float], float], lo: float, hi: float,
                  anchor: float | None = None, tol: float = 1e-12):
-        if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ParamOutOfRange(f"bad interval [{lo!r}, {hi!r}]")
         if not (math.isfinite(tol) and tol > 0.0):
             raise ParamOutOfRange(f"quadrature tolerance must be finite and positive, "
@@ -445,16 +436,9 @@ class AnchoredAntiderivative:
         self.anchor = self.lo if anchor is None else float(anchor)
         self.tol = float(tol)
 
-        width = self.hi - self.lo
-        if width == 0.0:
-            self._knots = None
-            self._base = 0.0 if self.anchor == self.lo else _strip(f, self.anchor, self.lo, tol)
-            self._inset_lo = self._inset_hi = self.lo
-            return
-
         # Keep spline knots away from endpoints where f itself is singular
         # (but integrable); the short end strips are integrated directly.
-        inset = 1e-8 * width
+        inset = 1e-8 * (self.hi - self.lo)
         ends = {x: _value_or_nan(f, x) for x in (self.lo, self.hi)}
         self._inset_lo = self.lo if math.isfinite(ends[self.lo]) else self.lo + inset
         self._inset_hi = self.hi if math.isfinite(ends[self.hi]) else self.hi - inset
@@ -516,8 +500,6 @@ class AnchoredAntiderivative:
         return res + c0 * z
 
     def __call__(self, x):
-        if self._knots is None:
-            return self._base if np.isscalar(x) else np.full(np.shape(x), self._base)
         if isinstance(x, float) and self._inset_lo <= x <= self._inset_hi:
             # The interval is knots[i] <= x < knots[i + 1], with the last knot
             # in the last interval, and the powers of s are accumulated from

@@ -4,9 +4,9 @@ Quadrature route: with K the momentum, ds = dx / sqrt(1 - K^2) gives the
 arclength between parallels and dz = K dx / sqrt(1 - K^2) the height of the
 curve over the x-axis; both integrands blow up like an inverse square root
 where |K| reaches 1, which the quadrature layer's endpoint substitution
-absorbs. arclength, height_displacement and graph_height share one guard,
-_singular_ends, which flags the endpoints where that happens; graph_height
-integrates all its panels in one run of the engine.
+absorbs. arclength and height_displacement share one guard, _singular_ends,
+which flags the endpoints where that happens; graph_height runs its scan
+for |K| > 1 inside, then reads its heights off the trace's band below.
 
 Trace: between two turning points the curve is a graph over x, so
 integrate_profile takes each monotone branch as the two integrals above
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 from typing import Sequence
 
@@ -28,9 +29,8 @@ from .curvature import CurvatureSample
 from .errors import (AxisSingularity, DegeneratePolyline, DomainViolation,
                      EventLocatorFailure, NonIntegrableSingularity, ParamOutOfRange)
 from .momentum import Momentum, admissible_intervals
-from .quadrature import (_bisect, _clustered, _clustered_slope, _end_model,
-                         _panel_integrals, _substitution, _unclustered, array_callable,
-                         sqrt_endpoint_integral, takes_arrays)
+from .quadrature import (_bisect, _clustered, _clustered_slope, _end_model, _unclustered,
+                         array_callable, sqrt_endpoint_integral, takes_arrays)
 
 __all__ = [
     "Profile",
@@ -148,30 +148,24 @@ def graph_height(m: Momentum, x0: float, x1: float, n: int = 513,
     """Cumulative height z(x) over [x0, x1], anchored z(x0) = 0.
 
     Returns (x_samples, z_samples) on n points, equispaced in the variable u
-    of the quadrature layer's endpoint substitution: x = u unless an end is
+    of the :class:`_Band` over [x0, x1]: x is linear in u unless an end is
     singular (|K| -> 1 there), where the grid clusters like a cosine toward
-    it. One run of the adaptive Gauss-Legendre engine integrates dz/du over
-    the panels between the reaches of the end models, giving each the sum a
-    separate ``integrate`` call would; within a reach z is the model's tail.
+    it. The band integrates dz/du once, on 16-node Gauss-Legendre panels
+    bisected to tol, and each height is read off its panel's interpolant.
+    DomainViolation where |K| > 1 inside the range; EventLocatorFailure
+    where 1 - K^2 has no simple zero at a singular end.
     """
     _finite_range(x0, x1)
     if not x1 > x0:
         raise DomainViolation(f"need x1 > x0, got [{x0!r}, {x1!r}]")
     if n < 2:
         raise DomainViolation("need at least two samples")
-    K = array_callable(m.eval, *m.domain)
-    x, g, ((u0, z0, tail0), (u1, z1, tail1)) = _substitution(
-        _integrand(K, height=True), x0, x1, *_singular_ends(m, K, x0, x1))
-    us = x0 + (x1 - x0) * np.linspace(0.0, 1.0, n)
-    us[-1] = x1
-    xs = x(us)[0]
+    _singular_ends(m, array_callable(m.eval, *m.domain), x0, x1)  # the scan inside
+    band = _Band(m, x0, x1, x0, tol)
+    us = np.linspace(0.0, 1.0, n)
+    xs = _clustered(us, x0, x1, *band.turn)[0]
     xs[0], xs[-1] = x0, x1
-    inner = (us > u0) & (us < u1)
-    zk = np.cumsum(np.concatenate(([z0], _panel_integrals(
-        g, np.concatenate(([u0], us[inner], [u1])), max(tol / (4.0 * math.sqrt(n)), 1e-13)))))
-    zs = np.where(us <= u0, tail0(xs - x0), (zk[-1] + z1) - tail1(x1 - xs))
-    zs[inner] = zk[1:-1]
-    return xs, zs
+    return xs, band.height(us)
 
 
 # The trace's panels: 16 Gauss-Legendre nodes on [-1, 1], the matrices that
@@ -198,6 +192,7 @@ _COEF = (np.arange(_N) + 0.5) * _W[:, None] * _legendre(_TAU)[:_N].T
 _ANTI = _COEF @ np.polynomial.legendre.legint(np.eye(_N), lbnd=-1.0, axis=1)
 _COEF = np.pad(_COEF, ((0, 0), (0, 1)))
 _GRID = -np.cos(np.linspace(0.0, math.pi, 65))
+_GRID_P = _legendre(_GRID)
 
 
 def _degenerate(x: float) -> EventLocatorFailure:
@@ -235,6 +230,7 @@ class _Band:
         knots = np.array([0.0, u0, 1.0] if 0.0 < u0 < 1.0 else [0.0, 1.0])
         for height in (0, 1):
             knots = _bisect(takes_arrays(lambda u: self._rates(u)[height]), knots, tol)[0]
+        self.knots = knots
         self.mid, self.half = 0.5 * (knots[1:] + knots[:-1]), 0.5 * np.diff(knots)
         fs, fz = (r.reshape(-1, _N) for r in
                   self._rates((self.mid[:, None] + self.half[:, None] * _TAU).ravel()))
@@ -243,11 +239,15 @@ class _Band:
         self.Zk = np.concatenate(([0.0], np.cumsum(self.half * (fz @ _W))))
         self.S, self.Z = float(self.Sk[-1]), float(self.Zk[-1])
         self.q0, self.z0 = (float(v[np.searchsorted(knots, u0)]) for v in (self.Sk, self.Zk))
-        # per panel, the coefficients of S, ds/du and Z; and (S, u, ds/du) on
-        # a fine grid of each panel, through which locate takes its first guess
+        # per panel, the coefficients of S, ds/du and Z
         self.coef = np.stack((fs @ _ANTI, fs @ _COEF, fz @ _ANTI), axis=1)
-        s_grid, ds_grid = (self.coef[:, :2] @ _legendre(_GRID)).transpose(1, 0, 2)
-        self.table = tuple(np.append(g[:, :-1], g[-1, -1]) for g in (
+
+    @cached_property
+    def table(self) -> tuple[np.ndarray, ...]:
+        """(S, u, ds/du) on _GRID in every panel, through which locate takes
+        its first guess; built on the first locate."""
+        s_grid, ds_grid = (self.coef[:, :2] @ _GRID_P).transpose(1, 0, 2)
+        return tuple(np.append(g[:, :-1], g[-1, -1]) for g in (
             self.Sk[:-1, None] + self.half[:, None] * s_grid,
             self.mid[:, None] + self.half[:, None] * _GRID, ds_grid))
 
@@ -266,6 +266,20 @@ class _Band:
         if not np.all(np.isfinite(f)):  # |K| reaches 1 inside the band
             raise _degenerate(float(x[np.argmin(np.isfinite(f))]))
         return dxdu * f, k * dxdu * f
+
+    def height(self, u: np.ndarray) -> np.ndarray:
+        """Z from a at the ascending u of [0, 1], off the panels' interpolants
+        of dz/du, a block per panel; 0 and Z exactly at the band's ends."""
+        cuts = np.searchsorted(u, self.knots)
+        cuts[0], cuts[-1] = 0, len(u)
+        counts = np.diff(cuts)
+        h = np.repeat(self.half, counts)
+        P = _legendre(np.clip((u - np.repeat(self.mid, counts)) / h, -1.0, 1.0))
+        z = np.repeat(self.Zk[:-1], counts)
+        for p, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+            z[a:b] += h[a:b] * (self.coef[p, 2] @ P[:, a:b])
+        z[u <= 0.0], z[u >= 1.0] = 0.0, self.Z
+        return z
 
     def locate(self, q: np.ndarray) -> tuple[np.ndarray, ...]:
         """Arrays x, Z, |dx/ds| and the rest of q that Z leaves to dz = K ds

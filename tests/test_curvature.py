@@ -100,7 +100,7 @@ def test_constraint_residual_flags_mismatched_constants():
     assert np.max(np.abs(r)) > 1e-3
 
 
-@pytest.mark.parametrize("domain", [(2.0, 1.0), (1.0, math.nan)])
+@pytest.mark.parametrize("domain", [(2.0, 1.0), (1.0, math.nan), (1.0, 1.0)])
 def test_bad_interval_is_a_typed_error(domain):
     # the antiderivatives of both callers refuse the interval with a
     # ValidationError (CLI exit 2), not a bare ValueError

@@ -374,6 +374,16 @@ def test_revolve_arrays_are_read_only():
         assert m._revolved() is None
 
 
+def test_curvature_refuses_normals_that_do_not_match_the_vertices():
+    # one vertex appended leaves the record's normals a row short: a typed
+    # error naming both lengths, not NumPy's broadcast error
+    m = revolve(open_band_profile(), n_theta=16)
+    n = len(m.vertices)
+    m.vertices = np.vstack([m.vertices, [[0.0, 0.0, 9.0]]])
+    with pytest.raises(DegenerateProfile, match=f"{n} normals for {n + 1} vertices"):
+        discrete_mesh_curvature(m)
+
+
 @pytest.mark.parametrize("name", ["sphere", "near_pole_start", "pole_end",
                                   "catenoid annulus"])
 def test_normals_read_late_are_the_formula_normals(name):

@@ -4,13 +4,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import catenoid_momentum
-from revolve.errors import NonIntegrableSingularity, QuadratureFailure, RootBracketFailure
+from conftest import catenoid_momentum, sphere_momentum
+from revolve.errors import (NonIntegrableSingularity, NumericalError, QuadratureFailure,
+                            RootBracketFailure)
 from revolve.expr import parse_expr
-from revolve.momentum import Momentum
-from revolve.quadrature import (AnchoredAntiderivative, _substitution, array_callable,
+from revolve.momentum import Momentum, momentum_from_mean
+from revolve.quadrature import (AnchoredAntiderivative, array_callable,
                                 bracketed_root, integrate, sqrt_endpoint_integral, takes_arrays)
-from revolve.reconstruct import arclength, graph_height
+from revolve.reconstruct import arclength, graph_height, height_displacement
 
 TOLS = (1e-8, 1e-10, 1e-12)
 
@@ -86,6 +87,15 @@ def test_antiderivative_evaluates_each_knot_once():
     assert all(calls[x] == 1 for x in knots)
 
 
+def test_antiderivative_sees_an_error_odd_about_a_panel_midpoint():
+    # A'''' = 120 (t - 1/16) changes sign at the first panel's midpoint, so
+    # the cubic Hermite interpolant's error is odd about it: its value there
+    # is exact while its slope is not
+    A = AnchoredAntiderivative(lambda t: 5.0 * (t - 0.0625) ** 4, 0.0, 2.0, tol=1e-10)
+    xs = np.linspace(0.0, 2.0, 20001)
+    assert np.max(np.abs(A(xs) - ((xs - 0.0625) ** 5 + 0.0625 ** 5))) <= 2e-10
+
+
 # --- strips: from the anchor to the cache, and points outside it -----------
 
 def test_strip_anchor_at_minus_infinity():
@@ -152,6 +162,10 @@ def test_one_refusal_rule_for_every_singular_end(q):
         with pytest.raises(NonIntegrableSingularity):
             call()
     assert issubclass(NonIntegrableSingularity, QuadratureFailure)
+    # graph_height reads the trace's band, which refuses such an end as a
+    # degenerate turning point: a NumericalError too
+    with pytest.raises(NumericalError):
+        graph_height(m, 0.2, 1.0)
 
 
 @pytest.mark.parametrize("q", [0.1, 0.3, 0.45, 0.49])
@@ -286,31 +300,19 @@ def test_array_call_fault_surfaces_the_per_point_error():
         g(np.array([0.5, 1.0]))
 
 
-def test_graph_height_matches_the_per_panel_loop():
-    # the engine run over all panels gives each panel the sum that one
-    # integrate call per panel gives, to the bit
-    m = catenoid_momentum()  # K = -1/x, singular at x = 1
-
-    def dz(x):
-        k = -1.0 / x
-        return k / np.sqrt(1.0 - k * k)
-
-    for x0, x1, n in ((1.0, 4.0, 65), (1.2, 3.5, 129)):
-        tol = 1e-11
-        xs, zs = graph_height(m, x0, x1, n=n, tol=tol)
-        panel_tol = max(tol / (4.0 * math.sqrt(n)), 1e-13)
-        want = [0.0]
-        if x0 == 1.0:
-            # panels in the substitution's u, the first from the end model's
-            # reach u0, within which the model's tail z is the height
-            _, g, ((u0, z, _), _) = _substitution(dz, x0, x1, True, False)
-            us = x0 + (x1 - x0) * np.linspace(0.0, 1.0, n)
-            us[0], us[-1] = u0, x1
-            for i in range(n - 1):
-                z += integrate(g, float(us[i]), float(us[i + 1]), tol=panel_tol)
-                want.append(z)
-        else:
-            for i in range(n - 1):
-                a, b = float(xs[i]), float(xs[i + 1])
-                want.append(want[-1] + integrate(dz, a, b, tol=panel_tol))
-        assert zs.tolist() == want
+def test_graph_height_reads_the_band():
+    # every sample's height is the quadrature route's height to it: the
+    # catenoid from its waist, the sphere up to its turn and the unduloid
+    # between its turns, each singular at one or both ends
+    unduloid = momentum_from_mean(lambda x: 1.0, 0.12,
+                                  (0.13944487245360107, 0.860555127546399), anchor=0.0)
+    for m, x0, x1 in ((catenoid_momentum(), 1.0, 4.0), (sphere_momentum(), 0.0, 1.0),
+                      (unduloid, *unduloid.domain)):
+        xs, zs = graph_height(m, x0, x1, n=65)
+        assert xs[0] == x0 and xs[-1] == x1 and zs[0] == 0.0
+        want = [height_displacement(m, x0, x) for x in xs[1:].tolist()]
+        assert np.max(np.abs(zs[1:] - want)) <= 2e-12
+    # and the catenoid's height is its closed form to rounding
+    for n in (65, 257):
+        xs, zs = graph_height(catenoid_momentum(), 1.0, 4.0, n=n)
+        assert np.max(np.abs(zs + np.arccosh(xs))) <= 1e-13
