@@ -110,7 +110,15 @@ def _write_all(outdir: str, files: dict[str, Content]) -> None:
             raise
 
 
-def _dump_json(obj) -> str:
+def _dump_json(obj: dict, name: str) -> str:
+    """obj as the strict JSON of the file name; ValidationError naming the
+    first field that holds a number strict JSON has not (nan or inf)."""
+    for key, v in sorted(obj.items()):
+        try:
+            json.dumps(v, allow_nan=False)
+        except ValueError:
+            raise ValidationError(f"{name}: {key!r} must hold finite numbers, "
+                                  f"got {v!r}") from None
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
@@ -228,7 +236,7 @@ def _cmd_prescribe(args) -> int:
     }
     m = _momentum_from_state(state, args.tol_quad)
     state["admissible"] = [[a, b] for a, b in admissible_intervals(m)]
-    _write_all(args.out, {_STATE: _dump_json(state)})
+    _write_all(args.out, {_STATE: _dump_json(state, _STATE)})
     print(f"momentum stored in {os.path.join(args.out, _STATE)}")
     return 0
 
@@ -353,7 +361,7 @@ def _cmd_verify(args) -> int:
     report = {"checks": {k: v if math.isfinite(v) else None for k, v in checks.items()},
               "domain": [lo, hi], "grid": args.grid,
               "samples": len(p), "turning_points": p.branch_events}
-    text = _dump_json(report)
+    text = _dump_json(report, "verify.json")
     _write_all(args.out, {"verify.json": text})
     sys.stdout.write(text)
     if args.tol_verify is not None:
@@ -379,8 +387,8 @@ def _cmd_catalog(args) -> int:
     entry = cat.build(args.name, **params)
     state = {"source": "catalog", "name": args.name, "params": params}
     files: dict[str, Content] = {
-        _STATE: _dump_json(state),
-        "entry.json": _dump_json(entry.to_json_dict()),
+        _STATE: _dump_json(state, _STATE),
+        "entry.json": _dump_json(entry.to_json_dict(), "entry.json"),
     }
     if entry.closed_profile is not None:
         from ._records import records

@@ -118,6 +118,9 @@ def gauss_from_mean(H: Callable[[float], float], gamma: float, x,
     analytically (no numerical differentiation):
 
         K_G = 4*A*H/x^2 - 4*A^2/x^4
+
+    On the axis (the rule of :func:`principal_curvatures`) K_G is the
+    umbilic limit H^2 where A vanishes, and AxisSingularity where it does not.
     """
     lo, hi = domain[0], domain[1]
     H = array_callable(H, lo, hi)
@@ -126,7 +129,12 @@ def gauss_from_mean(H: Callable[[float], float], gamma: float, x,
     xs = np.asarray(x, dtype=float)
     Av = np.asarray(A(xs), dtype=float) + gamma
     Hv = H(np.atleast_1d(xs)).reshape(xs.shape)
-    out = 4.0 * Av * Hv / xs**2 - 4.0 * Av**2 / xs**4
+    with np.errstate(divide="ignore", invalid="ignore"):  # the axis is set below
+        out = np.asarray(4.0 * Av * Hv / xs**2 - 4.0 * Av**2 / xs**4)
+    on = np.abs(xs) < _AXIS_REL * max(1.0, hi - lo)
+    if np.any(on):
+        _axis_vanishes(Av[on])
+        out[on] = Hv[on] ** 2
     return float(out) if np.isscalar(x) else out
 
 
@@ -137,14 +145,34 @@ def gauss_monomial(mu: float, n: float, gamma: float, x):
               - 4 gamma^2 / x^4
 
     The exponent n = -2 is excluded (its antiderivative is not a monomial).
+    On the axis K_G is the finite limit of the first term where
+    int x*H + gamma = mu x^(n+2) / (n+2) + gamma vanishes there; anything
+    else raises AxisSingularity.
     """
     if abs(n + 2.0) < 1e-12:
         raise ExponentForbidden("n = -2 is outside the monomial family")
     xs = np.asarray(x, dtype=float)
-    out = (4.0 * (n + 1.0) * mu**2 / (n + 2.0) ** 2 * xs ** (2.0 * n)
-           + 4.0 * n * gamma * mu / (n + 2.0) * xs ** (n - 2.0)
-           - 4.0 * gamma**2 / xs**4)
+    lead = 4.0 * (n + 1.0) * mu**2 / (n + 2.0) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):  # the axis is set below
+        out = np.asarray(lead * xs ** (2.0 * n)
+                         + 4.0 * n * gamma * mu / (n + 2.0) * xs ** (n - 2.0)
+                         - 4.0 * gamma**2 / xs**4)
+    on = np.abs(xs) < _AXIS_REL
+    if np.any(on):
+        _axis_vanishes(gamma if n > -2.0 or mu == 0.0 else math.inf)  # its value at 0
+        if not (lead == 0.0 or n >= 0.0):
+            raise AxisSingularity(f"K_G = {lead:.6g} x^{2.0 * n:.6g} diverges on the axis")
+        out[on] = lead if n == 0.0 else 0.0
     return float(out) if np.isscalar(x) else out
+
+
+def _axis_vanishes(a) -> None:
+    """AxisSingularity unless every value a of int x*H + gamma on the axis
+    vanishes, to the 1e-9 that :func:`principal_curvatures` asks of K."""
+    bad = [v for v in np.ravel(a).tolist() if not abs(v) <= 1e-9]
+    if bad:
+        raise AxisSingularity(f"int x*H + gamma = {bad[0]:.6g} != 0 on the axis: "
+                              "K = 2 (int x*H + gamma) / x diverges there")
 
 
 def constraint_residual(H: Callable[[float], float], G: Callable[[float], float],

@@ -440,14 +440,13 @@ def write_obj(mesh: SurfaceMesh) -> str:
     1e-30 <= |v| < 1e30 takes its 17 digits from double-double arithmetic,
     with an error below 2**-46 of the last digit; one that is non-finite,
     outside that range or within 1e-6 of a rounding tie is formatted by
-    Python. Byte-identical for identical meshes."""
-    from ._records import records
-    return "".join((_OBJ_HEADER, records("v %.17g %.17g %.17g\n", mesh.vertices.T),
-                    records("f %d %d %d\n", (mesh.triangles + 1).T)))
+    Python. Byte-identical for identical meshes. The bytes of
+    :func:`_obj_pieces`, joined."""
+    return b"".join(_obj_pieces(mesh)).decode("ascii")
 
 
 def _obj_pieces(mesh: SurfaceMesh) -> Iterator[bytes]:
-    """The ASCII bytes of write_obj(mesh), in pieces: the header, then the
+    """The ASCII bytes of an OBJ file, in pieces: the header, then the
     v and the f records, at most _CHUNK records a piece. The 1-based
     indices are made a piece at a time, not as a copy of the triangles."""
     from ._records import _CHUNK, record_pieces

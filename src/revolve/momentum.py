@@ -187,14 +187,16 @@ def momentum_from_mean(H: Callable[[float], float], c: float,
 
     @takes_arrays
     def deriv(x):
-        # K' = 2H - K/x, with the symmetric limit K'(0) = 0 when K(0) exists.
+        # K' = 2H - K/x, and H(0) on the axis, where K = x H(0) + O(x^2)
         if isinstance(x, np.ndarray):
-            off = np.abs(x) >= axis_eps  # H is not evaluated on the axis
-            out = np.zeros(x.shape)
+            off = np.abs(x) >= axis_eps
+            out = np.empty(x.shape)
             out[off] = 2.0 * H_array(x[off]) - eval_(x[off]) / x[off]
+            if not np.all(off):
+                out[~off] = H(0.0)
             return out
         if abs(x) < axis_eps:
-            return 0.0
+            return H(0.0)
         return 2.0 * H(x) - eval_(x) / x
 
     return Momentum(eval_, deriv, (lo, hi))
@@ -220,6 +222,7 @@ def momentum_from_gauss(G: Callable[[float], float], c: float, sigma: float,
         return t * G_array(t)
 
     A = AnchoredAntiderivative(f, lo, hi, anchor=anchor, tol=tol)
+    axis_eps = _AXIS_REL * (hi - lo)
 
     def radicand(x: float) -> float:
         return 2.0 * float(A(x)) + c
@@ -243,16 +246,28 @@ def momentum_from_gauss(G: Callable[[float], float], c: float, sigma: float,
             return sigma * np.sqrt(np.maximum(2.0 * A(x) + c, 0.0))
         return sigma * math.sqrt(max(radicand(x), 0.0))
 
+    def on_axis(x: float) -> float:
+        # K^2 = G(0) x^2 + O(x^3) where the radicand vanishes on the axis, so
+        # K' is sigma sqrt(G(0)) on the side of the domain x lies on
+        g0, inward = float(G(0.0)), 1.0 if x > 0.0 or (x == 0.0 and hi > 0.0) else -1.0
+        return inward * sigma * math.sqrt(g0) if g0 >= 0.0 else math.nan
+
     @takes_arrays
     def deriv(x):
-        # K' = x*G/K = sigma * (x*G) / sqrt(radicand); +-inf at the zeros of K.
+        # K' = x*G/K = sigma * (x*G) / sqrt(radicand); +-inf at the zeros of K
+        # off the axis, nan where x*G vanishes there too.
         if isinstance(x, np.ndarray):
             r = np.maximum(2.0 * A(x) + c, 0.0)
             with np.errstate(divide="ignore", invalid="ignore"):
-                return sigma * (x * G_array(x)) / np.sqrt(r)
+                out = sigma * (x * G_array(x)) / np.sqrt(r)
+            for i in np.flatnonzero((r == 0.0) & (np.abs(x) < axis_eps)).tolist():
+                out.flat[i] = on_axis(float(x.flat[i]))
+            return out
         r = max(radicand(x), 0.0)
         num = sigma * (x * G(x))
         if r == 0.0:
+            if abs(x) < axis_eps:
+                return on_axis(x)
             return math.copysign(math.inf, num) if num != 0.0 else math.nan
         return num / math.sqrt(r)
 

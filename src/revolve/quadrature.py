@@ -144,16 +144,16 @@ def array_callable(f: Callable[[float], float], lo: float, hi: float) -> Callabl
 
 def _gl(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """8-node Gauss-Legendre estimates of int_a^b f for the panels [a[i], b[i]],
-    from one call of f on all their nodes (a and b are not evaluated). Each
-    panel's weighted node values are added in node order, never by a dot
-    product, so its sum is the float a per-point loop would give."""
+    from one call of f on all their nodes (a and b are not evaluated), a row
+    per integrand where f returns rows. Each panel's weighted node values are
+    added in node order, never by a dot product, as a per-point loop adds them."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     with np.errstate(all="ignore"):  # a non-finite panel sum is reported by the caller
-        fx = f((c[:, None] + h[:, None] * _GL_NODES).ravel()).reshape(len(a), 8)
-    total = np.zeros(len(a))
+        fx = np.asarray(f((c[:, None] + h[:, None] * _GL_NODES).ravel()))
+    total = np.zeros(fx.shape[:-1] + h.shape)
     for j, w in enumerate(_GL_WEIGHTS):
-        total += w * fx[:, j]
+        total += w * fx[..., j::8]
     return h * total
 
 
@@ -163,25 +163,26 @@ def _close(value: np.ndarray, ref: np.ndarray, tol: float) -> np.ndarray:
 
 def _bisect(f: Callable[[np.ndarray], np.ndarray], xs, tol: float,
             knot: Callable[[np.ndarray], np.ndarray] | None = None):
-    """Adaptive bisection of the panels between the knots xs.
+    """Adaptive bisection of the panels between the knots xs, of one
+    integrand or, where f returns a row of values per integrand, several.
 
-    A panel is accepted when the Gauss-Legendre sum of its halves matches
-    its own estimate to max(tol, 1e-15 * |sum|), and contributes that sum.
-    With ``knot`` (f at an array of knots, raising where it cannot be
-    evaluated) the cubic Hermite interpolant of the panel's end values and
-    slopes must also reproduce the integral over its left half (an error
-    even about the midpoint) and, times h/8 for the width h, f at the
-    midpoint as its slope there (an error odd about it). f is called on
-    arrays: once for the initial panels, then once per round for the halves
-    of every open panel; ``knot`` once for the initial knots, then once per
-    round for the open panels' midpoints, kept as knots where a panel
-    splits. A round's panel estimates come before its knot evaluation, so
-    an error the integrand raises inside a panel propagates as it is.
+    A panel is accepted when, in every row, the Gauss-Legendre sum of its
+    halves matches its own estimate to max(tol, 1e-15 * |sum|). With
+    ``knot`` (f of one integrand at an array of knots, raising where it
+    cannot be evaluated) the cubic Hermite interpolant of the panel's end
+    values and slopes must also reproduce the integral over its left half
+    (an error even about the midpoint) and, times h/8 for the width h, f at
+    the midpoint as its slope there (an error odd about it). f is called
+    once for the initial panels, then once per round on the halves of every
+    open panel; ``knot`` once for the initial knots, then once per round on
+    the open panels' midpoints, kept as knots where a panel splits. A
+    round's panel estimates come before its knot evaluation, so an error the
+    integrand raises inside a panel propagates as it is.
 
     Returns the final knots, f at each of them (nan without ``knot``) and the
-    panel integrals, as arrays from left to right. Raises QuadratureFailure
-    on a non-finite sum, on a panel at the width floor that does not
-    converge, and beyond _MAX_PANELS panels.
+    panel integrals (a row per integrand where f has rows), left to right.
+    Raises QuadratureFailure on a non-finite sum, on a panel at the width
+    floor that does not converge, and beyond _MAX_PANELS panels.
     """
     xs = np.asarray(xs, dtype=float)
     x0, x1 = xs[:-1], xs[1:]
@@ -194,40 +195,39 @@ def _bisect(f: Callable[[np.ndarray], np.ndarray], xs, tol: float,
         n = x0.size
         m = 0.5 * (x0 + x1)
         halves = _gl(f, np.concatenate((x0, m)), np.concatenate((m, x1)))
-        left, right = halves[:n], halves[n:]
-        both = left + right
+        both = halves[..., :n] + halves[..., n:]
         if not np.all(np.isfinite(both)):
-            i = int(np.argmin(np.isfinite(both)))
+            i = int(np.argmin(np.isfinite(both).reshape(-1, n).all(0)))
             raise QuadratureFailure(
                 f"integral over [{float(x0[i])!r}, {float(x1[i])!r}] is not finite")
         ok = _close(both, whole, tol)
         fm = np.full(m.shape, math.nan) if knot is None else knot(m)
         if knot is not None:  # the cubic Hermite interpolant's value and slope at the midpoint
             h = x1 - x0
-            ok &= _close(0.5 * whole + h * (f0 - f1) / 8.0, left, tol)
+            ok &= _close(0.5 * whole + h * (f0 - f1) / 8.0, halves[..., :n], tol)
             ok &= _close(0.1875 * whole - h * (f0 + f1) / 32.0, h * fm / 8.0, tol)
-        accepted.append((x0[ok], x1[ok], f1[ok], both[ok]))
+        ok = np.logical_and.reduce(ok) if ok.ndim > 1 else ok  # in every row
+        accepted.append((x0[ok], x1[ok], f1[ok], both.compress(ok, axis=-1)))
         n_accepted += int(np.count_nonzero(ok))
         split = ~ok
         if not np.any(split):
             break
-        x0, x1, f0, f1, fm = x0[split], x1[split], f0[split], f1[split], fm[split]
-        m, whole, left, right, both = m[split], whole[split], left[split], right[split], both[split]
+        x0, x1, f0, f1, fm, m = x0[split], x1[split], f0[split], f1[split], fm[split], m[split]
         floor = x1 - x0 <= _MIN_WIDTH * np.maximum(1.0, np.abs(x0))
         if np.any(floor):
             i = int(np.argmax(floor))
             raise QuadratureFailure(
                 f"quadrature did not converge on [{float(x0[i])!r}, {float(x1[i])!r}] "
-                f"(halves differ by {abs(both[i] - whole[i]):.3e})")
+                f"(halves differ by {np.abs(both - whole)[..., split][..., i].max():.3e})")
         if n_accepted + 2 * x0.size > _MAX_PANELS:
             raise QuadratureFailure(f"quadrature needs more than {_MAX_PANELS} panels")
         x0, x1 = np.concatenate((x0, m)), np.concatenate((m, x1))
         f0, f1 = np.concatenate((f0, fm)), np.concatenate((fm, f1))
-        whole = np.concatenate((left, right))
-    lefts, rights, f_rights, sums = (np.concatenate(parts) for parts in zip(*accepted))
+        whole = halves.compress(np.concatenate((split, split)), axis=-1)  # open panels' halves
+    lefts, rights, f_rights, sums = (np.concatenate(parts, axis=-1) for parts in zip(*accepted))
     order = np.argsort(lefts)
     return (np.concatenate((xs[:1], rights[order])),
-            np.concatenate((fs[:1], f_rights[order])), sums[order])
+            np.concatenate((fs[:1], f_rights[order])), sums[..., order])
 
 
 def integrate(f: Callable[[float], float], a: float, b: float,
@@ -434,6 +434,8 @@ class AnchoredAntiderivative:
         self.lo = float(lo)
         self.hi = float(hi)
         self.anchor = self.lo if anchor is None else float(anchor)
+        if math.isnan(self.anchor):
+            raise ParamOutOfRange(f"bad anchor {anchor!r}: it must be a number or an infinite end")
         self.tol = float(tol)
 
         # Keep spline knots away from endpoints where f itself is singular

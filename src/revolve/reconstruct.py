@@ -10,10 +10,10 @@ for |K| > 1 inside, then reads its heights off the trace's band below.
 
 Trace: between two turning points the curve is a graph over x, so
 integrate_profile takes each monotone branch as the two integrals above
-over the admissible band that holds its start. :class:`_Band` integrates
-the band once, on 16-node Gauss-Legendre panels in the variable of the same
-cosine map, and every crossing reuses its length and height; tz = K comes
-from K at the samples, and K' is never evaluated.
+over the admissible band that holds its start. :class:`_Band` bisects both
+integrands in one run of the quadrature engine, in the variable of the same
+cosine map, onto 16-node Gauss-Legendre panels; every crossing reuses their
+length and height, and tz = K comes from K at the samples (K' is unused).
 """
 from __future__ import annotations
 
@@ -206,12 +206,12 @@ class _Band:
     u in [0, 1] maps onto the band by :func:`_clustered`, whose analytic
     dx/du (:func:`_clustered_slope`) makes ds/du = (dx/du) / sqrt(1 - K^2)
     smooth at a turning end; within 4d of one, 1 / sqrt(1 - K^2) is the
-    model of :func:`_end_model`.
-    The engine's bisection of ds/du and dz/du = K ds/du to ``tol``, from
-    knots at 0, 1 and the u of x0 (:func:`_unclustered`), fixes the panels,
-    whose 16 nodes give the arclength S and height Z from a at each knot and
-    the panels' Legendre interpolants. A node where |K| reaches 1 inside the
-    band is a degenerate turning point that the admissible scan missed.
+    model of :func:`_end_model`. One run of the engine's bisection on the two
+    rows (ds/du, dz/du = K ds/du), to ``tol`` in both from knots at 0, 1 and
+    the u of x0, fixes the panels. Their 16 nodes give S and Z, the arclength
+    and height from a, at each knot and the Legendre interpolants that
+    height and locate read (:meth:`_panels`). A node where |K| reaches 1
+    inside the band is a degenerate turning point the admissible scan missed.
     """
 
     def __init__(self, m: Momentum, a: float, b: float, x0: float, tol: float):
@@ -227,15 +227,12 @@ class _Band:
             except NonIntegrableSingularity:
                 raise _degenerate(end) from None
         u0 = _unclustered((x0 - a) / (b - a), (b - x0) / (b - a), *self.turn)
-        knots = np.array([0.0, u0, 1.0] if 0.0 < u0 < 1.0 else [0.0, 1.0])
-        for height in (0, 1):
-            knots = _bisect(takes_arrays(lambda u: self._rates(u)[height]), knots, tol)[0]
-        self.knots = knots
+        self.knots = knots = _bisect(
+            self._rates, [0.0, u0, 1.0] if 0.0 < u0 < 1.0 else [0.0, 1.0], tol)[0]
         self.mid, self.half = 0.5 * (knots[1:] + knots[:-1]), 0.5 * np.diff(knots)
         fs, fz = (r.reshape(-1, _N) for r in
                   self._rates((self.mid[:, None] + self.half[:, None] * _TAU).ravel()))
-        self.len = self.half * (fs @ _W)
-        self.Sk = np.concatenate(([0.0], np.cumsum(self.len)))
+        self.Sk = np.concatenate(([0.0], np.cumsum(self.half * (fs @ _W))))
         self.Zk = np.concatenate(([0.0], np.cumsum(self.half * (fz @ _W))))
         self.S, self.Z = float(self.Sk[-1]), float(self.Zk[-1])
         self.q0, self.z0 = (float(v[np.searchsorted(knots, u0)]) for v in (self.Sk, self.Zk))
@@ -267,17 +264,26 @@ class _Band:
             raise _degenerate(float(x[np.argmin(np.isfinite(f))]))
         return dxdu * f, k * dxdu * f
 
+    def _panels(self, coef: np.ndarray, u: np.ndarray, key: np.ndarray, edges: np.ndarray):
+        """Each point's panel p (where key[i] falls between edges[p] and
+        edges[p + 1], key ascending), its tau in [-1, 1] and coef[p] @ P(tau),
+        a block per panel, for coef a slice of self.coef."""
+        cuts = np.searchsorted(key, edges)
+        cuts[0], cuts[-1] = 0, len(key)
+        p = np.repeat(np.arange(len(self.mid)), np.diff(cuts))
+        tau = np.clip((u - self.mid[p]) / self.half[p], -1.0, 1.0)
+        P = _legendre(tau)
+        vals = np.empty(coef.shape[1:-1] + u.shape)
+        for i, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+            vals[..., a:b] = coef[i] @ P[:, a:b]
+        return p, tau, vals
+
     def height(self, u: np.ndarray) -> np.ndarray:
         """Z from a at the ascending u of [0, 1], off the panels' interpolants
-        of dz/du, a block per panel; 0 and Z exactly at the band's ends."""
-        cuts = np.searchsorted(u, self.knots)
-        cuts[0], cuts[-1] = 0, len(u)
-        counts = np.diff(cuts)
-        h = np.repeat(self.half, counts)
-        P = _legendre(np.clip((u - np.repeat(self.mid, counts)) / h, -1.0, 1.0))
-        z = np.repeat(self.Zk[:-1], counts)
-        for p, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
-            z[a:b] += h[a:b] * (self.coef[p, 2] @ P[:, a:b])
+        of dz/du (its row alone: a vector product rounds apart from a row of
+        a matrix product); 0 and Z exactly at the band's ends."""
+        p, _, z = self._panels(self.coef[:, 2], u, u, self.knots)
+        z = self.Zk[p] + self.half[p] * z
         z[u <= 0.0], z[u >= 1.0] = 0.0, self.Z
         return z
 
@@ -285,7 +291,7 @@ class _Band:
         """Arrays x, Z, |dx/ds| and the rest of q that Z leaves to dz = K ds
         where the arclength from a is q, four of their own in q's order: u
         cubic Hermite on _GRID, then one Newton step on the panel's
-        antiderivative, a block per panel."""
+        antiderivative."""
         order = np.argsort(q, kind="stable")
         qs = q[order]
         S, u, F = self.table
@@ -294,20 +300,13 @@ class _Band:
         t = (qs - S[i]) / dS
         u = (u[i] + t * t * (3.0 - 2.0 * t) * (u[i + 1] - u[i])
              + t * (1.0 - t) * dS * ((1.0 - t) / F[i] - t / F[i + 1]))
-        cuts = np.searchsorted(qs, self.Sk)
-        cuts[0], cuts[-1] = 0, len(qs)
-        counts = np.diff(cuts)
-        mid, h = np.repeat(self.mid, counts), np.repeat(self.half, counts)
-        tau = np.clip((u - mid) / h, -1.0, 1.0)
-        P = _legendre(tau)
-        s, f, z = np.empty((3, len(qs)))
-        for p, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
-            s[a:b], f[a:b], z[a:b] = self.coef[p] @ P[:, a:b]
-        rest = qs - np.repeat(self.Sk[:-1], counts) - h * s
-        u = mid + h * np.clip(tau + rest / (h * f), -1.0, 1.0)
+        p, tau, (s, f, z) = self._panels(self.coef, u, qs, self.Sk)
+        h = self.half[p]
+        rest = qs - self.Sk[p] - h * s
+        u = self.mid[p] + h * np.clip(tau + rest / (h * f), -1.0, 1.0)
         x = _clustered(u, self.a, self.b, *self.turn)[0]
         dxdu = _clustered_slope(u, self.a, self.b, *self.turn)
-        z = np.repeat(self.Zk[:-1], counts) + h * z
+        z = self.Zk[p] + h * z
         for end, xe, ze in ((qs <= 0.0, self.a, 0.0), (qs >= self.S, self.b, self.Z)):
             x[end], z[end], rest[end] = xe, ze, 0.0  # the band's ends exactly
         out = tuple(np.empty(len(qs)) for _ in range(4))

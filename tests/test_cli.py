@@ -552,6 +552,17 @@ def test_malformed_state_files_exit_2(tmp_path, capsys, stage, name, content, wo
      "--domain bounds must be numbers"),
     (["catalog", "build"], "needs an entry name"),
     (["catalog", "build", "sphere"], "needs --out"),
+    # numbers the constructors take but strict JSON cannot hold in a state file
+    (["prescribe", "--kind", "kp", "--expr", "a", "--param", "a=nan", "--domain", "0:1"],
+     "momentum.json: 'params' must hold finite numbers"),
+    (["prescribe", "--kind", "km", "--expr", "exp(x)", "--domain", "0:1", "--anchor=-inf"],
+     "momentum.json: 'anchor' must hold finite numbers"),
+    (["catalog", "build", "cylinder", "--param", "a=inf"],
+     "momentum.json: 'params' must hold finite numbers"),
+    (["catalog", "build", "elasticoid", "--param", "a=inf"],
+     "momentum.json: 'params' must hold finite numbers"),
+    (["prescribe", "--kind", "km", "--expr", "exp(x)", "--domain", "0:1", "--anchor=nan"],
+     "bad anchor nan"),
 ])
 def test_non_finite_inputs_exit_2(tmp_path, capsys, argv, words):
     # every row but two writes to --out: classify-mean-inverse takes none,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from revolve.curvature import (CurvatureSample, classify_mean_inverse,
                                principal_curvatures, weingarten_residual)
 from revolve.errors import (AxisSingularity, ExponentForbidden, NonPositiveMu,
                             ParamOutOfRange)
-from revolve.momentum import Momentum, momentum_from_mean
+from revolve.momentum import Momentum, momentum_from_gauss, momentum_from_mean
 
 
 def test_sphere_curvatures():
@@ -78,6 +79,57 @@ def test_gauss_monomial_matches_general_coupling():
 def test_gauss_monomial_excludes_n_minus_two():
     with pytest.raises(ExponentForbidden):
         gauss_monomial(1.0, -2.0, 0.0, 1.0)
+
+
+_HALF_SPHERES = {  # the sphere of radius 1/2, K = 2x on [0, 1/2], built two ways
+    "mean": lambda: momentum_from_mean(lambda x: 2.0, 0.0, (0.0, 0.5)),
+    "gauss": lambda: momentum_from_gauss(lambda x: 4.0, 0.0, 1, (0.0, 0.5)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_HALF_SPHERES))
+def test_curvatures_of_a_sphere_on_the_axis(kind):
+    # K = x H(0) + O(x^2) for the mean kind and K^2 = G(0) x^2 + O(x^3) for
+    # the Gauss kind, so K'(0) = 2 and the sphere is umbilic there, as its
+    # kp build reads: H = 2 and K_G = 4, on the float and the array path
+    m = _HALF_SPHERES[kind]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert m.deriv(0.0) == 2.0
+        assert_close(mean_curvature(m, 0.0), 2.0, 1e-12, "H on the axis")
+        assert_close(gauss_curvature(m, 0.0), 4.0, 1e-12, "K_G on the axis")
+        xs = np.array([0.0, 1e-300, 1e-6])
+        assert np.max(np.abs(m.deriv(xs) - 2.0)) < 1e-9
+        assert np.max(np.abs(mean_curvature(m, xs) - 2.0)) < 1e-9
+        assert np.max(np.abs(gauss_curvature(m, xs) - 4.0)) < 1e-9
+
+
+def test_gauss_couplings_take_the_umbilic_limit_on_the_axis():
+    # int x*H + gamma vanishes on the axis: K_G is H(0)^2 there (the monomial
+    # family: the limit of its first term), with no nan and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gauss_from_mean(lambda x: 1.0, 0.0, np.array([0.0, 1e-300, 0.5]), (0.0, 1.0))
+        assert np.max(np.abs(got - 1.0)) < 1e-12
+        assert gauss_from_mean(lambda x: 1.0, 0.0, 0.0, (0.0, 1.0)) == 1.0
+        assert_close(float(gauss_monomial(1.0, 1.0, 0.0, np.array([0.0, 0.5]))[1]),
+                     2.0 / 9.0, 1e-15, "monomial off the axis")
+        assert gauss_monomial(1.0, 1.0, 0.0, np.array([0.0, 0.5]))[0] == 0.0
+        assert gauss_monomial(1.5, 0.0, 0.0, 0.0) == 2.25
+        assert gauss_monomial(1.0, -1.0, 0.0, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gauss_from_mean(lambda x: 1.0, 0.3, np.array([0.0, 0.5]), (0.0, 1.0)),
+    lambda: gauss_monomial(1.0, 1.0, 0.3, np.array([0.0, 0.5])),
+    lambda: gauss_monomial(1.0, -0.5, 0.0, 0.0),
+    lambda: gauss_monomial(1.0, -3.0, 0.0, 0.0),
+], ids=["gamma", "monomial gamma", "monomial diverges", "monomial n < -2"])
+def test_gauss_couplings_refuse_a_singular_axis(call):
+    # where int x*H + gamma does not vanish on the axis (or the limit is not
+    # finite), AxisSingularity, not nan
+    with pytest.raises(AxisSingularity):
+        call()
 
 
 def test_constraint_residual_realizable_pair_vanishes():

@@ -135,9 +135,10 @@ def _deriv_cases():
     G = parse_expr("1/(4*x)").as_function({})
     # (kind, momentum, points, K' at the first point or None)
     return [
-        # mean through the axis: K' = 2H - K/x, 0 on the axis
+        # mean through the axis: K' = 2H - K/x, and H(0) = 1 on the axis,
+        # where K = x + x^3/2
         ("mean", momentum_from_mean(H, 0.0, (-0.5, 0.5), anchor=0.0),
-         [0.0, -1e-15, 1e-15, -0.25, 1e-13, 0.5], 0.0),
+         [0.0, -1e-15, 1e-15, -0.25, 1e-13, 0.5], 1.0),
         ("mean", momentum_from_mean(lambda x: 1.0, 0.12, (0.07, 0.93), anchor=0.0),
          [0.07, 0.3, 0.93], None),
         # Gauss: K' = sigma x G / sqrt(r), with r = 0 at the anchor 0.5
@@ -155,8 +156,8 @@ def _deriv_cases():
 @pytest.mark.parametrize("case", range(6))
 def test_deriv_of_an_array_matches_per_point_calls(case):
     # the array forms of K' for the mean and Gauss kinds agree with their
-    # float path to 4 ulps of the larger term, and give its 0 on the axis and
-    # its inf or nan where the radicand is 0
+    # float path to 4 ulps of the larger term, and give its H(0) on the axis
+    # and its inf or nan where the radicand is 0 off the axis
     kind, m, points, first = _deriv_cases()[case]
     xs = np.concatenate((points, np.linspace(*m.domain, 41)))
     got = m.deriv(xs)

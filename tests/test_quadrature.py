@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import catenoid_momentum, sphere_momentum
-from revolve.errors import (NonIntegrableSingularity, NumericalError, QuadratureFailure,
-                            RootBracketFailure)
+from revolve.errors import (NonIntegrableSingularity, NumericalError, ParamOutOfRange,
+                            QuadratureFailure, RootBracketFailure)
 from revolve.expr import parse_expr
 from revolve.momentum import Momentum, momentum_from_mean
-from revolve.quadrature import (AnchoredAntiderivative, array_callable,
+from revolve.quadrature import (AnchoredAntiderivative, _bisect, _close, _gl, array_callable,
                                 bracketed_root, integrate, sqrt_endpoint_integral, takes_arrays)
 from revolve.reconstruct import arclength, graph_height, height_displacement
 
@@ -94,6 +94,34 @@ def test_antiderivative_sees_an_error_odd_about_a_panel_midpoint():
     A = AnchoredAntiderivative(lambda t: 5.0 * (t - 0.0625) ** 4, 0.0, 2.0, tol=1e-10)
     xs = np.linspace(0.0, 2.0, 20001)
     assert np.max(np.abs(A(xs) - ((xs - 0.0625) ** 5 + 0.0625 ** 5))) <= 2e-10
+
+
+def test_antiderivative_refuses_a_nan_anchor():
+    # a nan anchor is a typed error (CLI exit 2); infinite anchors stay valid
+    with pytest.raises(ParamOutOfRange, match="bad anchor nan"):
+        AnchoredAntiderivative(math.exp, 0.0, 1.0, anchor=math.nan)
+    A = AnchoredAntiderivative(math.exp, 0.0, 1.0, anchor=-math.inf)
+    assert abs(A(1.0) - math.e) < 1e-12
+
+
+def test_bisect_runs_two_integrands_as_rows():
+    # two rows with narrow peaks at 0.4 and 1.3, bisected in one run: each
+    # row's sum is its one-row integral to tol, and every panel taken passes
+    # the halves test in both rows, so each peak refines the other row too
+    tol = 1e-12
+    rows = [lambda x, c=c: 1.0 / (1.0 + 400.0 * (x - c) ** 2) for c in (0.4, 1.3)]
+    knots, _, sums = _bisect(lambda x: (rows[0](x), rows[1](x)), [0.0, 2.0], tol)
+    assert sums.shape == (2, len(knots) - 1)
+    for total, f in zip(np.cumsum(sums, axis=1)[:, -1], rows):
+        assert abs(total - integrate(f, 0.0, 2.0, tol)) <= 4 * tol
+    x0, x1 = knots[:-1], knots[1:]
+    m = 0.5 * (x0 + x1)
+    for f in rows:
+        halves = _gl(f, np.concatenate((x0, m)), np.concatenate((m, x1)))
+        assert np.all(_close(halves[:len(m)] + halves[len(m):], _gl(f, x0, x1), tol))
+    one, other = (_bisect(f, [0.0, 2.0], tol)[0] for f in rows)
+    assert set(one) | set(other) <= set(knots)
+    assert len(knots) > max(len(one), len(other))
 
 
 # --- strips: from the anchor to the cache, and points outside it -----------

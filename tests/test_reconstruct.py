@@ -471,6 +471,41 @@ _PINNED_TRACES = {
 }
 
 
+def _two_pass_knots(band, tol):
+    """The band's knots by the rule it replaced: a bisection of ds/du from the
+    knots 0, u(x0), 1, then one of dz/du from the knots that left."""
+    from revolve.quadrature import _bisect, _unclustered
+    w = band.b - band.a
+    u0 = _unclustered((band.x0 - band.a) / w, (band.b - band.x0) / w, *band.turn)
+    knots = np.array([0.0, u0, 1.0] if 0.0 < u0 < 1.0 else [0.0, 1.0])
+    for row in (0, 1):
+        knots = _bisect(lambda u: band._rates(u)[row], knots, tol)[0]
+    return knots
+
+
+def test_band_knots_match_the_two_pass_rule(monkeypatch):
+    # one bisection run on both rates gives the knots of two runs, one rate
+    # each, for the band of every catalog trace and of every pinned trace
+    from revolve import reconstruct
+    built = []
+
+    class Band(reconstruct._Band):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append((self, args[-1]))
+
+    monkeypatch.setattr(reconstruct, "_Band", Band)
+    for entry in _TRACED_ENTRIES:
+        lo, hi = entry.momentum.domain
+        integrate_profile(entry.momentum, 0.5 * (lo + hi), s_max=6.0, s_min=-6.0,
+                          samples_per_branch=8)
+    for m, kwargs in pinned_traces().values():
+        integrate_profile(m, **kwargs)
+    assert len(built) == len(_TRACED_ENTRIES) + len(_PINNED_TRACES)
+    for band, tol in built:
+        assert np.array_equal(band.knots, _two_pass_knots(band, tol)), (band.a, band.b)
+
+
 @pytest.mark.parametrize("name", sorted(_PINNED_TRACES))
 def test_trace_output_pinned(name):
     m, kwargs = pinned_traces()[name]
