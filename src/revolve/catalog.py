@@ -65,6 +65,11 @@ class ClosedProfile:
     point: Callable[..., tuple[np.ndarray, np.ndarray]]
     velocity: Callable[..., tuple[np.ndarray, np.ndarray]]
 
+    def _sample(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(t, x, z) at the 1025 equispaced t that ``catalog build`` writes."""
+        ts = np.linspace(*self.param_range, 1025)
+        return (ts, *self.point(ts))
+
 
 def _momentum(text: str, params: dict[str, float],
               domain: tuple[float, float]) -> Momentum:
@@ -501,15 +506,23 @@ _BUILDERS: dict[str, Callable[..., CatalogEntry]] = {f.__name__: f for f in (
 
 
 def build(name: str, **params: float) -> CatalogEntry:
-    """Construct a catalog entry by name with keyword parameters."""
+    """Construct a catalog entry by name with keyword parameters; ParamOutOfRange
+    where its constants or its closed profile's sample overflow or are undefined."""
     try:
         builder = _BUILDERS[name]
     except KeyError:
         raise UnknownIdentifier(name) from None
     try:
-        return builder(**params)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            entry = builder(**params)
+            prof = entry.closed_profile
+            finite = prof is None or np.isfinite(prof._sample()).all()
     except TypeError as exc:
         raise ParamOutOfRange(f"bad parameters for {name!r}: {exc}") from None
+    except (ArithmeticError, ValueError):
+        finite = False
+    _require(finite, f"{name}: the closed form overflows or is undefined at {params}")
+    return entry
 
 
 def list_entries() -> list[CatalogEntry]:

@@ -392,9 +392,7 @@ def _cmd_catalog(args) -> int:
     }
     if entry.closed_profile is not None:
         from ._records import records
-        t0, t1 = entry.closed_profile.param_range
-        ts = np.linspace(t0, t1, 1025)
-        xs, zs = entry.closed_profile.point(ts)
+        ts, xs, zs = entry.closed_profile._sample()
         files["closed_profile.csv"] = "t,x,z\n" + records("%.17g,%.17g,%.17g\n",
                                                          (ts, xs, zs))
     _write_all(args.out, files)

@@ -23,9 +23,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import AxisSingularity, ExponentForbidden, NonPositiveMu
-from .momentum import _AXIS_REL, Momentum
-from .quadrature import AnchoredAntiderivative, array_callable, takes_arrays
+from .errors import AxisSingularity, ExponentForbidden, NonPositiveMu, ParamOutOfRange
+from .momentum import _AXIS_REL, Momentum, _moment
+from .quadrature import array_callable
 
 __all__ = [
     "CurvatureSample",
@@ -123,9 +123,7 @@ def gauss_from_mean(H: Callable[[float], float], gamma: float, x,
     umbilic limit H^2 where A vanishes, and AxisSingularity where it does not.
     """
     lo, hi = domain[0], domain[1]
-    H = array_callable(H, lo, hi)
-    A = AnchoredAntiderivative(takes_arrays(lambda t: t * H(t)), lo, hi,
-                               anchor=anchor, tol=tol)
+    H, A = _moment(H, lo, hi, anchor, tol)
     xs = np.asarray(x, dtype=float)
     Av = np.asarray(A(xs), dtype=float) + gamma
     Hv = H(np.atleast_1d(xs)).reshape(xs.shape)
@@ -188,12 +186,7 @@ def constraint_residual(H: Callable[[float], float], G: Callable[[float], float]
     for compatible antiderivative constants. Both integrals are anchored at
     the same point (domain left end unless ``anchor`` says otherwise).
     """
-    lo, hi = domain[0], domain[1]
-    H, G = array_callable(H, lo, hi), array_callable(G, lo, hi)
-    AH = AnchoredAntiderivative(takes_arrays(lambda t: t * H(t)), lo, hi,
-                                anchor=anchor, tol=tol)
-    AG = AnchoredAntiderivative(takes_arrays(lambda t: t * G(t)), lo, hi,
-                                anchor=anchor, tol=tol)
+    AH, AG = (_moment(F, domain[0], domain[1], anchor, tol)[1] for F in (H, G))
     xs = np.asarray(x, dtype=float)
     lhs = (np.asarray(AH(xs), dtype=float) + gamma_H) ** 2
     rhs = 0.5 * xs**2 * (np.asarray(AG(xs), dtype=float) + c_G)
@@ -212,12 +205,17 @@ def classify_mean_inverse(mu: float) -> MeanInverseBranch:
 
     mu = 1/2 is the parabolic borderline; below it the profile closes with a
     trigonometric angle theta = arcsin(2 mu), above it with a hyperbolic
-    angle delta = arccosh(2 mu). Requires mu > 0.
+    angle delta = arccosh(2 mu), log(4 mu) where 2 mu overflows. Requires a
+    finite mu > 0.
     """
     if not mu > 0.0:
         raise NonPositiveMu(f"mu must be positive, got {mu!r}")
+    if mu == math.inf:
+        raise ParamOutOfRange("mu must be finite, got inf")
     if mu == 0.5:
         return MeanInverseBranch("Parabolic", None)
     if mu < 0.5:
         return MeanInverseBranch("Trigonometric", math.asin(2.0 * mu))
+    if mu > 0.5 * np.finfo(float).max:  # 2 mu overflows
+        return MeanInverseBranch("Hyperbolic", math.log(4.0) + math.log(mu))
     return MeanInverseBranch("Hyperbolic", math.acosh(2.0 * mu))

@@ -49,12 +49,12 @@ class ExponentForbidden(ValidationError):
     """The exponent n = -2 is excluded from the monomial family."""
 
 
-class NonPositiveMu(ValidationError):
-    """The inverse-linear coefficient mu must be positive."""
-
-
 class ParamOutOfRange(ValidationError):
     """A catalog or CLI parameter lies outside its documented range."""
+
+
+class NonPositiveMu(ParamOutOfRange):
+    """The inverse-linear coefficient mu must be positive."""
 
 
 class DegeneratePolyline(ValidationError):

@@ -29,10 +29,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (DomainViolation, NegativeRadicand, ParamOutOfRange,
-                     SingularAxis)
-from .quadrature import (AnchoredAntiderivative, _pointwise, array_callable,
-                         bracketed_root, numeric_derivative, takes_arrays)
+from .errors import (AxisSingularity, DomainViolation, NegativeRadicand,
+                     ParamOutOfRange, SingularAxis)
+from .quadrature import (AnchoredAntiderivative, _pointwise, _value_or_nan,
+                         array_callable, bracketed_root, numeric_derivative,
+                         takes_arrays)
 
 __all__ = [
     "Momentum",
@@ -84,6 +85,15 @@ def _constant(c: float) -> float:
     if not math.isfinite(c):
         raise ParamOutOfRange(f"the integration constant must be finite, got {c!r}")
     return float(c)
+
+
+def _moment(F: Callable[[float], float], lo: float, hi: float, anchor: float | None,
+            tol: float):
+    """(F, A): F in the array protocol, and A(x) = int_anchor^x t*F(t) dt, the
+    integral of the first integrals x*K = 2A + c (mean) and K^2 = 2A + c (Gauss)."""
+    F = array_callable(F, lo, hi)
+    return F, AnchoredAntiderivative(takes_arrays(lambda t: t * F(t)), lo, hi,
+                                     anchor=anchor, tol=tol)
 
 
 def momentum_from_kp(p: Callable[[float], float], domain: Sequence[float],
@@ -149,41 +159,37 @@ def momentum_from_mean(H: Callable[[float], float], c: float,
     """Momentum with prescribed mean curvature: K(x) = (2*int x*H dx + c) / x.
 
     The equation 2H = K' + K/x integrates to x*K = 2*int(x H) + c. At x = 0
-    the quotient has a finite limit only when the numerator vanishes there;
-    otherwise the construction is singular on the axis (SingularAxis).
+    the quotient has a finite limit, K = 0 with K' = H(0), only when the
+    numerator vanishes and H is finite there; otherwise SingularAxis.
     """
     lo, hi = _as_interval(domain)
     c = _constant(c)
-    H_array = array_callable(H, lo, hi)
-
-    @takes_arrays
-    def f(t):
-        return t * H_array(t)
-
-    A = AnchoredAntiderivative(f, lo, hi, anchor=anchor, tol=tol)
+    H_array, A = _moment(H, lo, hi, anchor, tol)
     axis_eps = _AXIS_REL * (hi - lo)
 
+    def P(x):  # x*K
+        return 2.0 * A(x) + c
+
     if lo <= 0.0 <= hi:
-        r0 = 2.0 * float(A(0.0)) + c
+        r0 = P(0.0)
         if abs(r0) > 1e-12 * max(1.0, abs(c)):
             raise SingularAxis(
                 f"x*K(x) -> {r0:.6g} != 0 at the axis; momentum unbounded at x = 0")
-        f0 = f(0.0)
-        if not math.isfinite(f0):
-            raise SingularAxis("x*H(x) has no finite limit at the axis")
+        if not math.isfinite(_value_or_nan(H, 0.0)):
+            raise SingularAxis("H has no finite value on the axis")
 
     @takes_arrays
     def eval_(x):
         if isinstance(x, np.ndarray):
             on_axis = np.abs(x) < axis_eps
             with np.errstate(divide="ignore", invalid="ignore"):
-                out = (2.0 * A(x) + c) / x
+                out = P(x) / x
             if np.any(on_axis):
-                out[on_axis] = 2.0 * f(0.0)
+                out[on_axis] = 2.0 * (0.0 * H(0.0))
             return out
         if abs(x) < axis_eps:
-            return 2.0 * f(0.0)
-        return (2.0 * float(A(x)) + c) / x
+            return 2.0 * (0.0 * H(0.0))
+        return P(x) / x
 
     @takes_arrays
     def deriv(x):
@@ -208,34 +214,28 @@ def momentum_from_gauss(G: Callable[[float], float], c: float, sigma: float,
     """Momentum with prescribed Gauss curvature: K = sigma*sqrt(2*int x*G dx + c).
 
     sigma in {+1, -1} picks the sign branch. Raises NegativeRadicand (with an
-    offending open interval) if the radicand is negative on the domain.
+    offending open interval) if the radicand is negative on the domain. K' at
+    x = 0 raises AxisSingularity where G has no finite value there.
     """
     lo, hi = _as_interval(domain)
     if sigma not in (1.0, -1.0, 1, -1):
         raise ParamOutOfRange(f"sigma must be +1 or -1, got {sigma!r}")
     sigma = float(sigma)
     c = _constant(c)
-    G_array = array_callable(G, lo, hi)
-
-    @takes_arrays
-    def f(t):
-        return t * G_array(t)
-
-    A = AnchoredAntiderivative(f, lo, hi, anchor=anchor, tol=tol)
+    G_array, A = _moment(G, lo, hi, anchor, tol)
     axis_eps = _AXIS_REL * (hi - lo)
 
-    def radicand(x: float) -> float:
-        return 2.0 * float(A(x)) + c
+    def P(x):  # K^2, the radicand
+        return 2.0 * A(x) + c
 
     xs = np.linspace(lo, hi, 2049)
-    vals = 2.0 * np.asarray(A(xs), dtype=float) + c
     # a radicand that merely touches zero must survive quadrature wiggle
-    bad = vals < -max(1e-12, 10.0 * tol)
+    bad = P(xs) < -max(1e-12, 10.0 * tol)
     if np.any(bad):
         i0 = int(np.argmax(bad))
         i1 = len(bad) - 1 - int(np.argmax(bad[::-1]))
-        lo_edge = xs[i0] if i0 == 0 else bracketed_root(radicand, xs[i0 - 1], xs[i0])
-        hi_edge = xs[i1] if i1 == len(xs) - 1 else bracketed_root(radicand, xs[i1], xs[i1 + 1])
+        lo_edge = xs[i0] if i0 == 0 else bracketed_root(P, xs[i0 - 1], xs[i0])
+        hi_edge = xs[i1] if i1 == len(xs) - 1 else bracketed_root(P, xs[i1], xs[i1 + 1])
         raise NegativeRadicand(
             f"2*int(x*K_G) + c < 0 on ({lo_edge:.6g}, {hi_edge:.6g}); "
             "no momentum with this constant", interval=(float(lo_edge), float(hi_edge)))
@@ -243,31 +243,38 @@ def momentum_from_gauss(G: Callable[[float], float], c: float, sigma: float,
     @takes_arrays
     def eval_(x):
         if isinstance(x, np.ndarray):
-            return sigma * np.sqrt(np.maximum(2.0 * A(x) + c, 0.0))
-        return sigma * math.sqrt(max(radicand(x), 0.0))
+            return sigma * np.sqrt(np.maximum(P(x), 0.0))
+        return sigma * math.sqrt(max(P(x), 0.0))
 
-    def on_axis(x: float) -> float:
-        # K^2 = G(0) x^2 + O(x^3) where the radicand vanishes on the axis, so
-        # K' is sigma sqrt(G(0)) on the side of the domain x lies on
-        g0, inward = float(G(0.0)), 1.0 if x > 0.0 or (x == 0.0 and hi > 0.0) else -1.0
-        return inward * sigma * math.sqrt(g0) if g0 >= 0.0 else math.nan
+    def at_axis(x: float, r: float) -> float:
+        # K' at x = +-0 and where the radicand r vanishes on the axis; there
+        # K^2 = G(0) x^2 + O(x^3), so K' is sigma sqrt(G(0)) on x's side
+        g = _value_or_nan(G, x if r > 0.0 else 0.0)
+        if not math.isfinite(g):
+            raise AxisSingularity("K_G has no finite value on the axis, so K' has none there")
+        if r > 0.0:
+            return sigma * (x * g) / math.sqrt(r)
+        inward = 1.0 if x > 0.0 or (x == 0.0 and hi > 0.0) else -1.0
+        return inward * sigma * math.sqrt(g) if g >= 0.0 else math.nan
 
     @takes_arrays
     def deriv(x):
         # K' = x*G/K = sigma * (x*G) / sqrt(radicand); +-inf at the zeros of K
-        # off the axis, nan where x*G vanishes there too.
+        # off the axis, nan where x*G vanishes there too
         if isinstance(x, np.ndarray):
-            r = np.maximum(2.0 * A(x) + c, 0.0)
+            r = np.maximum(P(x), 0.0)
+            axis = (x == 0.0) | ((r == 0.0) & (np.abs(x) < axis_eps))
+            out, off = np.empty(x.shape), ~axis
             with np.errstate(divide="ignore", invalid="ignore"):
-                out = sigma * (x * G_array(x)) / np.sqrt(r)
-            for i in np.flatnonzero((r == 0.0) & (np.abs(x) < axis_eps)).tolist():
-                out.flat[i] = on_axis(float(x.flat[i]))
+                out[off] = sigma * (x[off] * G_array(x[off])) / np.sqrt(r[off])
+            for i in np.flatnonzero(axis).tolist():
+                out.flat[i] = at_axis(float(x.flat[i]), float(r.flat[i]))
             return out
-        r = max(radicand(x), 0.0)
+        r = max(P(x), 0.0)
+        if x == 0.0 or (r == 0.0 and abs(x) < axis_eps):
+            return at_axis(x, r)
         num = sigma * (x * G(x))
         if r == 0.0:
-            if abs(x) < axis_eps:
-                return on_axis(x)
             return math.copysign(math.inf, num) if num != 0.0 else math.nan
         return num / math.sqrt(r)
 

@@ -384,9 +384,10 @@ def _value_or_nan(f: Callable[[float], float], x: float) -> float:
         return math.nan
 
 
-def _strip(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    """int_a^b f for a range that may be infinite or end where f is undefined:
-    the strip from an anchor to a cache, or to a point outside it.
+def _strip(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: float) -> float:
+    """int_a^b f, f in the array protocol, for a range that may be infinite
+    or end where f is undefined: the strip from an anchor to a cache, or to
+    a point outside it.
 
     An infinite end is mapped onto (0, 1] by x = b + 1 - 1/t (resp.
     x = a - 1 + 1/t). An end where f raises or is not finite is flagged for
@@ -401,8 +402,8 @@ def _strip(f: Callable[[float], float], a: float, b: float, tol: float) -> float
         if math.isinf(a) and math.isinf(b):
             raise QuadratureFailure(f"cannot integrate over [{a!r}, {b!r}]")
         end, sign = (b, -1.0) if math.isinf(a) else (a, 1.0)
-        return _strip(lambda t: f(end + sign * (1.0 / t - 1.0)) / (t * t), 0.0, 1.0, tol)
-    f = array_callable(f, a, b)
+        return _strip(takes_arrays(lambda t: f(end + sign * (1.0 / t - 1.0)) / (t * t)),
+                      0.0, 1.0, tol)
     bad_lo, bad_hi = (not math.isfinite(_value_or_nan(f, x)) for x in (a, b))
     if (bad_lo or bad_hi) and not math.isfinite(_value_or_nan(f, 0.5 * (a + b))):
         bad_lo = bad_hi = False
@@ -418,9 +419,10 @@ class AnchoredAntiderivative:
     each panel's halves match both the panel and the cubic Hermite
     interpolant through the accumulated values with the exact slopes f(x_i),
     and its midpoint slope matches f there (:func:`_bisect`). f goes through
-    :func:`array_callable`; each bisection round calls it once on the nodes
-    of all open panels and once on their midpoints, and it is evaluated once
-    at each knot.
+    :func:`array_callable` once, on [lo, hi], and its knots, its end values
+    and every strip take that form, so a plain callable is probed once; each
+    bisection round calls it once on the nodes of all open panels and once
+    on their midpoints, and it is evaluated once at each knot.
     """
 
     def __init__(self, f: Callable[[float], float], lo: float, hi: float,
@@ -430,13 +432,13 @@ class AnchoredAntiderivative:
         if not (math.isfinite(tol) and tol > 0.0):
             raise ParamOutOfRange(f"quadrature tolerance must be finite and positive, "
                                   f"got {tol!r}")
-        self._f = f
         self.lo = float(lo)
         self.hi = float(hi)
         self.anchor = self.lo if anchor is None else float(anchor)
         if math.isnan(self.anchor):
             raise ParamOutOfRange(f"bad anchor {anchor!r}: it must be a number or an infinite end")
         self.tol = float(tol)
+        self._f = f = array_callable(f, self.lo, self.hi)
 
         # Keep spline knots away from endpoints where f itself is singular
         # (but integrable); the short end strips are integrated directly.
@@ -449,18 +451,28 @@ class AnchoredAntiderivative:
         if self.anchor != self._inset_lo:
             self._base = _strip(f, self.anchor, self._inset_lo, tol)
 
-        f_array = array_callable(f, self.lo, self.hi)
-
         def knot(x: np.ndarray) -> np.ndarray:
-            # the end values are known already
+            # f at the knots x, the ends known already, the others from one
+            # array call; QuadratureFailure at the first where f cannot be
+            # evaluated or is not finite
             at_end = (x == self.lo) | (x == self.hi)
+            inner = x[~at_end]
+            try:
+                with np.errstate(all="ignore"):
+                    got = f(inner)
+            except _UNDEFINED:
+                got = np.array([_value_or_nan(f, v) for v in inner.tolist()])
+            finite = np.isfinite(got)
+            if not np.all(finite):
+                raise QuadratureFailure(
+                    f"integrand not finite at the knot x={float(inner[np.argmin(finite)])!r}")
             out = np.empty(x.shape)
             out[at_end] = [ends[v] for v in x[at_end].tolist()]
-            out[~at_end] = self._knot_values(f_array, x[~at_end])
+            out[~at_end] = got
             return out
 
         xs, fs, vals = _bisect(
-            f_array, np.linspace(self._inset_lo, self._inset_hi, _INITIAL_KNOTS),
+            f, np.linspace(self._inset_lo, self._inset_hi, _INITIAL_KNOTS),
             self.tol, knot)
         ys = self._base + np.concatenate(([0.0], np.cumsum(vals)))
         self._knots, self._values, self._slopes = xs, ys, fs
@@ -474,20 +486,6 @@ class AnchoredAntiderivative:
         # scalar path of __call__.
         self._lefts = xs[:-1].tolist()
         self._pieces = list(zip(self._lefts, *(c.tolist() for c in self._coef)))
-
-    def _knot_values(self, f_array, xs: np.ndarray) -> np.ndarray:
-        """f at the knots xs from one array call; QuadratureFailure at the
-        first knot where f cannot be evaluated or is not finite."""
-        try:
-            with np.errstate(all="ignore"):
-                fs = f_array(xs)
-        except _UNDEFINED:
-            fs = np.array([_value_or_nan(self._f, x) for x in xs.tolist()])
-        finite = np.isfinite(fs)
-        if not np.all(finite):
-            x = float(xs[np.argmin(finite)])
-            raise QuadratureFailure(f"integrand not finite at the knot x={x!r}")
-        return fs
 
     def _hermite(self, x: np.ndarray) -> np.ndarray:
         """The cached interpolant at an array of points inside the cache, by

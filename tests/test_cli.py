@@ -301,6 +301,14 @@ def test_classify_mean_inverse_output(capsys):
     assert code == 2
 
 
+def test_classify_mean_inverse_prints_a_finite_delta_where_2mu_overflows(capsys):
+    code, out, _ = run(["classify-mean-inverse", "--mu", "1e308"], capsys)
+    assert code == 0
+    kind, angle = out.split()
+    assert kind == "Hyperbolic"
+    assert math.isclose(float(angle.removeprefix("delta=")), 710.582503003286, rel_tol=1e-14)
+
+
 def test_artifacts_are_deterministic(tmp_path, capsys):
     outs = []
     for sub in ("a", "b"):
@@ -557,16 +565,35 @@ def test_malformed_state_files_exit_2(tmp_path, capsys, stage, name, content, wo
      "momentum.json: 'params' must hold finite numbers"),
     (["prescribe", "--kind", "km", "--expr", "exp(x)", "--domain", "0:1", "--anchor=-inf"],
      "momentum.json: 'anchor' must hold finite numbers"),
+    # an infinite radius gives the closed profile no finite point: refused
+    # by the build before any state file is made
     (["catalog", "build", "cylinder", "--param", "a=inf"],
-     "momentum.json: 'params' must hold finite numbers"),
+     "cylinder: the closed form overflows"),
     (["catalog", "build", "elasticoid", "--param", "a=inf"],
      "momentum.json: 'params' must hold finite numbers"),
     (["prescribe", "--kind", "km", "--expr", "exp(x)", "--domain", "0:1", "--anchor=nan"],
      "bad anchor nan"),
+    # catalog parameters whose constants or closed profile overflow, or are
+    # undefined; each used to end in a traceback or in non-finite rows
+    (["catalog", "build", "loopoid", "--param", "eta=800"],
+     "loopoid: the closed form overflows"),
+    (["catalog", "build", "loopoid", "--param", "eta=1e300"],
+     "loopoid: the closed form overflows"),
+    (["catalog", "build", "loopoid", "--param", "eta=1e-300"],
+     "loopoid: the closed form overflows"),
+    (["catalog", "build", "loopoid", "--param", "a=1.7e308"],
+     "loopoid: the closed form overflows"),
+    (["catalog", "build", "equal_strength", "--param", "a=inf"],
+     "equal_strength: the closed form overflows"),
+    (["catalog", "build", "mean_inverse_profile", "--param", "mu=1e300", "--param", "c=-1"],
+     "mean_inverse_profile: the closed form overflows"),
+    (["catalog", "build", "hopf_kuhnel", "--param", "q=1e-320"],
+     "hopf_kuhnel: the closed form overflows"),
+    (["classify-mean-inverse", "--mu", "inf"], "mu must be finite"),
 ])
 def test_non_finite_inputs_exit_2(tmp_path, capsys, argv, words):
-    # every row but two writes to --out: classify-mean-inverse takes none,
-    # and one row checks that catalog build asks for it
+    # every row writes to --out but those of classify-mean-inverse, which
+    # takes none, and one that checks that catalog build asks for it
     no_out = argv[0] == "classify-mean-inverse" or "--out" in words
     out = [] if no_out else ["--out", str(tmp_path / "st")]
     code, _, err = run(argv + out, capsys)

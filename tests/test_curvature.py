@@ -189,6 +189,21 @@ def test_classify_mean_inverse_trichotomy():
         classify_mean_inverse(0.0)
 
 
+def test_classify_mean_inverse_angle_is_finite_for_every_finite_mu():
+    # delta = arccosh(2 mu) = log(4 mu) to rounding once 2 mu overflows; it
+    # stays continuous across that switch, and an infinite mu is refused
+    top = 0.5 * np.finfo(float).max  # the largest mu whose 2 mu is finite
+    below, above = (classify_mean_inverse(mu).angle for mu in (top, np.nextafter(top, 1e309)))
+    assert 0.0 <= above - below <= 4.0 * np.spacing(below)
+    for mu in (1e300, 1e308, float(np.finfo(float).max)):
+        assert_close(classify_mean_inverse(mu).angle, math.log(4.0) + math.log(mu), 1e-13,
+                     "delta")
+    assert_close(classify_mean_inverse(1e308).angle, 710.5825030032860, 1e-12, "delta")
+    with pytest.raises(ParamOutOfRange, match="mu must be finite"):
+        classify_mean_inverse(math.inf)
+    assert issubclass(NonPositiveMu, ParamOutOfRange)
+
+
 def test_curvature_sample_from_principal():
     s = CurvatureSample.from_principal(2.0, 0.5, -0.25)
     assert s.H == pytest.approx(0.125)

@@ -5,8 +5,10 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from conftest import assert_close
-from revolve.errors import (DomainViolation, NegativeRadicand, ParamOutOfRange,
-                            SingularAxis)
+from revolve.curvature import principal_curvatures
+from revolve.errors import (AxisSingularity, DomainViolation, NegativeRadicand,
+                            ParamOutOfRange, SingularAxis)
+from revolve.expr import parse_expr
 from revolve.momentum import (Momentum, admissible_intervals,
                               momentum_from_gauss, momentum_from_km,
                               momentum_from_kp, momentum_from_mean)
@@ -174,3 +176,46 @@ def test_deriv_of_an_array_matches_per_point_calls(case):
         ok = (got == want) | (np.isnan(got) & np.isnan(want)) | (
             np.abs(got - want) <= 4.0 * np.spacing(term))
     assert np.all(ok), (xs[~ok], got[~ok], want[~ok])
+
+
+def test_momentum_keeps_the_callables_it_was_given():
+    # revbench's traced runs rebuild a momentum around a counting deriv and
+    # read the count back through m.deriv, so neither callable is wrapped
+    class Counted:
+        def __init__(self, fn):
+            self.fn, self.n = fn, 0
+
+        def __call__(self, x):
+            self.n += 1
+            return self.fn(x)
+
+    built = momentum_from_mean(lambda x: 1.0, 0.12, (0.2, 0.8), anchor=0.0)
+    ev, dv = Counted(built.eval), Counted(built.deriv)
+    m = Momentum(ev, dv, built.domain)
+    assert m.eval is ev and m.deriv is dv
+    m.deriv(0.5)
+    assert m.deriv.n == 1
+
+
+_ONE_OVER_X = [lambda x: 1.0 / x, parse_expr("1/x").as_function({})]
+
+
+@pytest.mark.parametrize("G", _ONE_OVER_X, ids=["lambda", "compiled"])
+@pytest.mark.parametrize("c", [0.0, 0.5])
+def test_gauss_deriv_on_the_axis_needs_a_finite_prescription(G, c):
+    # K_G = 1/x has no value at x = 0: K' there, on the float and the array
+    # path, and the curvatures there are a typed error, not a bare
+    # ZeroDivisionError or EvaluationDomainError; off the axis K' = 1/K
+    m = momentum_from_gauss(G, c, 1, (0.0, 1.0))
+    for call in (lambda: m.deriv(0.0), lambda: m.deriv(np.array([0.0, 0.5])),
+                 lambda: principal_curvatures(m, 0.0),
+                 lambda: principal_curvatures(m, np.array([0.0, 0.5]))):
+        with pytest.raises(AxisSingularity):
+            call()
+    assert_close(m.deriv(0.5), 1.0 / math.sqrt(1.0 + c), 1e-12, "K' = 1/K")
+
+
+@pytest.mark.parametrize("H", _ONE_OVER_X, ids=["lambda", "compiled"])
+def test_mean_axis_check_needs_a_finite_prescription(H):
+    with pytest.raises(SingularAxis, match="H has no finite value on the axis"):
+        momentum_from_mean(H, 0.0, (0.0, 1.0))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import catenoid_momentum, sphere_momentum
+from revolve import quadrature
 from revolve.errors import (NonIntegrableSingularity, NumericalError, ParamOutOfRange,
                             QuadratureFailure, RootBracketFailure)
 from revolve.expr import parse_expr
@@ -122,6 +123,25 @@ def test_bisect_runs_two_integrands_as_rows():
     one, other = (_bisect(f, [0.0, 2.0], tol)[0] for f in rows)
     assert set(one) | set(other) <= set(knots)
     assert len(knots) > max(len(one), len(other))
+
+
+@pytest.mark.parametrize("f, lo, hi, anchor, below, exact", [
+    (lambda x: x ** 0.5 + 1.0, 0.5, 2.0, 0.0, (0.1, 0.2, 0.3),
+     lambda x: 2.0 / 3.0 * x ** 1.5 + x),
+    (math.exp, -1.0, 2.0, -math.inf, (-3.0, -2.0), math.exp),
+], ids=["sqrt from 0", "exp from -inf"])
+def test_antiderivative_probes_a_plain_integrand_once(monkeypatch, f, lo, hi, anchor,
+                                                      below, exact):
+    # the array protocol probes a plain f once, on [lo, hi]; the strip from
+    # the anchor and those to points below the cache take f in that form
+    probes = []
+    agrees = quadrature._agrees
+    monkeypatch.setattr(quadrature, "_agrees",
+                        lambda g, a, b: probes.append((a, b)) or agrees(g, a, b))
+    A = AnchoredAntiderivative(f, lo, hi, anchor=anchor, tol=1e-12)
+    for x in below:
+        assert abs(A(x) - exact(x)) <= 1e-12
+    assert probes == [(lo, hi)]
 
 
 # --- strips: from the anchor to the cache, and points outside it -----------
