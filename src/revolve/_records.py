@@ -21,12 +21,13 @@ a block is one transpose of that matrix with the NULs dropped. A run of
 bit-identical values in a float column (each ring's z in a mesh) is
 formatted once. The records are rendered in pieces of a fixed number of rows,
 which bounds the temporaries: ``record_pieces`` yields them as ASCII bytes,
-for a writer that streams them, and ``records`` joins them into one str.
+for a writer that streams them, and ``records`` appends them to one str
+(``_text``), so its peak memory is about its output plus one piece.
 """
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from functools import cache
 
 import numpy as np
@@ -58,11 +59,25 @@ _EXPONENT = _by_exponent(lambda e: "" if -4 <= e < 17 else "e%+03d" % e)
 _POW10 = np.array([10 ** j for j in range(19)], dtype=np.uint64)
 
 
-def records(template: str, columns) -> str:
-    """``template * n % tuple(values)`` for the n rows of ``columns``, one
-    1-D array per conversion of the template, in order; the conversions are
-    ``%.17g`` and ``%d``, and other ``%`` directives are not allowed."""
-    return "".join(piece.decode("ascii") for piece in record_pieces(template, columns))
+def records(template: str, columns, head: str = "") -> str:
+    """``head + template * n % tuple(values)`` for the n rows of ``columns``,
+    one 1-D array per conversion of the template, in order; the conversions
+    are ``%.17g`` and ``%d``, and other ``%`` directives are not allowed.
+    Built by :func:`_text`: the peak memory is about the output plus one
+    piece."""
+    return _text(record_pieces(template, columns), head)
+
+
+def _text(pieces: Iterable[bytes], text: str = "") -> str:
+    """text, then the ASCII pieces, as one str. Each piece is decoded as it
+    comes and appended to the str, which CPython resizes in place while it
+    holds the only reference, so the memory held is the str and one piece,
+    not every piece and their join. On another Python the append may copy
+    the str: the text is the same, but each copy costs time, and the peak
+    is then about twice the output."""
+    for piece in pieces:
+        text += piece.decode("ascii")
+    return text
 
 
 def record_pieces(template: str, columns) -> Iterator[bytes]:

@@ -508,6 +508,13 @@ _BUILDERS: dict[str, Callable[..., CatalogEntry]] = {f.__name__: f for f in (
 def build(name: str, **params: float) -> CatalogEntry:
     """Construct a catalog entry by name with keyword parameters; ParamOutOfRange
     where its constants or its closed profile's sample overflow or are undefined."""
+    return _build(name, params, sample=True)
+
+
+def _build(name: str, params: dict, sample: bool) -> CatalogEntry:
+    """build, which samples the closed profile only if sample is set: a
+    stage that reads the entry's momentum alone (the CLI's state loader)
+    skips the sample, which for hopf_kuhnel builds an antiderivative."""
     try:
         builder = _BUILDERS[name]
     except KeyError:
@@ -515,7 +522,7 @@ def build(name: str, **params: float) -> CatalogEntry:
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             entry = builder(**params)
-            prof = entry.closed_profile
+            prof = entry.closed_profile if sample else None
             finite = prof is None or np.isfinite(prof._sample()).all()
     except TypeError as exc:
         raise ParamOutOfRange(f"bad parameters for {name!r}: {exc}") from None

@@ -154,7 +154,8 @@ def _momentum_from_state(state: dict, tol: float) -> Momentum:
             raise ValidationError(f"{_STATE}: {key!r} must be {what}, got {state[key]!r}")
     if state.get("source") == "catalog":
         from . import catalog as cat
-        entry = cat.build(_required(state, "name"), **state.get("params", {}))
+        # the stages that load a state read its momentum, not its closed profile
+        entry = cat._build(_required(state, "name"), state.get("params", {}), sample=False)
         if entry.momentum is None:
             raise ValidationError(
                 f"catalog entry {state['name']!r} is momentum-exempt; "
@@ -393,8 +394,8 @@ def _cmd_catalog(args) -> int:
     if entry.closed_profile is not None:
         from ._records import records
         ts, xs, zs = entry.closed_profile._sample()
-        files["closed_profile.csv"] = "t,x,z\n" + records("%.17g,%.17g,%.17g\n",
-                                                         (ts, xs, zs))
+        files["closed_profile.csv"] = records("%.17g,%.17g,%.17g\n", (ts, xs, zs),
+                                              head="t,x,z\n")
     _write_all(args.out, files)
     print(f"catalog entry {args.name!r} stored in {args.out}")
     return 0

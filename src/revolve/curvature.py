@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import AxisSingularity, ExponentForbidden, NonPositiveMu, ParamOutOfRange
-from .momentum import _AXIS_REL, Momentum, _moment
+from .momentum import _AXIS_REL, Momentum, _axis_eps, _moment
 from .quadrature import array_callable
 
 __all__ = [
@@ -75,7 +75,8 @@ def principal_curvatures(m: Momentum, x):
     call of K and of K' (through the array protocol), and its samples on the
     axis take the float path, AxisSingularity included.
     """
-    axis_eps = _AXIS_REL * max(1.0, m.width)
+    lo, hi = m.domain    # momentum._axis_eps, inline: this runs once a point
+    axis_eps = _AXIS_REL * max(1.0, hi - lo) if lo <= 0.0 <= hi else 0.0
     if isinstance(x, np.ndarray):
         k_m = array_callable(m.deriv, *m.domain)(x)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -129,7 +130,7 @@ def gauss_from_mean(H: Callable[[float], float], gamma: float, x,
     Hv = H(np.atleast_1d(xs)).reshape(xs.shape)
     with np.errstate(divide="ignore", invalid="ignore"):  # the axis is set below
         out = np.asarray(4.0 * Av * Hv / xs**2 - 4.0 * Av**2 / xs**4)
-    on = np.abs(xs) < _AXIS_REL * max(1.0, hi - lo)
+    on = np.abs(xs) < _axis_eps(lo, hi, max(1.0, hi - lo))
     if np.any(on):
         _axis_vanishes(Av[on])
         out[on] = Hv[on] ** 2

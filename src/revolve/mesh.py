@@ -32,14 +32,15 @@ triangle arrays it describes. A mesh uses it only while it holds those
 arrays and has no normals bound; otherwise it is treated as built by hand.
 
 write_obj renders its v and f record blocks from the arrays (_records), with
-the bytes that %.17g and %d formatting give each value; its peak memory is
-about twice its output, the rendered pieces and their join. write_stl fills
-one buffer of the file's size, _CHUNK triangles at a time, and hands that
-buffer over as its bytes; its peak is about its output, plus one piece's
-temporaries. The CLI streams the OBJ: _obj_pieces yields it as ASCII pieces
-of at most _CHUNK records, which go to the file one by one, so the stage's
-peak is the mesh arrays and one piece. The writers load _records when they
-run, so revolving a mesh does not.
+the bytes that %.17g and %d formatting give each value, and appends each
+piece to its text as it is rendered (_records._text); its peak memory is
+about its output plus one piece. write_stl fills one buffer of the file's
+size, _CHUNK triangles at a time, and hands that buffer over as its bytes;
+its peak is about its output, plus one piece's temporaries. The CLI
+streams the OBJ: _obj_pieces yields it as ASCII pieces of at most _CHUNK
+records, which go to the file one by one, so the stage's peak is the mesh
+arrays and one piece. The writers load _records when they run, so
+revolving a mesh does not.
 
 revolve copies no array it does not change: the vertex grid is only
 compacted where a ring is a pole, and the triangles only filtered where one
@@ -316,9 +317,9 @@ def fundamental_forms(m: Momentum, x: float
                       ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Diagonal coefficients of the first and second fundamental forms in the
     (arclength, theta) chart: I = (1, x^2), II = (K'(x), x*K(x))."""
-    from .momentum import _AXIS_REL
+    from .momentum import _axis_eps
     lo, hi = m.domain
-    if abs(x) < _AXIS_REL * max(1.0, hi - lo):
+    if abs(x) < _axis_eps(lo, hi, max(1.0, hi - lo)):
         raise AxisSingularity("the (s, theta) chart degenerates on the axis")
     K = m.eval(x)
     dK = m.deriv(x)
@@ -440,9 +441,12 @@ def write_obj(mesh: SurfaceMesh) -> str:
     1e-30 <= |v| < 1e30 takes its 17 digits from double-double arithmetic,
     with an error below 2**-46 of the last digit; one that is non-finite,
     outside that range or within 1e-6 of a rounding tie is formatted by
-    Python. Byte-identical for identical meshes. The bytes of
-    :func:`_obj_pieces`, joined."""
-    return b"".join(_obj_pieces(mesh)).decode("ascii")
+    Python. Byte-identical for identical meshes. The pieces of
+    :func:`_obj_pieces`, each appended to the text as it is rendered
+    (``_records._text``), so on CPython the peak memory is about the output
+    plus one piece."""
+    from ._records import _text
+    return _text(_obj_pieces(mesh))
 
 
 def _obj_pieces(mesh: SurfaceMesh) -> Iterator[bytes]:

@@ -87,6 +87,13 @@ def _constant(c: float) -> float:
     return float(c)
 
 
+def _axis_eps(lo: float, hi: float, width: float) -> float:
+    """|x| below this counts as the axis: _AXIS_REL of width on a domain
+    [lo, hi] that holds 0, and nothing on one that does not, whose points
+    next to 0 are off the axis."""
+    return _AXIS_REL * width if lo <= 0.0 <= hi else 0.0
+
+
 def _moment(F: Callable[[float], float], lo: float, hi: float, anchor: float | None,
             tol: float):
     """(F, A): F in the array protocol, and A(x) = int_anchor^x t*F(t) dt, the
@@ -125,11 +132,17 @@ def momentum_from_kp(p: Callable[[float], float], domain: Sequence[float],
         def deriv(x):
             return p_array(x) + x * p_deriv(x)
     else:
+        def deriv_at(x: float) -> float:
+            return p(x) + x * numeric_derivative(p, x, lo, hi)
+
         @takes_arrays
         def deriv(x):
+            # an array goes to deriv_at, not to deriv: a closure that calls
+            # itself is a reference cycle, which keeps the momentum alive
+            # until the cyclic collector runs
             if isinstance(x, np.ndarray):
-                return _pointwise(deriv, x)
-            return p(x) + x * numeric_derivative(p, x, lo, hi)
+                return _pointwise(deriv_at, x)
+            return deriv_at(x)
 
     return Momentum(eval_, deriv, (lo, hi))
 
@@ -165,7 +178,7 @@ def momentum_from_mean(H: Callable[[float], float], c: float,
     lo, hi = _as_interval(domain)
     c = _constant(c)
     H_array, A = _moment(H, lo, hi, anchor, tol)
-    axis_eps = _AXIS_REL * (hi - lo)
+    axis_eps = _axis_eps(lo, hi, hi - lo)
 
     def P(x):  # x*K
         return 2.0 * A(x) + c
@@ -223,7 +236,7 @@ def momentum_from_gauss(G: Callable[[float], float], c: float, sigma: float,
     sigma = float(sigma)
     c = _constant(c)
     G_array, A = _moment(G, lo, hi, anchor, tol)
-    axis_eps = _AXIS_REL * (hi - lo)
+    axis_eps = _axis_eps(lo, hi, hi - lo)
 
     def P(x):  # K^2, the radicand
         return 2.0 * A(x) + c

@@ -480,5 +480,5 @@ def profile_to_csv(p: Profile) -> str:
     value that is non-finite, outside that range or within 1e-6 of a
     rounding tie."""
     from ._records import records
-    return "s,x,z,tx,tz\n" + records("%.17g,%.17g,%.17g,%.17g,%.17g\n",
-                                     (p.s, p.x, p.z, p.tx, p.tz))
+    return records("%.17g,%.17g,%.17g,%.17g,%.17g\n", (p.s, p.x, p.z, p.tx, p.tz),
+                   head="s,x,z,tx,tz\n")

@@ -278,6 +278,29 @@ def test_catalog_list_and_build(tmp_path, capsys):
     assert code == 2
 
 
+def test_catalog_state_load_skips_the_closed_profile(tmp_path, capsys, monkeypatch):
+    # profile and verify read the entry's momentum only: loading a
+    # hopf_kuhnel state builds no antiderivative of its closed profile,
+    # which catalog.build samples and so builds
+    built = []
+
+    class Counted(revolve.quadrature.AnchoredAntiderivative):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    d = tmp_path / "hk"
+    code, _, err = run(["catalog", "build", "hopf_kuhnel", "--param", "q=2",
+                        "--out", str(d)], capsys)
+    assert code == 0, err
+    state = json.loads((d / "momentum.json").read_text())
+    monkeypatch.setattr(revolve.quadrature, "AnchoredAntiderivative", Counted)
+    m = revolve.cli._momentum_from_state(state, 1e-10)
+    assert built == [] and m.eval(0.5) == 0.25
+    revolve.catalog.build("hopf_kuhnel", q=2.0)
+    assert len(built) == 1
+
+
 def test_catalog_build_cylinder_then_profile_fails(tmp_path, capsys):
     d = tmp_path / "cyl"
     code, _, _ = run(["catalog", "build", "cylinder", "--param", "a=1",

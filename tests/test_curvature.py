@@ -57,6 +57,16 @@ def test_axis_singularity_raised():
         principal_curvatures(m, 0.0)
 
 
+def test_gauss_from_mean_next_to_the_axis_of_a_domain_without_it():
+    # H = 1/x on (1e-15, 1): int x*H + gamma = x - 1e-15 + gamma, and the
+    # left end is off the axis, so K_G = 4AH/x^2 - 4A^2/x^4 there, not the
+    # umbilic limit H^2 = 1e30 (gamma = 0) or AxisSingularity (gamma = 1)
+    for gamma, want in ((0.0, 0.0), (1.0, 4e45 - 4e60)):
+        for x in (1e-15, np.array([1e-15])):
+            got = gauss_from_mean(lambda x: 1.0 / x, gamma, x, (1e-15, 1.0))
+            assert float(np.ravel(got)[0]) == pytest.approx(want, rel=1e-12), gamma
+
+
 def test_gauss_from_mean_delaunay():
     # constant H = H0 with constant Gamma: K_G = H0^2 - 4 Gamma^2 / x^4
     H0, gamma = 1.0, 0.3

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from revolve.curvature import principal_curvatures
 from revolve.errors import (AxisSingularity, DomainViolation, NegativeRadicand,
                             ParamOutOfRange, SingularAxis)
 from revolve.expr import parse_expr
+from revolve.mesh import fundamental_forms
 from revolve.momentum import (Momentum, admissible_intervals,
                               momentum_from_gauss, momentum_from_km,
                               momentum_from_kp, momentum_from_mean)
@@ -197,6 +200,27 @@ def test_momentum_keeps_the_callables_it_was_given():
     assert m.deriv.n == 1
 
 
+@pytest.mark.parametrize("build", [
+    lambda: momentum_from_kp(lambda x: 0.5, (0.1, 1.0)),
+    lambda: momentum_from_kp(lambda x: 0.5, (0.1, 1.0), p_deriv=lambda x: 0.0),
+    lambda: momentum_from_km(lambda x: 0.5, 0.1, (0.1, 1.0)),
+    lambda: momentum_from_mean(lambda x: 0.5, 0.0, (0.0, 1.0)),
+    lambda: momentum_from_gauss(lambda x: 0.5, 0.0, 1, (0.0, 1.0)),
+], ids=["kp", "kp-p_deriv", "km", "mean", "gauss"])
+def test_a_momentum_dies_with_its_last_reference(build):
+    # no closure of a momentum refers to itself, so with the cyclic
+    # collector off its callables go at del m
+    m = build()
+    m.deriv(np.array([0.2, 0.5]))
+    gc.disable()
+    try:
+        refs = [weakref.ref(m.eval), weakref.ref(m.deriv)]
+        del m
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
 _ONE_OVER_X = [lambda x: 1.0 / x, parse_expr("1/x").as_function({})]
 
 
@@ -213,6 +237,25 @@ def test_gauss_deriv_on_the_axis_needs_a_finite_prescription(G, c):
         with pytest.raises(AxisSingularity):
             call()
     assert_close(m.deriv(0.5), 1.0 / math.sqrt(1.0 + c), 1e-12, "K' = 1/K")
+
+
+@pytest.mark.parametrize("F", _ONE_OVER_X, ids=["lambda", "compiled"])
+def test_points_next_to_the_axis_of_a_domain_without_it_are_off_the_axis(F):
+    # (1e-15, 1) comes within 1e-13 of the width of the axis without holding
+    # it: K and K' at its left end are the off-axis formulas, and 1/x is
+    # never evaluated at 0; nor are the curvatures and the fundamental
+    # forms there an AxisSingularity
+    m = momentum_from_mean(F, -2e-15, (1e-15, 1.0))
+    assert m.eval(1e-15) == -2.0 and m.deriv(1e-15) == pytest.approx(4e15, rel=1e-12)
+    assert_array_equal(m.eval(np.array([1e-15, 0.5])), [m.eval(1e-15), m.eval(0.5)])
+    assert_array_equal(m.deriv(np.array([1e-15, 0.5])), [m.deriv(1e-15), m.deriv(0.5)])
+    assert principal_curvatures(m, 1e-15) == (m.deriv(1e-15), -2.0 / 1e-15)
+    assert_array_equal(principal_curvatures(m, np.array([1e-15]))[1], [-2.0 / 1e-15])
+    assert fundamental_forms(m, 1e-15)[1] == (m.deriv(1e-15), -2e-15)
+    # K_G = 1/x with a radicand that vanishes at 1e-15: K' = x*G/K = +inf there
+    g = momentum_from_gauss(F, 0.0, 1, (1e-15, 1.0))
+    assert g.deriv(1e-15) == math.inf
+    assert_array_equal(g.deriv(np.array([1e-15, 0.5])), [math.inf, g.deriv(0.5)])
 
 
 @pytest.mark.parametrize("H", _ONE_OVER_X, ids=["lambda", "compiled"])

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from conftest import (assert_close, catenoid_momentum, pinned_traces, sphere_momentum,
                       unduloid_momentum, unit_speed_error)
 from revolve import catalog
+from revolve._records import records
 from revolve.errors import (AxisSingularity, DegeneratePolyline, DomainViolation,
                             EventLocatorFailure, NonIntegrableSingularity,
                             NumericalError, ParamOutOfRange, UnknownIdentifier)
@@ -309,6 +311,27 @@ def test_profile_csv_matches_per_line_formatter():
     p = integrate_profile(catenoid_momentum(), start_x=1.5, s_max=0.5,
                           samples_per_branch=16)
     assert profile_to_csv(p) == _csv_per_line(p)
+
+
+def test_csv_peak_memory():
+    # 200,000 rows of five columns, a 20 MB CSV in 25 pieces: records and
+    # profile_to_csv hold their text, to which each piece is appended as it
+    # is rendered, and one piece's temporaries, not every piece and their
+    # join (twice the output)
+    p = Profile(*np.random.default_rng(9).standard_normal((5, 200_000)), branch_events=())
+    tracemalloc.start()
+    try:
+        for write in (lambda: records("%.17g,%.17g,%.17g,%.17g,%.17g\n",
+                                      (p.s, p.x, p.z, p.tx, p.tz)),
+                      lambda: profile_to_csv(p)):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = write()
+            peak = tracemalloc.get_traced_memory()[1] - base
+            assert len(out) > 19_000_000 and peak <= 1.3 * len(out), peak / len(out)
+            del out
+    finally:
+        tracemalloc.stop()
 
 
 def test_profile_len_and_fields():
